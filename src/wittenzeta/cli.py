@@ -10,6 +10,7 @@ error, 4 convergence failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -43,11 +44,14 @@ _PRECISION_ENV = "WITTENZETA_PRECISION"
 
 def _parse_s(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError("--s expects re or re,im")
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError("--s expects re or re,im")
+    s = complex(*map(float, parts))
+    if not cmath.isfinite(s):
+        # argparse lets this through (it catches only ValueError and
+        # TypeError), so main reports it as a domain error
+        raise DomainError(f"--s must be finite, got {text!r}")
+    return s
 
 
 def _parse_theta_list(args) -> list:
@@ -412,8 +416,8 @@ class _UsageError(Exception):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         digits = _resolve_precision(args)
         if args.module == "verify":
             return _run_verify(args)

@@ -92,6 +92,27 @@ def rgamma_real(s: float) -> float:
     return math.sin(math.pi * s) * math.exp(log_gamma(1.0 - s).real) / math.pi
 
 
+def gamma_two_pi(w: complex) -> complex:
+    """Gamma(w) (2 pi)^{-w}, the prefactor of the Hurwitz formula."""
+    if w.real > 170.0:
+        raise DomainError(f"Gamma({w}) overflows double precision")
+    if w.imag == 0.0:
+        return math.gamma(w.real) * _TWO_PI ** -w.real
+    return cmath.exp(log_gamma(w) - w * math.log(_TWO_PI))
+
+
+def half_pi_trig(w: complex) -> tuple[complex, complex, complex]:
+    """cos(pi w/2), sin(pi w/2) and e^{i pi w/2}, each n exact quarter turns
+    from its value at w - n, n the integer nearest Re w: cos and sin vanish
+    exactly at the integers and keep their accuracy next to them."""
+    n = round(w.real)
+    f = complex(w.real - n, w.imag) * (0.5 * math.pi)
+    c, s, e = cmath.cos(f), cmath.sin(f), cmath.exp(1j * f)
+    for _ in range(n % 4):
+        c, s, e = -s, c, 1j * e
+    return c, s, e
+
+
 def gamma_ratio_at_neg(n: int) -> Fraction:
     """Exact limit of Gamma(2s-1)/Gamma(s) at s = -n for n >= 1."""
     if n < 1:
@@ -103,13 +124,35 @@ def gamma_ratio_at_neg(n: int) -> Fraction:
 # Hurwitz and Riemann zeta by Euler-Maclaurin
 # ---------------------------------------------------------------------------
 
+def _em_corrections(s: complex, base: float, scale: float,
+                    budget: PrecisionBudget):
+    """Bernoulli corrections sum_j B_{2j}/(2j)! (s)_{2j-1} base^{1-s-2j},
+    summed until a term falls below the target times scale; None when the
+    asymptotic series turns first, so that N must grow."""
+    risefac = s  # (s)_1
+    power = base ** (-s - 1.0)
+    corr = 0.0
+    prev_mag = math.inf
+    for j in range(1, 51):
+        term = _BFLOAT[2 * j] / factorial(2 * j) * risefac * power
+        mag = abs(term)
+        if mag > prev_mag and j * 2 > budget.em_order:
+            return None  # asymptotic series started diverging
+        corr += term
+        if mag <= budget.target * scale * 0.01:
+            return corr
+        prev_mag = mag
+        risefac *= (s + 2 * j - 1) * (s + 2 * j)
+        power /= base * base
+    return None
+
+
 def _hurwitz_em(s: complex, a: float, budget: PrecisionBudget) -> complex:
     """Euler-Maclaurin evaluation of zeta(s, a), valid for Re s >= -40.
 
     N explicit terms, the integral term, the half term, and adaptive
     Bernoulli corrections; N is doubled if the corrections fail to decay.
     """
-    tol = budget.target
     n_split = max(16, math.ceil(abs(s)) + 8)
     while True:
         head = 0.0 + 0.0j
@@ -117,34 +160,80 @@ def _hurwitz_em(s: complex, a: float, budget: PrecisionBudget) -> complex:
             head += (n + a) ** (-s)
         base = n_split + a
         tail = base ** (1.0 - s) / (s - 1.0) + 0.5 * base ** (-s)
-        # Bernoulli corrections: B_{2j}/(2j)! * (s)_{2j-1} * base^{-s-2j+1}
-        corr = 0.0 + 0.0j
-        risefac = s  # (s)_1
-        power = base ** (-s - 1.0)
-        prev_mag = math.inf
-        converged = False
-        scale = abs(head + tail) + 1.0
-        j = 1
-        while 2 * j <= 100:
-            term = _BFLOAT[2 * j] / factorial(2 * j) * risefac * power
-            mag = abs(term)
-            if mag > prev_mag and j * 2 > budget.em_order:
-                break  # asymptotic series started diverging
-            corr += term
-            if mag <= tol * scale * 0.01:
-                converged = True
-                break
-            prev_mag = mag
-            risefac *= (s + 2 * j - 1) * (s + 2 * j)
-            power /= base * base
-            j += 1
-        if converged:
+        corr = _em_corrections(s, base, abs(head + tail) + 1.0, budget)
+        if corr is not None:
             return head + tail + corr
         if 2 * n_split > budget.max_terms:
             raise ConvergenceError(
                 f"hurwitz zeta did not converge for s={s}, a={a}",
-                achieved=head + tail + corr)
+                achieved=head + tail)
         n_split *= 2
+
+
+def hurwitz_pair(w: complex, a: float, b: float,
+                 budget: PrecisionBudget) -> tuple[complex, complex]:
+    """zeta(w, b) and zeta(w, a) - zeta(w, b), Re w >= -40, from one
+    Euler-Maclaurin pass with a shared split N. The difference stays
+    accurate through the pole at w = 1 (where zeta(w, b) is infinite): its
+    integral term ((N+a)^{1-w} - (N+b)^{1-w}) / (w-1) is taken as
+    -(N+b)^{1-w} L e^{u/2} sinh(u/2)/(u/2), L = log((N+a)/(N+b)), u = (1-w) L.
+    """
+    n_split = math.ceil(abs(w)) + 8
+    while n_split <= budget.max_terms:
+        head_a = head_b = 0.0
+        for n in range(n_split):
+            head_a += (n + a) ** -w
+            head_b += (n + b) ** -w
+        base_a, base_b = n_split + a, n_split + b
+        pow_a, pow_b = base_a ** (1.0 - w), base_b ** (1.0 - w)
+        pole_a, pole_b = (pow_a / (w - 1.0), pow_b / (w - 1.0)) if w != 1.0 \
+            else (math.inf, math.inf)
+        # a zeta's size is head + integral term, which cancel for Re w < 1;
+        # next to w = 1 the head alone is the size the difference needs
+        corr_a = _em_corrections(
+            w, base_a, min(abs(head_a), abs(head_a + pole_a)) + 1.0, budget)
+        corr_b = _em_corrections(
+            w, base_b, min(abs(head_b), abs(head_b + pole_b)) + 1.0, budget)
+        if corr_a is not None and corr_b is not None:
+            break
+        n_split *= 2
+    else:
+        raise ConvergenceError(f"hurwitz pair did not converge for s={w}")
+    log_ratio = math.log1p((base_a - base_b) / base_b)
+    half = 0.5 * (1.0 - w) * log_ratio
+    sinhc = cmath.sinh(half) / half if half else 1.0
+    diff = head_a - head_b - pow_b * log_ratio * cmath.exp(half) * sinhc \
+        + 0.5 * (base_a ** -w - base_b ** -w) + corr_a - corr_b
+    value_b = head_b + pole_b + 0.5 * base_b ** -w + corr_b
+    return value_b, diff
+
+
+def hurwitz_even(w: complex, a: float, budget: PrecisionBudget) -> complex:
+    """zeta(w, a) + zeta(w, 1 - a) for 0 < |w| < 1, accurate relative to |w|
+    at its zero w = 0: each power (n+x)^{-w} enters as 1 + expm1(-w log(n+x))
+    and the ones, with the integral and half terms, sum exactly to
+    (2N+1) w / (w-1)."""
+    def expm1(z):  # e^z - 1, real or complex
+        return 2.0 * cmath.exp(0.5 * z) * cmath.sinh(0.5 * z)
+
+    b = 1.0 - a
+    n_split = 8
+    while n_split <= budget.max_terms:
+        head = 0.0
+        for n in range(n_split):
+            head += expm1(-w * math.log(n + a)) + expm1(-w * math.log(n + b))
+        base_a, base_b = n_split + a, n_split + b
+        value = head + (2 * n_split + 1) * w / (w - 1.0) \
+            + expm1(-w * math.log(base_a)) * (0.5 + base_a / (w - 1.0)) \
+            + expm1(-w * math.log(base_b)) * (0.5 + base_b / (w - 1.0))
+        # the value is O(w); Gamma(w) ~ 1/w later scales it back to O(1)
+        scale = abs(value) + abs(w)
+        corr_a = _em_corrections(w, base_a, scale, budget)
+        corr_b = _em_corrections(w, base_b, scale, budget)
+        if corr_a is not None and corr_b is not None:
+            return value + corr_a + corr_b
+        n_split *= 2
+    raise ConvergenceError(f"hurwitz sum did not converge for s={w}")
 
 
 def hurwitz_zeta(s: complex, a: float,
@@ -166,13 +255,15 @@ def riemann_zeta(s: complex,
     """Riemann zeta(s) for s != 1.
 
     Euler-Maclaurin for Re s > 0.5, the functional equation (with log_gamma)
-    otherwise; s = 0 returns the exact -1/2.
+    otherwise; s = 0 returns the exact -1/2, s = -2, -4, ... exactly 0.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-13:
         raise PoleError("riemann zeta pole at s = 1", location=1.0)
     if s == 0:
         return complex(-0.5)
+    if s.imag == 0.0 and s.real < 0.0 and s.real % 2.0 == 0.0:
+        return 0j  # the trivial zeros, where sin(pi s/2) rounds to ~1e-16
     if s.real > _RZ_CROSSOVER:
         return _hurwitz_em(s, 1.0, budget)
     # zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s)

@@ -4,8 +4,9 @@ Three evaluation routes are exposed and cross-checked by the tests:
 
 * ``polylog_series``     -- the defining series, accelerated by repeated
                             summation by parts for 0 < Re s <= 1 (x != 1);
-* ``polylog_continued``  -- the shift recursion that analytically continues
-                            Z(s, x) to the whole s-plane for x != 1;
+* ``polylog_continued``  -- Z(s, x) for x != 1 and every s: the series right
+                            of Re s = 1.2, the Hurwitz (Jonquiere) formula,
+                            DLMF 25.13.2, left of it;
 * ``polylog_via_jonquiere`` -- for real s, the functional equation relating
                             Z(s, e^{i theta}) and Z(s, e^{-i theta}) to the
                             Hurwitz zeta, solved as a 2x2 real system.
@@ -25,6 +26,7 @@ from fractions import Fraction
 from .errors import ConditioningError, ConvergenceError, DomainError
 from .exact import RationalFunction, binomial
 from .numerics import (DEFAULT_BUDGET, PrecisionBudget, _hurwitz_em,
+                       gamma_two_pi, half_pi_trig, hurwitz_even, hurwitz_pair,
                        hurwitz_zeta, rgamma_real)
 
 _TWO_PI = 2.0 * math.pi
@@ -40,6 +42,8 @@ class UnitCirclePoint:
         t = math.fmod(self.theta, _TWO_PI)
         if t < 0.0:
             t += _TWO_PI
+        if t == _TWO_PI:  # a tiny negative angle plus 2 pi rounds to 2 pi
+            t = 0.0
         object.__setattr__(self, "theta", t)
 
     @property
@@ -136,20 +140,23 @@ def polylog_series(s: complex, x, budget: PrecisionBudget = DEFAULT_BUDGET) -> c
 
 
 # ---------------------------------------------------------------------------
-# Analytic continuation by the shift recursion
+# Analytic continuation by the Hurwitz formula
 # ---------------------------------------------------------------------------
 
 _SERIES_EDGE = 1.2  # use the plain series right of this line
-_K_CAP = 64
+_NEAR_ONE = 0.25  # |s - 1| below which the bracket is split at its zero
 
 
 def polylog_continued(s: complex, x,
                       budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
-    """Z(s, x) for x != 1 and any s in the tested window.
+    """Z(s, x) for x = e^{2 pi i t} != 1 and every s: the series right of
+    Re s = 1.2, left of it the Hurwitz formula, DLMF 25.13.2, with w = 1 - s,
 
-    Builds the ladder Z(s + j, x), j = J..0, from the series in the
-    absolutely convergent region downwards via
-    (1-x) Z(s,x) = x + x^2 (2^{-s} - 1) + x sum_k C(-s,k) (Z(s+k,x) - x).
+        Gamma(w) (2 pi)^{-w} [e^{i pi w/2} zeta(w,t) + e^{-i pi w/2} zeta(w,1-t)],
+
+    as e^{i pi w/2} (zeta(w,t) - zeta(w,1-t)) + 2 cos(pi w/2) zeta(w,1-t), so
+    that no two large terms cancel; Im s > 0 goes through conj Z(conj s, 1/x)
+    to keep |e^{i pi w/2}| <= 1. s = 0 and 1 use x/(1-x) and -log(1-x).
     """
     s = complex(s)
     pt = _as_point(x)
@@ -157,40 +164,24 @@ def polylog_continued(s: complex, x,
         raise DomainError("polylog continuation requires x != 1 (theta != 0)")
     if s.real > _SERIES_EDGE:
         return polylog_series(s, pt, budget)
+    if s.imag > 0.0:
+        return polylog_continued(s.conjugate(), pt.inverse(),
+                                 budget).conjugate()
     z = pt.x
-    depth = math.ceil(_SERIES_EDGE - s.real) + 1
-    top = depth + _K_CAP
-    rung_budget = PrecisionBudget(
-        target=max(budget.target * 1e-3, 1e-14),
-        max_terms=max(budget.max_terms, 200_000),
-        em_order=budget.em_order)
-    vals: list[complex] = [0j] * (top + 1)
-    for j in range(top, -1, -1):
-        sj = s + j
-        if sj.real > _SERIES_EDGE:
-            vals[j] = polylog_series(sj, pt, rung_budget)
-            continue
-        acc = z + z * z * (2.0 ** (-sj) - 1.0)
-        c = 1.0 + 0.0j  # C(-sj, k), built iteratively
-        small_run = 0
-        for k in range(1, _K_CAP + 1):
-            c *= (-sj - (k - 1)) / k
-            contrib = z * c * (vals[j + k] - z)
-            acc += contrib
-            if abs(contrib) <= budget.target * 1e-3 * (1.0 + abs(acc)) \
-                    and k > abs(sj.real) + 4:
-                small_run += 1
-                if small_run >= 3:
-                    break
-            else:
-                small_run = 0
-        else:
-            if small_run == 0:
-                raise ConvergenceError(
-                    f"continuation recursion not converged at s={sj}",
-                    achieved=acc / (1.0 - z))
-        vals[j] = acc / (1.0 - z)
-    return vals[0]
+    if s == 0.0:
+        return z / (1.0 - z)
+    if s == 1.0:
+        return -cmath.log(1.0 - z)
+    w = 1.0 - s
+    t = pt.theta / _TWO_PI
+    cos, sin, phase = half_pi_trig(w)
+    zeta_b, diff = hurwitz_pair(w, t, 1.0 - t, budget)
+    if abs(w) < _NEAR_ONE:
+        # Gamma(w) has a pole at w = 0, where the bracket vanishes: keep
+        # its relative accuracy through cos (zeta(w,t) + zeta(w,1-t))
+        return gamma_two_pi(w) * (cos * hurwitz_even(w, t, budget)
+                                  + 1j * sin * diff)
+    return gamma_two_pi(w) * (phase * diff + 2.0 * cos * zeta_b)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +196,9 @@ def polylog_via_jonquiere(s: float, x,
             = (2 pi)^s / Gamma(s) * zeta(1 - s, t / 2 pi)
 
     applied at t and 2 pi - t, solved with Z(s, e^{-i t}) = conj Z(s, e^{i t}).
-    Non-positive integer s uses the exact limit of the degenerate solve;
-    positive integer s is rejected, near-integer s raises ConditioningError.
+    At non-positive integer s, where the solve degenerates, the value is
+    polylog_continued's; positive integer s is rejected, near-integer s
+    raises ConditioningError.
     """
     s = float(s)
     pt = _as_point(x)
@@ -214,47 +206,20 @@ def polylog_via_jonquiere(s: float, x,
         raise DomainError("jonquiere route requires theta != 0")
     t = pt.theta / _TWO_PI  # in (0, 1)
     if s == int(s):
-        m = -int(s)
-        if m < 0:
+        if s > 0:
             raise DomainError("jonquiere solve degenerates at positive integer s")
-        return _jonquiere_integer_limit(m, t, budget)
+        return polylog_continued(s, pt, budget)
     if abs(math.sin(math.pi * s)) / 2.0 < 1e-4:
         raise ConditioningError(
             f"jonquiere system ill-conditioned near integer s = {s}")
     rg = rgamma_real(s)
     pref = _TWO_PI ** s * rg
-    r_plus = pref * hurwitz_zeta(s_to_one_minus(s), t, budget).real
-    r_minus = pref * hurwitz_zeta(s_to_one_minus(s), 1.0 - t, budget).real
+    r_plus = pref * hurwitz_zeta(1.0 - s, t, budget).real
+    r_minus = pref * hurwitz_zeta(1.0 - s, 1.0 - t, budget).real
     phi = math.pi * s / 2.0
     u = (r_plus + r_minus) / (4.0 * math.cos(phi))
     v = (r_plus - r_minus) / (4.0 * math.sin(phi))
     return complex(u, v)
-
-
-def s_to_one_minus(s: float) -> float:
-    return 1.0 - s
-
-
-def _jonquiere_integer_limit(m: int, t: float,
-                             budget: PrecisionBudget) -> complex:
-    """Limit of the Jonquiere solve at s = -m, m >= 0.
-
-    For m >= 1 both 1/Gamma(s) and the degenerate trigonometric factor
-    vanish linearly; the ratio leaves a single Hurwitz-zeta combination and
-    the conjugation parity forces the other component to zero.
-    """
-    if m == 0:
-        # Z(0, x) = x / (1 - x)
-        z = cmath.exp(1j * _TWO_PI * t)
-        return z / (1.0 - z)
-    num = _TWO_PI ** (-m) * (-1.0) ** m * math.factorial(m)
-    zp = hurwitz_zeta(m + 1.0, t, budget).real
-    zm = hurwitz_zeta(m + 1.0, 1.0 - t, budget).real
-    if m % 2 == 1:
-        u = num * (zp + zm) / (4.0 * (-1.0) ** ((m - 1) // 2) * math.pi / 2.0)
-        return complex(u, 0.0)
-    v = num * (zp - zm) / (4.0 * (-1.0) ** (m // 2) * math.pi / 2.0)
-    return complex(0.0, v)
 
 
 # ---------------------------------------------------------------------------

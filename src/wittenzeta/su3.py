@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, PoleError
 from .exact import rising, zeta_neg_int
 from .numerics import (DEFAULT_BUDGET, PrecisionBudget, gamma_ratio_at_neg,
@@ -42,6 +40,7 @@ _POLE_TOL = 1e-6
 
 def _square_sum(s: complex, n_max: int) -> complex:
     """sum over 1 <= m, n <= n_max of (m n (m+n))^{-s}, vectorized over n."""
+    import numpy as np  # lazily: the rest of the package does not need it
     n = np.arange(1, 2 * n_max + 1, dtype=np.float64)
     if s.imag == 0.0:
         pw = n ** (-s.real)
@@ -107,10 +106,6 @@ class MBParams:
         return 2 * self.n + 2
 
 
-def _gamma(z: complex) -> complex:
-    return cmath.exp(log_gamma(z))
-
-
 def _genuine_pole_near(s: complex) -> complex | None:
     """Actual poles of the continued function: 2/3 and 1/2 - j, j >= 0."""
     if abs(s - 2.0 / 3.0) < _POLE_TOL:
@@ -136,6 +131,7 @@ def _removable_point_near(s: complex, m_upper: int) -> float | None:
 
 def _mb_direct(s: complex, params: MBParams,
                budget: PrecisionBudget) -> complex:
+    import numpy as np
     pref = cmath.exp(s * cmath.log(2.0))
     # term 1: gamma ratio times zeta(3s - 1)
     log_ratio = log_gamma(2.0 * s - 1.0) + log_gamma(1.0 - s) - log_gamma(s)
@@ -172,6 +168,7 @@ def _panel_quad(f, t_max: float, order: int,
                 budget: PrecisionBudget) -> complex:
     """Composite Gauss-Legendre on [-t_max, t_max], panel width 5, doubling
     the per-panel order until two refinements agree."""
+    import numpy as np
     tol = max(budget.target, 1e-9)
     edges = np.linspace(-t_max, t_max, max(2, int(math.ceil(2 * t_max / 5.0)) + 1))
     prev = None

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +126,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "su3", "eval", "--s", "0.5")
         assert code == 3 and "pole" in err
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "1,nan", "0,inf"])
+    def test_non_finite_s_is_domain_error(self, capsys, text):
+        code, _, err = run(capsys, "su2", "eval", "--s", text, "--theta", "1")
+        assert code == 3 and "finite" in err
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "padic", "eval", "--family", "so5",
                            "--s", "0")
@@ -205,3 +214,18 @@ class TestPadicCli:
                            "--family", "sl3cong", "--format", "json")
         rec = json.loads(out)
         assert code == 0 and rec["value"] is True
+
+
+class TestImport:
+    def test_numpy_not_loaded(self):
+        # numpy is only for the SU(3) quadrature and double series
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        code = ("import sys, wittenzeta, wittenzeta.cli as cli\n"
+                "rc = cli.main(['padic', 'eval', '--family', 'sl2zp',"
+                " '--s', '-1', '--p', '3'])\n"
+                "print(rc, 'numpy' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "0 False"

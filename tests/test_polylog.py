@@ -10,6 +10,7 @@ import pytest
 
 from wittenzeta.errors import ConditioningError, DomainError
 from wittenzeta.exact import Polynomial, RationalFunction
+from wittenzeta.numerics import PrecisionBudget
 from wittenzeta.polylog import (UnitCirclePoint, polylog_closed_form,
                                 polylog_continued, polylog_eval_neg,
                                 polylog_series, polylog_via_jonquiere)
@@ -61,13 +62,26 @@ class TestContinuation:
         want = _oracle(s, theta)
         assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
 
-    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    # right of Re s = 1.2 the continuation is the series itself; the points
+    # left of it compare the Hurwitz formula with summation by parts
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 0.4, 0.8, 1.1, 0.6 + 2j])
     @pytest.mark.parametrize("theta", [math.pi / 3, math.pi,
                                        3.0 * math.pi / 2])
     def test_overlap_with_series(self, s, theta):
         a = polylog_continued(s, theta)
         b = polylog_series(s, theta)
         assert abs(a - b) <= 1e-9
+
+    # s next to 1, where Gamma(1 - s) has its pole, and |Im s| large with
+    # theta near 0, where one Hurwitz zeta dwarfs the other
+    @pytest.mark.parametrize("s", [1 + 1e-6, 1 - 1e-6, 1 - 1e-9j, 0.8,
+                                   -3 - 10j, -3 + 10j, -20 + 5j, -10.3])
+    @pytest.mark.parametrize("theta", [0.2, math.pi / 3,
+                                       2.0 * math.pi - 0.2])
+    def test_hard_points_against_mpmath(self, s, theta):
+        got = polylog_continued(s, theta, PrecisionBudget(target=1e-13))
+        want = _oracle(s, theta)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_pinned_values(self):
         # Z(1, i) = -log(1 - i)

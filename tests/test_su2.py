@@ -1,6 +1,7 @@
 """SU(2) Witten L-function: special values, the derivative at s = -2,
 multi-character variants, and the Haar average."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,8 @@ import mpmath
 import pytest
 
 from wittenzeta.errors import DomainError
-from wittenzeta.su2 import (ConjugacyClassSU2, char_ratio,
+from wittenzeta.numerics import PrecisionBudget
+from wittenzeta.su2 import (ConjugacyClassSU2, _leggauss, char_ratio,
                             derivative_at_minus2, haar_average_su2, multi_L,
                             special_value_neg_even, witten_L_su2)
 
@@ -59,6 +61,59 @@ class TestEval:
                        / (2j * mpmath.sin(theta)))
         got = witten_L_su2(s, theta)
         assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
+
+
+def _mp_witten(s, theta):
+    """(Li_{s+1}(x) - Li_{s+1}(1/x)) / (2i sin theta) at 50 digits."""
+    with mpmath.workdps(50):
+        x = mpmath.expj(mpmath.mpf(theta))
+        order = mpmath.mpc(s) + 1
+        return complex((mpmath.polylog(order, x) - mpmath.polylog(order, 1 / x))
+                       / (2j * mpmath.sin(mpmath.mpf(theta))))
+
+
+# the classes of the benchmark's su2-grid: multiples of pi, two plain
+# angles, and the central elements
+BENCH_THETAS = [k * PI for k in (1 / 2, 1 / 3, 2 / 3, 1 / 4, 3 / 4, 1 / 5,
+                                 2 / 5, 1 / 6, 5 / 6)] + [0.2, 1.0, 0.0, PI]
+
+
+class TestHurwitzRoute:
+    # next to s = -1 the two Hurwitz zetas of the sine form have a pole
+    # each; their difference must be taken without subtracting the poles
+    @pytest.mark.parametrize("s", [-1 + 1e-6, -1 - 1e-6, -1 + 1e-9,
+                                   -1 - 1e-9, -0.999 + 2j])
+    @pytest.mark.parametrize("theta", [0.2, PI / 3, PI / 2, 5 * PI / 6])
+    def test_next_to_minus_one(self, s, theta):
+        got = witten_L_su2(s, theta, PrecisionBudget(target=1e-13))
+        want = _mp_witten(s, theta)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("m", range(2, 41, 2))
+    def test_trivial_zeros_exact(self, m):
+        for theta in BENCH_THETAS:
+            assert witten_L_su2(-float(m), theta) == 0
+
+    @pytest.mark.parametrize("s", [-10 + 1e-6, -19.5, -25.3, -39.5, -40 + 10j,
+                                   -30 - 7j, -15.5 + 3j, -2 + 1e-9j])
+    @pytest.mark.parametrize("theta", [0.2, 2 * PI / 3])
+    def test_deep_left_half_plane(self, s, theta):
+        got = witten_L_su2(s, theta, PrecisionBudget(target=1e-13))
+        want = _mp_witten(s, theta)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("theta", [0.2, PI / 3, 5 * PI / 6])
+    def test_limit_at_zero(self, theta):
+        want = _mp_witten(0.0, theta)
+        assert abs(witten_L_su2(0.0, theta) - want) <= 1e-14 * abs(want)
+        for s in (1e-9, -1e-9, 1e-9j):
+            assert abs(witten_L_su2(s, theta) - want) <= 1e-8 * abs(want)
+
+    @pytest.mark.parametrize("s", [2.5, 0.3, 1.7 - 2j])
+    def test_series_side(self, s):
+        got = witten_L_su2(s, 1.0, PrecisionBudget(target=1e-12))
+        want = _mp_witten(s, 1.0)
+        assert abs(got - want) <= 1e-11 * abs(want)
 
 
 class TestSpecialValues:
@@ -149,11 +204,36 @@ class TestMultiCharacter:
         want = witten_L_su2(1.5, PI / 5)
         assert abs(got - want) <= 1e-10
 
+    def test_three_classes_with_zero_combined_angle(self):
+        # s + r = -1.01; one combined angle pi/2 - pi/3 - pi/6 is 0, so one
+        # of the eight circle terms is the Riemann zeta
+        with mpmath.workdps(50):
+            exact = [mpmath.pi / 2, mpmath.pi / 3, mpmath.pi / 6]
+            order = mpmath.mpf("-4.01") + 3
+            acc = 0
+            for eps in itertools.product((1, -1), repeat=3):
+                x = mpmath.expj(sum(e * t for e, t in zip(eps, exact)))
+                term = mpmath.zeta(order) if abs(x - 1) < mpmath.mpf(10) ** -40 \
+                    else mpmath.polylog(order, x)
+                acc += math.prod(eps) * term
+            want = complex(acc / mpmath.fprod(2j * mpmath.sin(t) for t in exact))
+        got = multi_L(-4.01, [PI / 2, PI / 3, PI / 6])
+        assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+
     def test_arity_limits(self):
         with pytest.raises(DomainError):
             multi_L(2.0, [])
         with pytest.raises(DomainError):
             multi_L(2.0, [0.5] * 4)
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_leggauss_matches_numpy(n):
+    np = pytest.importorskip("numpy")
+    nodes, weights = _leggauss(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(np.array(nodes) - ref_nodes)) <= 1e-14
+    assert np.max(np.abs(np.array(weights) - ref_weights)) <= 1e-14
 
 
 class TestHaarAverage:
