@@ -19,7 +19,7 @@ from .witten_core import (BUILTIN_TABLES, CharacterTable, GaussianRational,
                           finite_witten_L, finite_witten_L_exact,
                           haar_average_finite, load_table, parse_table)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_TABLES", "CharacterTable", "ConditioningError",

@@ -387,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", default="all",
                     choices=("all", "polylog", "su2", "su3", "padic", "core"))
     pv.add_argument("--format", choices=("text", "json"), default="text")
-    pv.add_argument("--precision", type=int, default=None)
     return parser
 
 
@@ -418,9 +417,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        digits = _resolve_precision(args)
         if args.module == "verify":
             return _run_verify(args)
+        digits = _resolve_precision(args)
         budget = PrecisionBudget(target=10.0 ** (-digits))
         t0 = time.perf_counter()
         pairs = _HANDLERS[args.module](args, budget)

@@ -20,6 +20,7 @@ from .errors import ConvergenceError, DomainError, PoleError
 from .exact import bernoulli
 
 _TWO_PI = 2.0 * math.pi
+_EM_ORDER = 8  # below this order a growing correction is not yet divergence
 
 
 @dataclass(frozen=True)
@@ -28,15 +29,12 @@ class PrecisionBudget:
 
     target: float = 1e-10
     max_terms: int = 10_000
-    em_order: int = 8  # starting Euler-Maclaurin correction order (even)
 
     def __post_init__(self):
         if not self.target > 0:
             raise ValueError("precision target must be positive")
         if self.max_terms < 16:
             raise ValueError("max_terms must be at least 16")
-        if self.em_order < 2 or self.em_order % 2:
-            raise ValueError("em_order must be even and >= 2")
 
 
 DEFAULT_BUDGET = PrecisionBudget()
@@ -136,7 +134,7 @@ def _em_corrections(s: complex, base: float, scale: float,
     for j in range(1, 51):
         term = _BFLOAT[2 * j] / factorial(2 * j) * risefac * power
         mag = abs(term)
-        if mag > prev_mag and j * 2 > budget.em_order:
+        if mag > prev_mag and j * 2 > _EM_ORDER:
             return None  # asymptotic series started diverging
         corr += term
         if mag <= budget.target * scale * 0.01:
@@ -256,6 +254,7 @@ def riemann_zeta(s: complex,
 
     Euler-Maclaurin for Re s > 0.5, the functional equation (with log_gamma)
     otherwise; s = 0 returns the exact -1/2, s = -2, -4, ... exactly 0.
+    Left of Re s = -169, where Gamma(1 - s) overflows, it raises DomainError.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-13:
@@ -266,6 +265,8 @@ def riemann_zeta(s: complex,
         return 0j  # the trivial zeros, where sin(pi s/2) rounds to ~1e-16
     if s.real > _RZ_CROSSOVER:
         return _hurwitz_em(s, 1.0, budget)
+    if s.real < -169.0:
+        raise DomainError(f"Gamma({1.0 - s}) overflows double precision")
     # zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s)
     chi = 2.0 ** s * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0) \
         * cmath.exp(log_gamma(1.0 - s))

@@ -9,10 +9,15 @@ analytic continuation is computed from the Mellin-Barnes identity
 
     zeta^W(s) = 2^s Gamma(2s-1) Gamma(1-s)/Gamma(s) zeta(3s-1)
               + 2^s sum_{k=0}^{M-1} (-1)^k (s)_k / k! zeta(2s+k) zeta(s-k)
-              + 2^s/(2 pi i) int_{Re z = M - eps}
+              + 2^s/(2 pi i) int_{Re z = c}
                     Gamma(s+z) Gamma(-z)/Gamma(s) zeta(2s+z) zeta(s-z) dz,
 
-valid for Re s > -n - 1/2 + eps/2 with M = 2n+2. At negative integers the
+valid for Re s > -n - 1/4 with M = 2n+2, or floor(Re s) + 1 if larger, so
+that the pole of zeta(s-z) at z = s-1 lies left of the line. The line Re
+z = c halves the pole-free gap (max(M-1, 1-2 Re s), M), at least 1/2 wide.
+The integrand is analytic in a strip about it and decays like e^{-pi |t|},
+so the trapezoid rule converges geometrically as its step is halved
+(Trefethen and Weideman, SIAM Rev. 56, 2014). At negative integers the
 limit collapses to an exact rational combination of zeta values
 (``special_value_su3``), zero for every n >= 1; the even-n case rests on a
 Bernoulli convolution identity exposed as ``bernoulli_convolution_check``.
@@ -32,6 +37,8 @@ from .numerics import (DEFAULT_BUDGET, PrecisionBudget, gamma_ratio_at_neg,
                        log_gamma, riemann_zeta)
 
 _POLE_TOL = 1e-6
+_MAX_HALVINGS = 8  # trapezoid steps 1/2 .. 1/256
+_MT_BASE = 1500  # N of mt_series' square sums at N, 2N, 4N
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +60,8 @@ def _square_sum(s: complex, n_max: int) -> complex:
     return complex(total)
 
 
-def mt_series(s: complex, budget: PrecisionBudget = DEFAULT_BUDGET,
-              n_base: int = 1500) -> complex:
+def mt_series(s: complex,
+              budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
     """2^s times the diagonal Mordell-Tornheim sum, for Re s > 1.
 
     Truncated square sums at N, 2N, 4N are Richardson-extrapolated against
@@ -65,9 +72,7 @@ def mt_series(s: complex, budget: PrecisionBudget = DEFAULT_BUDGET,
         raise DomainError("mt_series requires Re s > 1")
     sigma = s.real
     pref = 2.0 ** s if s.imag == 0.0 else cmath.exp(s * cmath.log(2.0))
-    s1 = _square_sum(s, n_base)
-    s2 = _square_sum(s, 2 * n_base)
-    s4 = _square_sum(s, 4 * n_base)
+    s1, s2, s4 = (_square_sum(s, k * _MT_BASE) for k in (1, 2, 4))
     ratio = 2.0 ** (2.0 * sigma - 1.0) - 1.0
     r1 = s2 + (s2 - s1) / ratio
     r2 = s4 + (s4 - s2) / ratio
@@ -87,51 +92,25 @@ def mt_series(s: complex, budget: PrecisionBudget = DEFAULT_BUDGET,
 
 @dataclass(frozen=True)
 class MBParams:
-    """Contour configuration: strip selector n, offset eps, truncation T,
-    Gauss-Legendre points per unit-length panel grouping."""
+    """Strip selector n: the continuation takes M = 2n+2 residues of
+    Gamma(-z) and holds for Re s > -n - 1/4 (see the module docstring)."""
 
     n: int = 1
-    epsilon: float = 0.5
-    contour_T: float = 0.0  # 0 -> auto: 40 + 10 |Im s|
-    quad_order: int = 32  # per panel of width 5
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("MBParams.n must be >= 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError("MBParams.epsilon must lie in (0, 1)")
 
     @property
     def M(self) -> int:
         return 2 * self.n + 2
 
 
-def _genuine_pole_near(s: complex) -> complex | None:
-    """Actual poles of the continued function: 2/3 and 1/2 - j, j >= 0."""
-    if abs(s - 2.0 / 3.0) < _POLE_TOL:
-        return 2.0 / 3.0
-    if s.imag == 0.0 or abs(s.imag) < _POLE_TOL:
-        j = round(0.5 - s.real)
-        cand = 0.5 - j
-        if j >= 0 and abs(s - cand) < _POLE_TOL:
-            return cand
-    return None
-
-
-def _removable_point_near(s: complex, m_upper: int) -> float | None:
-    """Integer points where individual formula pieces blow up but the
-    function itself is regular: s in {..., -1, 0} union {1, ..., M}."""
-    if abs(s.imag) >= _POLE_TOL:
-        return None
-    k = round(s.real)
-    if k <= m_upper and abs(s - k) < _POLE_TOL:
-        return float(k)
-    return None
-
-
 def _mb_direct(s: complex, params: MBParams,
                budget: PrecisionBudget) -> complex:
-    import numpy as np
+    # M residues of Gamma(-z), more when Re s >= M: the pole of zeta(s - z)
+    # at z = s - 1, whose residue is term 1, must lie left of the contour
+    m = max(params.M, math.floor(s.real) + 1)
     pref = cmath.exp(s * cmath.log(2.0))
     # term 1: gamma ratio times zeta(3s - 1)
     log_ratio = log_gamma(2.0 * s - 1.0) + log_gamma(1.0 - s) - log_gamma(s)
@@ -139,51 +118,58 @@ def _mb_direct(s: complex, params: MBParams,
     # term 2: finite sum of zeta products
     term2 = 0.0 + 0.0j
     poch = 1.0 + 0.0j  # (s)_k
-    for k in range(params.M):
+    for k in range(m):
         term2 += (-1.0) ** k * poch / factorial(k) \
             * riemann_zeta(2.0 * s + k, budget) \
             * riemann_zeta(s - k, budget)
         poch *= s + k
-    # term 3: vertical contour at Re z = M - eps
-    c = params.M - params.epsilon
-    t_max = params.contour_T if params.contour_T > 0.0 \
-        else 40.0 + 10.0 * abs(s.imag)
+    # term 3: the line Re z = c midway across the pole-free gap between
+    # z = m - 1 or the pole of zeta(2s + z) at 1 - 2s, and z = m
+    c = 0.5 * (max(m - 1.0, 1.0 - 2.0 * s.real) + m)
     lg_s = log_gamma(s)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        out = np.empty(len(t), dtype=np.complex128)
-        for i, ti in enumerate(t):
-            z = complex(c, ti)
-            lg = log_gamma(s + z) + log_gamma(-z) - lg_s
-            out[i] = cmath.exp(lg) * riemann_zeta(2.0 * s + z, budget) \
-                * riemann_zeta(s - z, budget)
-        return out
+    def integrand(t: float) -> complex:
+        z = complex(c, t)
+        return cmath.exp(log_gamma(s + z) + log_gamma(-z) - lg_s) \
+            * riemann_zeta(2.0 * s + z, budget) * riemann_zeta(s - z, budget)
 
-    integral = _panel_quad(integrand, t_max, params.quad_order, budget)
-    term3 = integral / (2.0 * math.pi)
-    return pref * (term1 + term2 + term3)
+    integral = _trapezoid(integrand, budget.target)
+    return pref * (term1 + term2 + integral / (2.0 * math.pi))
 
 
-def _panel_quad(f, t_max: float, order: int,
-                budget: PrecisionBudget) -> complex:
-    """Composite Gauss-Legendre on [-t_max, t_max], panel width 5, doubling
-    the per-panel order until two refinements agree."""
-    import numpy as np
-    tol = max(budget.target, 1e-9)
-    edges = np.linspace(-t_max, t_max, max(2, int(math.ceil(2 * t_max / 5.0)) + 1))
-    prev = None
-    while order <= 512:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        total = 0.0 + 0.0j
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            total += half * complex(np.dot(weights, f(mid + half * nodes)))
-        if prev is not None and abs(total - prev) <= tol * (1.0 + abs(total)):
-            return total
-        prev = total
-        order *= 2
+def _trapezoid(f, target: float) -> complex:
+    """Integral of f over the real line by the trapezoid rule.
+
+    The nodes run out from t = 0 in steps of 1 until two in a row fall below
+    target/1000; the step is then halved, each level adding only the odd
+    nodes, until two levels agree to max(target, 1e-9). For f analytic in a
+    strip about the line and decaying exponentially the error falls
+    geometrically with the step.
+    """
+    tol = max(target, 1e-9)
+    total, ends = f(0.0), []
+    for step in (1, -1):
+        t = quiet = 0
+        while quiet < 2:
+            t += step
+            v = f(float(t))
+            total += v
+            quiet = quiet + 1 if abs(v) < 1e-3 * target else 0
+        ends.append(t)
+    hi, lo = ends
+    h = 1.0
+    for _ in range(_MAX_HALVINGS):
+        odd = sum(f(lo + (j + 0.5) * h) for j in range(round((hi - lo) / h)))
+        refined = 0.5 * (total + h * odd)
+        if abs(refined - total) <= tol * (1.0 + abs(refined)):
+            return refined
+        total = refined
+        h *= 0.5
     raise ConvergenceError("contour quadrature did not converge",
-                           achieved=prev)
+                           achieved=total)
+
+
+_panel_quad = _trapezoid  # the name bench/tracing.py wraps
 
 
 def witten_su3_continued(s: complex, params: MBParams = MBParams(),
@@ -191,23 +177,24 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
     """Analytic continuation of zeta^W_{SU(3)} by the Mellin-Barnes formula.
 
     Genuine poles (s = 2/3 and s = 1/2 - j) raise PoleError; removable
-    singular points of the formula (integer s within the strip) are filled
-    in by symmetric Richardson extrapolation of nearby direct evaluations.
+    singular points of the formula (integer s) are filled in by symmetric
+    Richardson extrapolation of nearby direct evaluations.
     """
     s = complex(s)
-    if s.real <= -params.n - 0.5 + params.epsilon / 2.0:
+    if s.real <= -params.n - 0.25:
         raise DomainError(
             f"s={s} outside the validity strip for n={params.n} "
-            f"(requires Re s > {-params.n - 0.5 + params.epsilon / 2.0})")
-    pole = _genuine_pole_near(s)
-    if pole is not None:
-        raise PoleError(f"zeta^W_SU(3) pole near s = {pole}", location=pole)
-    removable = _removable_point_near(s, params.M)
-    if removable is not None:
+            f"(requires Re s > {-params.n - 0.25})")
+    for pole in (2.0 / 3.0, 0.5 - max(0, round(0.5 - s.real))):
+        if abs(s - pole) < _POLE_TOL:
+            raise PoleError(f"zeta^W_SU(3) pole near s = {pole}",
+                            location=pole)
+    k = round(s.real)
+    if abs(s - k) < _POLE_TOL:
         delta = 0.02
         def sym(d: float) -> complex:
-            return 0.5 * (_mb_direct(removable + d, params, budget)
-                          + _mb_direct(removable - d, params, budget))
+            return 0.5 * (_mb_direct(k + d, params, budget)
+                          + _mb_direct(k - d, params, budget))
         g1 = sym(delta / 2.0)
         g2 = sym(delta)
         return (4.0 * g1 - g2) / 3.0

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 from .errors import DomainError
 
+MAX_EXACT_S = 1000  # deg^{|s|+1} then prints in 4300 digits for deg < 19,000
+
 
 class TableFormatError(DomainError):
     """A character-table file failed validation; message carries the line."""
@@ -229,9 +231,12 @@ def load_table(path: str) -> CharacterTable:
 
 def finite_witten_L_exact(table: CharacterTable, s: int,
                           class_index: int) -> GaussianRational:
-    """Exact sum over irreps of chi(g) * deg^{-s-1} for integer s."""
+    """Exact sum over irreps of chi(g) * deg^{-s-1} for integer s,
+    |s| <= MAX_EXACT_S."""
     if not 0 <= class_index < table.n_classes:
         raise DomainError(f"class index {class_index} out of range")
+    if abs(s) > MAX_EXACT_S:
+        raise DomainError(f"exact evaluation requires |s| <= {MAX_EXACT_S}")
     acc = GaussianRational(Fraction(0))
     for r in table.irreps:
         weight = Fraction(r.degree) ** (-s - 1)

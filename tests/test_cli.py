@@ -5,12 +5,14 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import wittenzeta
 from wittenzeta import cli
 from wittenzeta.errors import ConvergenceError
 
@@ -22,10 +24,21 @@ irrep 2 2 0 -1
 """
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(code, timeout=60):
+    """Run `code` in a fresh interpreter that imports wittenzeta from src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestBasics:
@@ -131,6 +144,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "su2", "eval", "--s", text, "--theta", "1")
         assert code == 3 and "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("su2", "eval", "--s", "-201", "--theta", "0"),
+        ("polylog", "eval", "--s", "-201.5", "--theta", "0"),
+    ])
+    def test_zeta_gamma_overflow_is_domain_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "overflows" in err
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "padic", "eval", "--family", "so5",
                            "--s", "0")
@@ -165,6 +186,15 @@ class TestFinite:
                            "--s", "0", "--class", "0")
         assert code == 3
 
+    def test_huge_s_is_domain_error(self):
+        # deg ** (-s - 1) as an exact Fraction used to run without end; a
+        # hang here fails by the timeout instead of stalling the suite
+        out = run_python("import wittenzeta.cli as cli\n"
+                         "print(cli.main(['finite', 'eval', '--family', 's3',"
+                         " '--s', '1e308']))\n", timeout=30)
+        assert out.stdout.splitlines()[-1] == "3"
+        assert "|s| <= 1000" in out.stderr
+
     def test_average(self, capsys):
         code, out, _ = run(capsys, "finite", "average", "--family", "s3",
                            "--s", "1.7", "--format", "json")
@@ -185,6 +215,12 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "su3")
         assert code == 1
         assert "FAIL" in out and "s=0.5" in out
+
+    def test_precision_is_usage_error(self):
+        # verify runs fixed checks; a --precision there would be ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "core", "--precision", "12"])
+        assert exc.value.code == 2
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "padic",
@@ -218,14 +254,20 @@ class TestPadicCli:
 
 class TestImport:
     def test_numpy_not_loaded(self):
-        # numpy is only for the SU(3) quadrature and double series
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        code = ("import sys, wittenzeta, wittenzeta.cli as cli\n"
-                "rc = cli.main(['padic', 'eval', '--family', 'sl2zp',"
-                " '--s', '-1', '--p', '3'])\n"
-                "print(rc, 'numpy' in sys.modules)\n")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
+        # numpy is only for the SU(3) double series
+        out = run_python("import sys, wittenzeta, wittenzeta.cli as cli\n"
+                         "rc = cli.main(['padic', 'eval', '--family', 'sl2zp',"
+                         " '--s', '-1', '--p', '3'])\n"
+                         "print(rc, 'numpy' in sys.modules)\n")
         assert out.stdout.splitlines()[-1] == "0 False"
+
+    def test_su3_contour_loads_no_numpy(self):
+        out = run_python("import sys, wittenzeta as wz\n"
+                         "wz.witten_su3_continued(1.5)\n"
+                         "print('numpy' in sys.modules)\n")
+        assert out.stdout.splitlines()[-1] == "False"
+
+    def test_version_matches_pyproject(self):
+        text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        declared = re.search(r'^version = "([^"]+)"', text, re.M).group(1)
+        assert declared == wittenzeta.__version__

@@ -81,6 +81,14 @@ class TestRiemannZeta:
         assert abs(riemann_zeta(-2.0)) <= 1e-12
         assert abs(riemann_zeta(2.0) - math.pi ** 2 / 6.0) <= 1e-12
 
+    def test_gamma_overflow_is_domain_error(self):
+        # Gamma(1 - s) in the functional equation overflows left of -169
+        with pytest.raises(DomainError):
+            riemann_zeta(-201.0)
+        with pytest.raises(DomainError):
+            riemann_zeta(-169.5 + 2.0j)
+        assert riemann_zeta(-200.0) == 0  # a trivial zero stays exact
+
     def test_pole_at_one(self):
         with pytest.raises(PoleError):
             riemann_zeta(1.0)

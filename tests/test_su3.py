@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from wittenzeta.errors import DomainError, PoleError
+from wittenzeta import su3
+from wittenzeta.errors import ConvergenceError, DomainError, PoleError
 from wittenzeta.su3 import (MBParams, bernoulli_convolution_check, mt_series,
                             special_value_su3, special_value_terms,
                             witten_su3_continued)
@@ -16,6 +17,20 @@ F = Fraction
 # high-precision truncation-extrapolated references for the double series
 MT2 = 1.356457415970709
 MT3 = 1.089207398030743
+
+# (s, n, zeta^W_SU(3)(s)) from mpmath at 25 digits: the same Mellin-Barnes
+# formula with M = 8 residues, on the line Re z = 7.5 that no strip n <= 2
+# uses, by the trapezoid rule with step 1/14 out to where the integrand
+# falls below 1e-22 of its peak
+MPMATH_SU3 = [
+    (-1.2, 1, -0.00056217231131738791649),  # contour at 3.7, not M - 1/2
+    (3.3, 1, 1.0615275686113071233),
+    (0.3 - 8j, 1, -0.5708405263186127187 + 1.711754641979049842j),
+    (1.7 + 8.5j, 1, 0.62936202595848067271 - 0.048874376430223057j),
+    (-0.7 + 9j, 2, -7.2170431433747819812 + 9.9523868710968951111j),
+    (-2.2 + 8j, 2, 58.453830066199225005 - 186.22433079341531785j),  # 5.7
+    (0.6 - 9j, 2, -0.21564983914071534866 - 0.78927013578176822357j),
+]
 
 
 class TestSeries:
@@ -71,8 +86,26 @@ class TestContinuation:
     def test_params_validation(self):
         with pytest.raises(DomainError):
             MBParams(n=0)
-        with pytest.raises(DomainError):
-            MBParams(epsilon=1.5)
+
+    @pytest.mark.parametrize("s,n,want", MPMATH_SU3)
+    def test_against_mpmath(self, s, n, want):
+        got = witten_su3_continued(s, MBParams(n=n))
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_trapezoid_rule(self):
+        gauss = su3._trapezoid(lambda t: math.exp(-t * t), 1e-12)
+        assert abs(gauss - math.sqrt(math.pi)) <= 1e-12
+        # poles at t = +-0.001i: the step would have to fall far below the
+        # last one allowed, 1/256, so the rule gives up
+        with pytest.raises(ConvergenceError):
+            su3._trapezoid(lambda t: math.exp(-t * t) / (t * t + 1e-6), 1e-10)
+
+    def test_right_of_the_strip(self):
+        # Re s > M + 1/2: the pole of zeta(s - z) at z = s - 1 must stay
+        # left of the contour, or the residue term is counted wrongly
+        want = 1.0119952658929042375  # mpmath, as MPMATH_SU3
+        assert abs(witten_su3_continued(4.7) - want) <= 1e-10
+        assert abs(mt_series(4.7) - want) <= 1e-9
 
 
 class TestSpecialValues:
