@@ -17,10 +17,14 @@ that the pole of zeta(s-z) at z = s-1 lies left of the line. The line Re
 z = c halves the pole-free gap (max(M-1, 1-2 Re s), M), at least 1/2 wide.
 The integrand is analytic in a strip about it and decays like e^{-pi |t|},
 so the trapezoid rule converges geometrically as its step is halved
-(Trefethen and Weideman, SIAM Rev. 56, 2014). At negative integers the
-limit collapses to an exact rational combination of zeta values
-(``special_value_su3``), zero for every n >= 1; the even-n case rests on a
-Bernoulli convolution identity exposed as ``bernoulli_convolution_check``.
+(Trefethen and Weideman, SIAM Rev. 56, 2014). For real s the integrand
+obeys f(-t) = conj f(t): the rule is folded onto t >= 0, half the nodes,
+and the value returned is real. The direct series (``mt_series``) stays an
+independent check for Re s > 1: finite square sums, each one numpy
+correlation, extrapolated in N. At negative integers the limit collapses
+to an exact rational combination of zeta values (``special_value_su3``),
+zero for every n >= 1; the even-n case rests on a Bernoulli convolution
+identity exposed as ``bernoulli_convolution_check``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,13 @@ _MT_BASE = 1500  # N of mt_series' square sums at N, 2N, 4N
 # ---------------------------------------------------------------------------
 
 def _square_sum(s: complex, n_max: int) -> complex:
-    """sum over 1 <= m, n <= n_max of (m n (m+n))^{-s}, vectorized over n."""
+    """sum over 1 <= m, n <= n_max of (m n (m+n))^{-s}.
+
+    One correlation gives every row sum r_m = sum_n n^{-s} (m+n)^{-s} at
+    once (numpy conjugates its second argument, so it gets conj n^{-s}); the
+    total is sum_m m^{-s} r_m. It is the plain finite double sum, sharing
+    nothing with the Mellin-Barnes route.
+    """
     import numpy as np  # lazily: the rest of the package does not need it
     n = np.arange(1, 2 * n_max + 1, dtype=np.float64)
     if s.imag == 0.0:
@@ -54,18 +64,18 @@ def _square_sum(s: complex, n_max: int) -> complex:
     else:
         pw = np.exp(-s * np.log(n))
     npow = pw[:n_max]
-    total = 0.0 + 0.0j
-    for m in range(1, n_max + 1):
-        total += npow[m - 1] * np.sum(npow * pw[m:m + n_max])
-    return complex(total)
+    rows = np.correlate(pw[1:], npow.conj(), "valid")
+    return complex(np.dot(npow, rows))
 
 
 def mt_series(s: complex,
               budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
     """2^s times the diagonal Mordell-Tornheim sum, for Re s > 1.
 
-    Truncated square sums at N, 2N, 4N are Richardson-extrapolated against
-    the known tail order N^{1-2 Re s}; the two extrapolants must agree.
+    Truncated square sums at N, 2N, 4N (``_square_sum``, plain finite sums
+    that share nothing with the continuation) are Richardson-extrapolated
+    against the known tail order N^{1-2 Re s}; the two extrapolants must
+    agree.
     """
     s = complex(s)
     if s.real <= 1.0:
@@ -133,33 +143,46 @@ def _mb_direct(s: complex, params: MBParams,
         return cmath.exp(log_gamma(s + z) + log_gamma(-z) - lg_s) \
             * riemann_zeta(2.0 * s + z, budget) * riemann_zeta(s - z, budget)
 
-    integral = _trapezoid(integrand, budget.target)
-    return pref * (term1 + term2 + integral / (2.0 * math.pi))
+    # for real s, f(-t) = conj f(t): half the nodes suffice, and every term
+    # is real, so the round-off in Im is dropped
+    real = s.imag == 0.0
+    integral = _trapezoid(integrand, budget.target, mirrored=real)
+    value = pref * (term1 + term2 + integral / (2.0 * math.pi))
+    return complex(value.real) if real else value
 
 
-def _trapezoid(f, target: float) -> complex:
+def _trapezoid(f, target: float, mirrored: bool = False) -> complex:
     """Integral of f over the real line by the trapezoid rule.
 
     The nodes run out from t = 0 in steps of 1 until two in a row fall below
     target/1000; the step is then halved, each level adding only the odd
     nodes, until two levels agree to max(target, 1e-9). For f analytic in a
     strip about the line and decaying exponentially the error falls
-    geometrically with the step.
+    geometrically with the step. With ``mirrored`` f(-t) = conj f(t) is
+    taken as given: only the nodes t >= 0 are evaluated, each t > 0
+    standing for itself and -t by 2 Re f(t), and the result is real. The
+    folded rule is the full-line rule on the same symmetric nodes, so it
+    converges in the same way.
     """
     tol = max(target, 1e-9)
-    total, ends = f(0.0), []
-    for step in (1, -1):
+    if mirrored:
+        part, sides, total = (lambda v: 2.0 * v.real), (1,), f(0.0).real
+    else:
+        part, sides, total = (lambda v: v), (1, -1), f(0.0)
+    ends = [0, 0]  # hi, lo; lo stays 0 when mirrored
+    for i, step in enumerate(sides):
         t = quiet = 0
         while quiet < 2:
             t += step
             v = f(float(t))
-            total += v
+            total += part(v)
             quiet = quiet + 1 if abs(v) < 1e-3 * target else 0
-        ends.append(t)
+        ends[i] = t
     hi, lo = ends
     h = 1.0
     for _ in range(_MAX_HALVINGS):
-        odd = sum(f(lo + (j + 0.5) * h) for j in range(round((hi - lo) / h)))
+        odd = sum(part(f(lo + (j + 0.5) * h))
+                  for j in range(round((hi - lo) / h)))
         refined = 0.5 * (total + h * odd)
         if abs(refined - total) <= tol * (1.0 + abs(refined)):
             return refined

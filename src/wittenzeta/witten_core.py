@@ -253,9 +253,13 @@ def finite_witten_L(table: CharacterTable, s: complex,
     if not 0 <= class_index < table.n_classes:
         raise DomainError(f"class index {class_index} out of range")
     acc = 0.0 + 0.0j
-    for r in table.irreps:
-        acc += complex(GaussianRational.of(r.chars[class_index])) \
-            * cmath.exp(-(s + 1.0) * cmath.log(r.degree))
+    try:
+        for r in table.irreps:
+            acc += complex(GaussianRational.of(r.chars[class_index])) \
+                * cmath.exp(-(s + 1.0) * cmath.log(r.degree))
+    except OverflowError:
+        raise DomainError(
+            f"deg^(-s-1) overflows a float at s={s}") from None
     return acc
 
 

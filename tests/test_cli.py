@@ -195,6 +195,13 @@ class TestFinite:
         assert out.stdout.splitlines()[-1] == "3"
         assert "|s| <= 1000" in out.stderr
 
+    @pytest.mark.parametrize("command,family", [("eval", "s3"),
+                                                ("average", "q8")])
+    def test_float_overflow_is_domain_error(self, capsys, command, family):
+        code, _, err = run(capsys, "finite", command, "--family", family,
+                           "--s=-1100.5")
+        assert code == 3 and "overflows" in err
+
     def test_average(self, capsys):
         code, out, _ = run(capsys, "finite", "average", "--family", "s3",
                            "--s", "1.7", "--format", "json")

@@ -8,6 +8,7 @@ import pytest
 
 from wittenzeta import su3
 from wittenzeta.errors import ConvergenceError, DomainError, PoleError
+from wittenzeta.numerics import riemann_zeta
 from wittenzeta.su3 import (MBParams, bernoulli_convolution_check, mt_series,
                             special_value_su3, special_value_terms,
                             witten_su3_continued)
@@ -49,6 +50,12 @@ class TestSeries:
         b = witten_su3_continued(2.0 + 0.5j)
         assert abs(a - b) <= 1e-6
 
+    @pytest.mark.parametrize("s", [2.4, 2.0 + 0.5j, 3.3 + 9.0j])
+    def test_square_sum_is_the_double_sum(self, s):
+        want = sum((m * n * (m + n)) ** -s
+                   for m in range(1, 41) for n in range(1, 41))
+        assert abs(su3._square_sum(complex(s), 40) - want) <= 1e-14 * abs(want)
+
 
 class TestContinuation:
     @pytest.mark.parametrize("s", [2.0, 3.0, 1.5])
@@ -76,6 +83,27 @@ class TestContinuation:
         if s < 0:
             # exact zero at the negative integers
             assert abs(val) <= 1e-5
+
+    @pytest.mark.parametrize("s", [1.5, -0.4, 2.0])
+    def test_real_s_gives_real_value(self, s):
+        # s = 2 goes through the removable-point fill
+        assert witten_su3_continued(s).imag == 0.0
+
+    @pytest.mark.parametrize("s", [1.5, -0.4])
+    def test_mirrored_contour(self, s, monkeypatch):
+        # real s sums half the contour; s + 1e-12j takes the two-sided route
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return riemann_zeta(*args)
+        monkeypatch.setattr(su3, "riemann_zeta", counted)
+        real = witten_su3_continued(s)
+        real_calls, calls[0] = calls[0], 0
+        cplx = witten_su3_continued(s + 1e-12j)
+        # Im of the complex value is 1e-12 f'(s); Re differs by O(1e-24)
+        assert abs(real - cplx.real) <= 1e-12 * abs(real)
+        assert real_calls <= 0.55 * calls[0]
 
     def test_strip_boundary(self):
         with pytest.raises(DomainError):
