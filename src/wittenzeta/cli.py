@@ -137,8 +137,6 @@ def _csv_numbers(value):
     if isinstance(value, GaussianRational):
         c = complex(value)
         return c.real, c.imag
-    if isinstance(value, bool):
-        return float(value), 0.0
     return float("nan"), float("nan")
 
 
@@ -230,14 +228,13 @@ def _handle_su2(args, budget):
         label = ",".join(f"{t:g}" for t in thetas)
         return [(f"su2 multi s={_fmt_s(args.s)} thetas={label}",
                  su2_mod.multi_L(args.s, thetas, budget))]
-    if args.action == "average":
-        if args.s is None:
-            raise DomainError("su2 average requires --s")
-        if args.s.imag:
-            raise DomainError("su2 average requires real s")
-        return [(f"su2 average s={args.s.real:g}",
-                 su2_mod.haar_average_su2(args.s.real, budget))]
-    raise DomainError(f"unknown su2 action {args.action!r}")
+    # average
+    if args.s is None:
+        raise DomainError("su2 average requires --s")
+    if args.s.imag:
+        raise DomainError("su2 average requires real s")
+    return [(f"su2 average s={args.s.real:g}",
+             su2_mod.haar_average_su2(args.s.real, budget))]
 
 
 def _handle_su3(args, budget):
@@ -252,13 +249,12 @@ def _handle_su3(args, budget):
             raise DomainError("su3 special requires --n >= 1")
         return [(f"su3 special n={args.n}",
                  su3_mod.special_value_su3(args.n))]
-    if args.action == "lemma":
-        if args.n is None or args.n < 2 or args.n % 2:
-            raise DomainError("su3 lemma requires even --n >= 2")
-        lhs, rhs = su3_mod.bernoulli_convolution_check(args.n)
-        return [(f"su3 lemma n={args.n} lhs", lhs),
-                (f"su3 lemma n={args.n} rhs", rhs)]
-    raise DomainError(f"unknown su3 action {args.action!r}")
+    # lemma
+    if args.n is None or args.n < 2 or args.n % 2:
+        raise DomainError("su3 lemma requires even --n >= 2")
+    lhs, rhs = su3_mod.bernoulli_convolution_check(args.n)
+    return [(f"su3 lemma n={args.n} lhs", lhs),
+            (f"su3 lemma n={args.n} rhs", rhs)]
 
 
 def _int_s(args) -> int:
@@ -291,12 +287,11 @@ def _handle_padic(args, budget):
         is_zero, witness = padic_mod.verify_zero(args.family, m, s)
         return [(f"padic zero {args.family} m={m} s={_fmt_s(s)}", is_zero),
                 (f"padic zero {args.family} m={m} s={_fmt_s(s)} witness", witness)]
-    if args.action == "eval":
-        p = args.p if args.p is not None else padic_mod.SYMBOLIC
-        val = padic_mod.eval_at_int_s(args.family, m, s, p)
-        label = "sym" if p == padic_mod.SYMBOLIC else p
-        return [(f"padic eval {args.family} m={m} s={_fmt_s(s)} p={label}", val)]
-    raise DomainError(f"unknown padic action {args.action!r}")
+    # eval
+    p = args.p if args.p is not None else padic_mod.SYMBOLIC
+    val = padic_mod.eval_at_int_s(args.family, m, s, p)
+    label = "sym" if p == padic_mod.SYMBOLIC else p
+    return [(f"padic eval {args.family} m={m} s={_fmt_s(s)} p={label}", val)]
 
 
 def _handle_finite(args, budget):
@@ -316,15 +311,14 @@ def _handle_finite(args, budget):
     if args.action == "average":
         return [(f"finite average {table.name} s={_fmt_s(args.s)}",
                  witten_core.haar_average_finite(table, args.s))]
-    if args.action == "eval":
-        c = args.class_index or 0
-        s = args.s
-        if s.imag == 0.0 and s.real == int(s.real):
-            value = witten_core.finite_witten_L_exact(table, int(s.real), c)
-        else:
-            value = witten_core.finite_witten_L(table, s, c)
-        return [(f"finite eval {table.name} s={_fmt_s(s)} class={c}", value)]
-    raise DomainError(f"unknown finite action {args.action!r}")
+    # eval
+    c = args.class_index or 0
+    s = args.s
+    if s.imag == 0.0 and s.real == int(s.real):
+        value = witten_core.finite_witten_L_exact(table, int(s.real), c)
+    else:
+        value = witten_core.finite_witten_L(table, s, c)
+    return [(f"finite eval {table.name} s={_fmt_s(s)} class={c}", value)]
 
 
 def _run_verify(args) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 
 # ---------------------------------------------------------------------------
@@ -56,17 +56,6 @@ def rising(a, k: int) -> Fraction:
     for i in range(k):
         acc *= a + i
     return acc
-
-
-def binomial(n, k: int) -> Fraction:
-    """Generalized binomial coefficient n(n-1)...(n-k+1)/k! for rational n."""
-    if k < 0:
-        raise ValueError("binomial: k must be non-negative")
-    n = Fraction(n)
-    acc = Fraction(1)
-    for i in range(k):
-        acc *= n - i
-    return acc / factorial(k)
 
 
 # ---------------------------------------------------------------------------

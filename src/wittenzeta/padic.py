@@ -9,16 +9,20 @@ Four families are cataloged:
 * ``sl3cong`` -- congruence subgroups of SL_3(Z_p), p != 3;
 * ``su3cong`` -- congruence subgroups of SU_3 over Z_p, p != 3;
 
-the last two stored in factored form p^{8m} * products of (1 -+ p^E) and
-short polynomial brackets over (1 - p^{1-2s})(1 - p^{2-3s}).
+the last two p^{8m} times products of (1 -+ p^E) and short brackets, over
+(1 - p^{1-2s})(1 - p^{2-3s}). The three congruence families are each one
+LaurentForm p^{a+bm} N / D, with N and D Laurent polynomials in
+(P, U) = (p, p^{-s}) multiplied out once from those factors.
 
 Everything here is exact: integer s with numeric p gives a Fraction, with
-symbolic p a reduced RationalFunction in p. The "absolute limit" p -> 1 is
-computed factor-wise and returns a RationalFunction in s.
+symbolic p a reduced RationalFunction in p (one gcd per value, after the
+substitution U = p^{-s}). The "absolute limit" p -> 1 is the ratio of the
+leading coefficients of N and D in u = log p, a RationalFunction in s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,116 +47,72 @@ def _p_power(e: int, p):
     return Fraction(p) ** e
 
 
+def _at_s(poly: LaurentPoly2, s: int) -> dict:
+    """Substitute U = p^{-s}: term (i, j) becomes p^{i - j s}; returns the
+    non-zero coefficients by exponent of p."""
+    out = {}
+    for (i, j), c in poly.terms.items():
+        e = i - j * s
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _p_poly(coeffs: dict, shift: int) -> Polynomial:
+    """sum c p^{e - shift} over the exponent -> coefficient map."""
+    top = max(coeffs, default=shift) - shift
+    return Polynomial([coeffs.get(k + shift, 0) for k in range(top + 1)], "p")
+
+
+def _leading_moment(poly: LaurentPoly2):
+    """(k, C_k) for the lowest k with C_k(s) = sum c_ij (i - j s)^k != 0.
+
+    With p = e^u, p^{i - j s} = sum_k u^k (i - j s)^k / k!, so C_k / k! is
+    the leading coefficient of the expansion at p = 1. k is below the number
+    of terms unless the polynomial is zero (Vandermonde)."""
+    for k in range(len(poly.terms)):
+        # (i - j s)^k = sum_t C(k, t) i^{k-t} (-j)^t s^t
+        moment = Polynomial([math.comb(k, t) * sum(
+            c * (i ** (k - t) * (-j) ** t) for (i, j), c in poly.terms.items())
+            for t in range(k + 1)], "s")
+        if not moment.is_zero():
+            return k, moment
+    raise DegenerateLimitError("the form has a zero numerator or denominator")
+
+
 @dataclass(frozen=True)
-class AffineExponent:
-    """Exponent a + b*m + c*s of p."""
+class LaurentForm:
+    """p^{a + b m} N / D, with N and D Laurent polynomials in
+    (P, U) = (p, p^{-s}) multiplied out from the cataloged factors."""
 
     a: int
-    b: int = 0
-    c: int = 0
-
-    def at(self, m: int, s: int) -> int:
-        return self.a + self.b * m + self.c * s
-
-
-@dataclass(frozen=True)
-class PolyPart:
-    """Sum of c_j * p^{E_j}."""
-
-    terms: tuple  # of (Fraction, AffineExponent)
+    b: int
+    num: LaurentPoly2
+    den: LaurentPoly2
 
     def eval(self, m: int, s: int, p):
-        acc = Fraction(0) if not _is_symbolic(p) else RationalFunction(0, 1, "p")
-        for coeff, exp in self.terms:
-            acc = acc + coeff * _p_power(exp.at(m, s), p)
-        return acc
-
-    def coeff_sum(self) -> Fraction:
-        return sum((Fraction(c) for c, _ in self.terms), Fraction(0))
-
-    def laurent(self) -> LaurentPoly2:
-        acc = LaurentPoly2()
-        for coeff, exp in self.terms:
-            if exp.b:
-                raise DomainError("m-dependent exponent in a Laurent bracket")
-            acc = acc + LaurentPoly2.monomial(exp.a, -exp.c, coeff)
-        return acc
-
-
-@dataclass(frozen=True)
-class FactorForm:
-    """prefactor p^E times products of (1 - sign*p^E) and bracket polynomials,
-    numerator over denominator."""
-
-    prefactor: AffineExponent
-    num_factors: tuple = ()  # of (sign, AffineExponent) meaning 1 - sign*p^E
-    den_factors: tuple = ()
-    num_polys: tuple = ()  # of PolyPart
-    den_polys: tuple = ()
-
-    def eval(self, m: int, s: int, p):
-        for sign, exp in self.den_factors:
-            if sign == 1 and exp.at(m, s) == 0:
-                raise PoleError(
-                    f"geometric factor (1 - p^{exp.at(m, s)}) vanishes at s={s}",
-                    location=s)
-        one = Fraction(1) if not _is_symbolic(p) \
-            else RationalFunction(1, 1, "p")
-        val = one * _p_power(self.prefactor.at(m, s), p)
-        for sign, exp in self.num_factors:
-            val = val * (one - sign * _p_power(exp.at(m, s), p))
-        for part in self.num_polys:
-            val = val * part.eval(m, s, p)
-        for sign, exp in self.den_factors:
-            val = val / (one - sign * _p_power(exp.at(m, s), p))
-        for part in self.den_polys:
-            val = val / part.eval(m, s, p)
-        return val
-
-    def numerator_laurent(self) -> LaurentPoly2:
-        """Product of the numerator factors and brackets as a Laurent
-        polynomial in (P, U) = (p, p^{-s}); the prefactor is excluded."""
-        acc = LaurentPoly2.one()
-        for sign, exp in self.num_factors:
-            if exp.b:
-                raise DomainError("m-dependent exponent in a Laurent factor")
-            acc = acc * (LaurentPoly2.one()
-                         - LaurentPoly2.monomial(exp.a, -exp.c, sign))
-        for part in self.num_polys:
-            acc = acc * part.laurent()
-        return acc
+        num, den = _at_s(self.num, s), _at_s(self.den, s)
+        if not den:
+            raise PoleError(f"the denominator vanishes at s={s}", location=s)
+        pre = self.a + self.b * m
+        if not _is_symbolic(p):
+            q = Fraction(p)
+            return q ** pre * sum(c * q ** e for e, c in num.items()) \
+                / sum(c * q ** e for e, c in den.items())
+        num = {pre + e: c for e, c in num.items()}
+        shift = min([*num, *den])
+        return RationalFunction(_p_poly(num, shift), _p_poly(den, shift), "p")
 
     def absolute_limit(self) -> RationalFunction:
-        """Formal limit p -> 1, factor-wise: p^E -> 1, (1 - p^{alpha + c s})
-        -> -(alpha + c s), (1 + p^E) -> 2, brackets -> their coefficient sum.
-        The vanishing-factor counts must match between numerator and
-        denominator."""
-        def side(factors, polys):
-            lin = Polynomial.constant(1, "s")
-            vanishing = 0
-            for sign, exp in factors:
-                if sign == 1:
-                    if exp.b:
-                        raise DegenerateLimitError(
-                            "vanishing factor with level-dependent exponent")
-                    lin = lin * Polynomial([-exp.a, -exp.c], "s")
-                    vanishing += 1
-                else:
-                    lin = lin * 2
-            for part in polys:
-                c = part.coeff_sum()
-                if c == 0:
-                    raise DegenerateLimitError(
-                        "bracket polynomial vanishes at p = 1")
-                lin = lin * c
-            return lin, vanishing
-        num, nv = side(self.num_factors, self.num_polys)
-        den, dv = side(self.den_factors, self.den_polys)
-        if nv != dv:
+        """Formal limit p -> 1: the ratio of the leading coefficients of N
+        and D in u = log p (the prefactor tends to 1). N and D must vanish
+        to the same order."""
+        kn, cn = _leading_moment(self.num)
+        kd, cd = _leading_moment(self.den)
+        if kn != kd:
             raise DegenerateLimitError(
-                f"absolute limit is 0 or infinite: {nv} vanishing numerator "
-                f"factors vs {dv} in the denominator")
-        return RationalFunction(num, den, "s")
+                f"absolute limit is 0 or infinite: the numerator vanishes to "
+                f"order {kn} at p = 1, the denominator to order {kd}")
+        return RationalFunction(cn, cd, "s")
 
 
 @dataclass(frozen=True)
@@ -197,7 +157,7 @@ class GroupFamily:
     identifier: str
     excluded_p: frozenset
     uses_m: bool
-    form: object  # FactorForm or DimensionListForm
+    form: object  # LaurentForm or DimensionListForm
 
 
 def _rf(num, den=1) -> RationalFunction:
@@ -225,39 +185,37 @@ def _build_sl2zp() -> DimensionListForm:
     return DimensionListForm(finite_terms=finite, infinite_terms=infinite)
 
 
-def _pp(*pairs) -> PolyPart:
-    return PolyPart(tuple((Fraction(c), e) for c, e in pairs))
+def _laurent(*terms) -> LaurentPoly2:
+    """sum c P^i U^j over the (c, i, j) triples: c p^{i - j s}."""
+    return sum((LaurentPoly2.monomial(i, j, c) for c, i, j in terms),
+               LaurentPoly2())
 
 
-_E = AffineExponent
+def _one_minus(i: int, j: int) -> LaurentPoly2:
+    """The factor 1 - p^{i - j s}."""
+    return _laurent((1, 0, 0), (-1, i, j))
 
-_SL2_CONG = FactorForm(
-    prefactor=_E(2, 3, 0),
-    num_factors=((1, _E(-2, 0, -1)),),
-    den_factors=((1, _E(1, 0, -1)),),
-)
 
-_COMMON_DEN = ((1, _E(1, 0, -2)), (1, _E(2, 0, -3)))
+# p^{3m+2} (1 - p^{-2-s}) / (1 - p^{1-s})
+_SL2_CONG = LaurentForm(a=2, b=3, num=_one_minus(-2, 1),
+                        den=_one_minus(1, 1))
 
-_SL3_CONG = FactorForm(
-    prefactor=_E(0, 8, 0),
-    num_factors=((1, _E(-2, 0, -1)), (1, _E(-1, 0, -1))),
-    num_polys=(_pp((1, _E(0, 0, 0)),
-                   (1, _E(-1, 0, -1)), (1, _E(-2, 0, -1)),
-                   (1, _E(0, 0, -2)), (1, _E(-1, 0, -2)),
-                   (1, _E(-2, 0, -3))),),
-    den_factors=_COMMON_DEN,
-)
+# (1 - p^{1-2s}) (1 - p^{2-3s})
+_COMMON_DEN = _one_minus(1, 2) * _one_minus(2, 3)
 
-_SU3_CONG = FactorForm(
-    prefactor=_E(0, 8, 0),
-    num_factors=((1, _E(-2, 0, -1)), (1, _E(0, 0, -1)), (-1, _E(-1, 0, -1))),
-    num_polys=(_pp((1, _E(0, 0, 0)),
-                   (1, _E(0, 0, -1)), (-1, _E(-1, 0, -1)),
-                   (1, _E(-2, 0, -1)),
-                   (1, _E(-2, 0, -2))),),
-    den_factors=_COMMON_DEN,
-)
+# p^{8m} (1 - p^{-2-s}) (1 - p^{-1-s})
+#   [1 + p^{-1-s} + p^{-2-s} + p^{-2s} + p^{-1-2s} + p^{-2-3s}] / common den
+_SL3_CONG = LaurentForm(a=0, b=8, den=_COMMON_DEN, num=math.prod((
+    _one_minus(-2, 1), _one_minus(-1, 1),
+    _laurent((1, 0, 0), (1, -1, 1), (1, -2, 1), (1, 0, 2), (1, -1, 2),
+             (1, -2, 3))), start=LaurentPoly2.one()))
+
+# p^{8m} (1 - p^{-2-s}) (1 - p^{-s}) (1 + p^{-1-s})
+#   [1 + p^{-s} - p^{-1-s} + p^{-2-s} + p^{-2-2s}] / common den
+_SU3_CONG = LaurentForm(a=0, b=8, den=_COMMON_DEN, num=math.prod((
+    _one_minus(-2, 1), _one_minus(0, 1), _laurent((1, 0, 0), (1, -1, 1)),
+    _laurent((1, 0, 0), (1, 0, 1), (-1, -1, 1), (1, -2, 1), (1, -2, 2))),
+    start=LaurentPoly2.one()))
 
 # u-form numerators 1 + u(p) p^{-3-2s} + u(1/p) p^{-2-3s} + p^{-5-5s},
 # with u given by exponent -> coefficient maps.
@@ -320,9 +278,9 @@ def verify_zero(family, m: int, s: int):
 
 def absolute_limit(family, m: int = 1) -> RationalFunction:
     """The formal p -> 1 limit as a rational function of s (level m drops
-    out). Only FactorForm families support it."""
+    out). Only LaurentForm families support it."""
     fam = _family(family)
-    if not isinstance(fam.form, FactorForm):
+    if not isinstance(fam.form, LaurentForm):
         raise DomainError(
             f"absolute limit needs a factored representation; "
             f"{fam.identifier} is stored as a dimension list")
@@ -331,7 +289,7 @@ def absolute_limit(family, m: int = 1) -> RationalFunction:
 
 def factorization_check(family, u=None):
     """Exact identity between the u-form numerator and the cataloged
-    factored numerator, as Laurent polynomials in (p, p^{-s}).
+    numerator N, as Laurent polynomials in (p, p^{-s}).
 
     Returns (equal, difference); ``u`` overrides the exponent->coefficient
     map of the u polynomial (mutation testing)."""
@@ -343,8 +301,7 @@ def factorization_check(family, u=None):
     for e, c in umap.items():
         uform = uform + LaurentPoly2.monomial(e - 3, 2, c)   # u(p) p^{-3-2s}
         uform = uform + LaurentPoly2.monomial(-e - 2, 3, c)  # u(1/p) p^{-2-3s}
-    factored = fam.form.numerator_laurent()
-    diff = uform - factored
+    diff = uform - fam.form.num
     return diff.is_zero(), diff
 
 

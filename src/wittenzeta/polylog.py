@@ -11,20 +11,20 @@ Three evaluation routes are exposed and cross-checked by the tests:
                             Z(s, e^{i theta}) and Z(s, e^{-i theta}) to the
                             Hurwitz zeta, solved as a 2x2 real system.
 
-At non-positive integers ``polylog_closed_form`` produces the exact rational
-function of x, and ``polylog_eval_neg`` evaluates it on the circle.
+At non-positive integers Z(-m, x) = x A_m(x) / (1 - x)^{m+1}, with A_m the
+Eulerian polynomial (DLMF 26.14): ``polylog_closed_form`` returns it as an
+exact rational function of x, and ``polylog_eval_neg`` evaluates it on the
+circle from the integer row of Eulerian numbers. Both accept m <= MAX_CLOSED_M.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConditioningError, ConvergenceError, DomainError
-from .exact import RationalFunction, binomial
+from .exact import Polynomial, RationalFunction
 from .numerics import (DEFAULT_BUDGET, PrecisionBudget, _hurwitz_em,
                        gamma_two_pi, half_pi_trig, hurwitz_even, hurwitz_pair,
                        hurwitz_zeta, rgamma_real)
@@ -109,11 +109,11 @@ def polylog_series(s: complex, x, budget: PrecisionBudget = DEFAULT_BUDGET) -> c
     for j in range(q):
         dj = 0.0 + 0.0j
         for i in range(j + 1):
-            dj += (-1.0) ** i * float(binomial(j, i)) * f(1.0 + i)
+            dj += (-1.0) ** i * math.comb(j, i) * f(1.0 + i)
         acc += (-1.0) ** j * epow * dj
         epow *= e
     # remaining sum: (-1)^q E^q T(delta^q f)
-    coefs = [(-1.0) ** i * float(binomial(q, i)) for i in range(q + 1)]
+    coefs = [(-1.0) ** i * math.comb(q, i) for i in range(q + 1)]
     sign_epow = (-e) ** q  # prefactor of the residual sum
     tail_tol = budget.target * 0.01
     partial = 0.0 + 0.0j
@@ -226,31 +226,52 @@ def polylog_via_jonquiere(s: float, x,
 # Exact closed forms at non-positive integers
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def polylog_closed_form(m: int) -> RationalFunction:
-    """Exact rational function R_m(x) with Z(-m, x) = R_m(x), from the
-    recursion (1-x) Z(-m,x) = x + x^2 (2^m - 1) + x sum_k C(m,k)(R_{m-k} - x).
-    """
+MAX_CLOSED_M = 30
+"""Largest m that ``polylog_closed_form`` and ``polylog_eval_neg`` accept.
+
+The closed form's one polynomial gcd over the rationals grows steeply with
+m (about 20x from m = 20 to m = 30), and above m = 170 the Eulerian numbers
+overflow a float; larger m raise DomainError."""
+
+
+def _check_m(m: int) -> None:
     if m < 0:
-        raise ValueError("polylog_closed_form: m must be non-negative")
-    x = RationalFunction.variable("x")
-    if m == 0:
-        return x / (1 - x)
-    rhs = x + x * x * (2 ** m - 1)
-    for k in range(1, m + 1):
-        rhs = rhs + x * Fraction(math.comb(m, k)) * (polylog_closed_form(m - k) - x)
-    return rhs / (1 - x)
+        raise ValueError("Z(-m, x) closed form: m must be non-negative")
+    if m > MAX_CLOSED_M:
+        raise DomainError(
+            f"Z(-m, x) closed form supports m <= {MAX_CLOSED_M}, got m = {m}")
+
+
+def _eulerian_row(m: int) -> list:
+    """Eulerian numbers A(m, 0), ..., A(m, m-1) (just [1] for m = 0), from
+    A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1); palindromic, sum m!."""
+    row = [1]
+    for n in range(2, m + 1):
+        row = [(k + 1) * (row[k] if k < n - 1 else 0)
+               + (n - k) * (row[k - 1] if k else 0) for k in range(n)]
+    return row
+
+
+def polylog_closed_form(m: int) -> RationalFunction:
+    """Exact rational function R_m(x) = Z(-m, x) = x A_m(x) / (1 - x)^{m+1},
+    the numerator from the Eulerian row, the denominator from binomials."""
+    _check_m(m)
+    num = Polynomial([0] + _eulerian_row(m), "x")
+    den = Polynomial([(-1) ** k * math.comb(m + 1, k) for k in range(m + 2)],
+                     "x")
+    return RationalFunction(num, den, "x")
 
 
 def polylog_eval_neg(m: int, x) -> complex:
     """Float evaluation of the exact closed form Z(-m, x) at x = e^{i theta}.
 
     Uses the factorization Z(-m, x) = x A(x) / (1 - x)^{m+1} with A the
-    palindromic (Eulerian) numerator: on the circle this collapses to a real
+    palindromic Eulerian polynomial: on the circle this collapses to a real
     cosine sum over (-2i sin(theta/2))^{m+1}, so the value is exactly real
     for odd m and exactly imaginary for even m >= 2, as the parity identity
     Z(-m, x) + (-1)^m Z(-m, 1/x) = 0 demands.
     """
+    _check_m(m)
     if isinstance(x, UnitCirclePoint):
         th = x.theta
     else:
@@ -270,11 +291,8 @@ def polylog_eval_neg(m: int, x) -> complex:
     if m == 1:
         half = math.sin(th / 2.0)
         return complex(-0.25 / (half * half), 0.0)
-    rf = polylog_closed_form(m)
-    # num = (-1)^{m+1} x A(x) against the monic denominator (x - 1)^{m+1}
-    sign = (-1.0) ** (m + 1)
-    a = [sign * float(c) for c in rf.num.coeffs[1:]]
     center = (m - 1) / 2.0
-    cosine = sum(c * math.cos((j - center) * th) for j, c in enumerate(a))
+    cosine = sum(c * math.cos((j - center) * th)
+                 for j, c in enumerate(_eulerian_row(m)))
     denom = (-2j * math.sin(th / 2.0)) ** (m + 1)
     return cosine / denom

@@ -228,6 +228,19 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
 # Exact special values at negative integers
 # ---------------------------------------------------------------------------
 
+MAX_SPECIAL_N = 200
+"""Largest n that ``special_value_su3`` and ``bernoulli_convolution_check``
+accept: both need Bernoulli numbers up to B_{3n+2}, from an O(n^2)
+recurrence of growing Fractions (``su3 special`` costs about 6x more at
+n = 400 than at n = 200); larger n raise DomainError."""
+
+
+def _check_special_n(n: int) -> None:
+    if n > MAX_SPECIAL_N:
+        raise DomainError(
+            f"the exact SU(3) path supports n <= {MAX_SPECIAL_N}, got n = {n}")
+
+
 def special_value_terms(n: int) -> tuple[Fraction, Fraction, Fraction]:
     """The three exact pieces of the continuation's limit at s = -n:
     the gamma-ratio term, the finite zeta-product sum (the Pochhammer
@@ -235,6 +248,7 @@ def special_value_terms(n: int) -> tuple[Fraction, Fraction, Fraction]:
     Pochhammer meets the zeta pole, leaving half the residue."""
     if n < 1:
         raise DomainError("special_value_terms requires n >= 1")
+    _check_special_n(n)
     half_pow = Fraction(1, 2 ** n)
     t1 = half_pow * gamma_ratio_at_neg(n) * factorial(n) \
         * zeta_neg_int(3 * n + 1)
@@ -264,6 +278,7 @@ def bernoulli_convolution_check(n: int) -> tuple[Fraction, Fraction]:
     holds."""
     if n < 2 or n % 2:
         raise DomainError("bernoulli_convolution_check requires even n >= 2")
+    _check_special_n(n)
     lhs = Fraction(0)
     for k in range(0, n + 1):
         l = n - k

@@ -131,6 +131,11 @@ class TestExitCodes:
             cli.main(["nonsense", "eval"])
         assert exc.value.code == 2
 
+    def test_unknown_action_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["su2", "bogus"])
+        assert exc.value.code == 2
+
     def test_missing_angle_is_usage_error(self, capsys):
         code, _, err = run(capsys, "su2", "eval", "--s", "2")
         assert code == 2 and "angle" in err
@@ -164,6 +169,28 @@ class TestExitCodes:
         code, _, err = run(capsys, "su2", "eval", "--s", "2",
                            "--theta", "1")
         assert code == 4 and "converge" in err
+
+
+class TestExactMaxima:
+    @pytest.mark.parametrize("argv", [
+        ("polylog", "closed", "--m", "30"),
+        ("polylog", "neg", "--m", "30", "--theta", "1"),
+        ("su3", "special", "--n", "200"),
+        ("su3", "lemma", "--n", "200"),
+    ])
+    def test_at_maximum(self, capsys, argv):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("polylog", "closed", "--m", "31"),
+        ("polylog", "neg", "--m", "31", "--theta", "1"),
+        ("su3", "special", "--n", "201"),
+        ("su3", "lemma", "--n", "202"),
+    ])
+    def test_above_maximum_is_domain_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "supports" in err
 
 
 class TestFinite:
@@ -251,6 +278,12 @@ class TestPadicCli:
         records = json.loads(out)
         assert records[0]["value"] is False
         assert records[1]["value"]["var"] == "p"
+
+    @pytest.mark.parametrize("p", ["sym", "5"])
+    def test_sl2cong_pole_is_domain_error(self, capsys, p):
+        code, _, err = run(capsys, "padic", "eval", "--family", "sl2cong",
+                           "--s", "1", "--p", p)
+        assert code == 3 and "vanishes" in err
 
     def test_factor_check(self, capsys):
         code, out, _ = run(capsys, "padic", "factor-check",

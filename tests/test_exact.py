@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittenzeta.exact import (LaurentPoly2, Polynomial, RationalFunction,
-                              bernoulli, binomial, fraction_str, rising,
+                              bernoulli, fraction_str, rising,
                               zeta_neg_int)
 
 F = Fraction
@@ -38,11 +38,6 @@ class TestCombinatorial:
         assert rising(F(3), 4) == 3 * 4 * 5 * 6
         assert rising(F(-2), 3) == 0  # passes through zero
         assert rising(F(1, 2), 2) == F(3, 4)
-
-    def test_binomial(self):
-        assert binomial(5, 2) == 10
-        assert binomial(F(-1, 2), 2) == F(3, 8)
-        assert binomial(3, 5) == 0
 
 
 class TestPolynomial:

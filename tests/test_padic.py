@@ -1,15 +1,19 @@
 """p-adic group families: exact symbolic values, zeros, factorization
 identities, and absolute (p -> 1) limits."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from wittenzeta.errors import ConstraintError, DomainError, PoleError
-from wittenzeta.exact import Polynomial, RationalFunction
-from wittenzeta.padic import (FAMILIES, U_POLY, absolute_limit,
-                              eval_at_int_s, factorization_check, q_integer,
-                              sl2zp_z0, sl2zp_zinf, su3_cong_minus1,
+from wittenzeta.errors import (ConstraintError, DegenerateLimitError,
+                               DomainError, PoleError)
+from wittenzeta.exact import LaurentPoly2, Polynomial, RationalFunction
+from wittenzeta.padic import (FAMILIES, SYMBOLIC, U_POLY, GroupFamily,
+                              LaurentForm, absolute_limit, eval_at_int_s,
+                              factorization_check, q_integer, sl2zp_z0,
+                              sl2zp_zinf, su3_cong_minus1,
                               su3_cong_minus1_limit, verify_zero)
 
 F = Fraction
@@ -54,6 +58,12 @@ class TestValues:
     def test_sl2zp_pole_at_one(self):
         with pytest.raises(PoleError):
             sl2zp_zinf(1, 5)
+
+    @pytest.mark.parametrize("p", [SYMBOLIC, 5])
+    def test_sl2cong_pole_at_one(self, p):
+        # the denominator 1 - p^{1-s} is identically zero at s = 1
+        with pytest.raises(PoleError):
+            eval_at_int_s("sl2cong", 1, 1, p)
 
     def test_sl2cong_at_minus_one(self):
         assert eval_at_int_s("sl2cong", 1, -1) == -P ** 4 / (P + 1)
@@ -129,6 +139,15 @@ class TestAbsoluteLimits:
                 extrap = (10.0 * v2 - v1) / 9.0
                 assert abs(extrap - float(rf(F(s)))) <= 1e-6
 
+    def test_unequal_orders_are_degenerate(self):
+        # N = 1 - p^{1-s} vanishes at p = 1 to first order, D = 1 + p not
+        form = LaurentForm(a=0, b=0,
+                           num=LaurentPoly2({(0, 0): 1, (1, 1): -1}),
+                           den=LaurentPoly2({(0, 0): 1, (1, 0): 1}))
+        fam = GroupFamily("test", "TEST", frozenset(), False, form)
+        with pytest.raises(DegenerateLimitError):
+            absolute_limit(fam)
+
     def test_su3_minus1_limit(self):
         assert su3_cong_minus1_limit() == F(-2, 5)
 
@@ -144,3 +163,51 @@ class TestQInteger:
     def test_domain(self):
         with pytest.raises(DomainError):
             q_integer(0)
+
+
+# ---------------------------------------------------------------------------
+# Every padic row of the benchmark's oracle, computed there with sympy from
+# the dimension lists and u-form numerators, without importing wittenzeta
+# ---------------------------------------------------------------------------
+
+_ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle" / "cli.json"
+
+
+def _oracle_rows():
+    pools = json.loads(_ORACLE.read_text())["pools"]
+    return [(argv, refs) for rows in pools.values() for argv, refs in rows
+            if argv[0] == "padic"]
+
+
+def _ref_value(ref):
+    if ref["type"] == "rf":
+        # the oracle's denominator is not monic; compare reduced forms
+        var = ref["var"]
+        return RationalFunction(
+            Polynomial([Fraction(c) for c in ref["num"]], var),
+            Polynomial([Fraction(c) for c in ref["den"]], var), var)
+    if ref["type"] == "fraction":
+        return Fraction(ref["value"])
+    return ref["value"]
+
+
+def _library_values(argv):
+    opts = dict(zip(argv[2::2], argv[3::2]))
+    family, m = opts["--family"], int(opts.get("--m", 1))
+    action = argv[1]
+    if action == "eval":
+        p = SYMBOLIC if opts["--p"] == "sym" else int(opts["--p"])
+        return [eval_at_int_s(family, m, int(opts["--s"]), p)]
+    if action == "zero":
+        return list(verify_zero(family, m, int(opts["--s"])))
+    if action == "limit":
+        return [absolute_limit(family, m)]
+    return [factorization_check(family)[0]]
+
+
+def test_oracle_rows():
+    rows = _oracle_rows()
+    assert len(rows) > 500
+    for argv, refs in rows:
+        got = _library_values(argv)
+        assert got == [_ref_value(r) for r in refs], " ".join(argv)

@@ -11,9 +11,10 @@ import pytest
 from wittenzeta.errors import ConditioningError, DomainError
 from wittenzeta.exact import Polynomial, RationalFunction
 from wittenzeta.numerics import PrecisionBudget
-from wittenzeta.polylog import (UnitCirclePoint, polylog_closed_form,
-                                polylog_continued, polylog_eval_neg,
-                                polylog_series, polylog_via_jonquiere)
+from wittenzeta.polylog import (MAX_CLOSED_M, UnitCirclePoint,
+                                polylog_closed_form, polylog_continued,
+                                polylog_eval_neg, polylog_series,
+                                polylog_via_jonquiere)
 
 mpmath.mp.dps = 30
 F = Fraction
@@ -155,6 +156,46 @@ class TestClosedForms:
     def test_eval_neg_rejects_one(self):
         with pytest.raises(DomainError):
             polylog_eval_neg(2, 0.0)
+
+
+def _series_numerator(m):
+    """Coefficients of (1 - x)^{m+1} sum_{n <= m+1} n^m x^n up to degree m+1:
+    the numerator of Z(-m, x) over (1 - x)^{m+1}, from the power sums alone."""
+    powers = [n ** m if n else 0 for n in range(m + 2)]
+    one_minus = [(-1) ** k * math.comb(m + 1, k) for k in range(m + 2)]
+    out = [sum(one_minus[k] * powers[d - k] for k in range(d + 1))
+           for d in range(m + 2)]
+    while out[-1] == 0:
+        out.pop()
+    return out
+
+
+class TestClosedFormOracle:
+    """Closed forms against the power-sum series, without the Eulerian
+    recurrence, and the float evaluation against mpmath at large m."""
+
+    @pytest.mark.parametrize("m", range(MAX_CLOSED_M + 1))
+    def test_against_power_sums(self, m):
+        rf = polylog_closed_form(m)
+        # RationalFunction makes the denominator monic: (x - 1)^{m+1}
+        sign = (-1) ** (m + 1)
+        assert rf.den.coeffs == tuple(
+            sign * (-1) ** k * math.comb(m + 1, k) for k in range(m + 2))
+        assert rf.num.coeffs == tuple(sign * c for c in _series_numerator(m))
+
+    @pytest.mark.parametrize("m", [20, 30])
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
+    def test_eval_neg_large_m_matches_mpmath(self, m, theta):
+        got = polylog_eval_neg(m, theta)
+        want = _oracle(-m, theta)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_maximum_m(self):
+        assert polylog_eval_neg(MAX_CLOSED_M, 1.0) != 0
+        with pytest.raises(DomainError):
+            polylog_closed_form(MAX_CLOSED_M + 1)
+        with pytest.raises(DomainError):
+            polylog_eval_neg(MAX_CLOSED_M + 1, 1.0)
 
 
 class TestParityIdentities:

@@ -155,6 +155,11 @@ class TestSpecialValues:
         with pytest.raises(DomainError):
             special_value_su3(0)
 
+    def test_maximum_n(self):
+        assert special_value_su3(su3.MAX_SPECIAL_N) == 0
+        with pytest.raises(DomainError):
+            special_value_su3(su3.MAX_SPECIAL_N + 1)
+
 
 class TestBernoulliConvolution:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
@@ -170,3 +175,10 @@ class TestBernoulliConvolution:
     def test_rejects_odd(self):
         with pytest.raises(DomainError):
             bernoulli_convolution_check(3)
+
+    def test_maximum_n(self):
+        n = su3.MAX_SPECIAL_N  # even
+        lhs, rhs = bernoulli_convolution_check(n)
+        assert lhs == rhs
+        with pytest.raises(DomainError):
+            bernoulli_convolution_check(n + 2)
