@@ -10,32 +10,37 @@ and a sparse two-variable Laurent polynomial for identity checks.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
-from math import comb
 
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and Riemann zeta at non-positive integers
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def bernoulli(k: int) -> Fraction:
-    """Bernoulli number B_k in the convention B_1 = -1/2.
+_B_EVEN = [Fraction(1)]  # B_0, B_2, B_4, ...; doubled on demand
 
-    Computed by the defining recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0,
-    memoized; exact for all k needed here (up to B_32 and beyond).
-    """
+
+def bernoulli(k: int) -> Fraction:
+    """Bernoulli number B_k in the convention B_1 = -1/2; the even ones from
+    the integer tangent numbers T_n of R. Brent and D. Harvey ("Fast
+    computation of Bernoulli, tangent and secant numbers", 2011),
+    B_2n = (-1)^{n-1} 2n T_n / (4^n (4^n - 1))."""
     if k < 0:
         raise ValueError("bernoulli: k must be non-negative")
-    if k == 0:
-        return Fraction(1)
-    if k > 1 and k % 2 == 1:
-        return Fraction(0)
-    acc = Fraction(0)
-    for j in range(k):
-        acc += comb(k + 1, j) * bernoulli(j)
-    return -acc / (k + 1)
+    if k % 2:
+        return Fraction(-1, 2) if k == 1 else Fraction(0)
+    n = k // 2
+    if n >= len(_B_EVEN):
+        size = max(n, 2 * len(_B_EVEN))
+        tan = [0, 1] + [0] * (size - 1)
+        for j in range(2, size + 1):
+            tan[j] = (j - 1) * tan[j - 1]
+        for i in range(2, size + 1):
+            for j in range(i, size + 1):
+                tan[j] = (j - i) * tan[j - 1] + (j - i + 2) * tan[j]
+        _B_EVEN[1:] = [Fraction((-1) ** (i - 1) * 2 * i * tan[i],
+                                4 ** i * (4 ** i - 1)) for i in range(1, size + 1)]
+    return _B_EVEN[n]
 
 
 def zeta_neg_int(k: int) -> Fraction:
@@ -273,11 +278,19 @@ class RationalFunction:
         if not g.is_zero() and g.degree > 0:
             num = num.div_exact(g)
             den = den.div_exact(g)
+        self._store(num, den)
+
+    def _store(self, num: Polynomial, den: Polynomial) -> None:
         lead = den.leading()
-        num = num * (1 / lead)
-        den = den * (1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num", num * (1 / lead))
+        object.__setattr__(self, "den", den * (1 / lead))
+
+    @classmethod
+    def coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den for parts known to have no common factor: no gcd."""
+        out = object.__new__(cls)
+        out._store(num, den)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")

@@ -229,9 +229,9 @@ def polylog_via_jonquiere(s: float, x,
 MAX_CLOSED_M = 30
 """Largest m that ``polylog_closed_form`` and ``polylog_eval_neg`` accept.
 
-The closed form's one polynomial gcd over the rationals grows steeply with
-m (about 20x from m = 20 to m = 30), and above m = 170 the Eulerian numbers
-overflow a float; larger m raise DomainError."""
+The value was set by the cost of a polynomial gcd that the closed form no
+longer takes; above m = 170 the Eulerian numbers overflow a float. Larger m
+raise DomainError."""
 
 
 def _check_m(m: int) -> None:
@@ -254,12 +254,13 @@ def _eulerian_row(m: int) -> list:
 
 def polylog_closed_form(m: int) -> RationalFunction:
     """Exact rational function R_m(x) = Z(-m, x) = x A_m(x) / (1 - x)^{m+1},
-    the numerator from the Eulerian row, the denominator from binomials."""
+    the numerator from the Eulerian row, the denominator from binomials.
+    The parts are coprime, as A_m(1) = m! != 0, so no gcd is taken."""
     _check_m(m)
     num = Polynomial([0] + _eulerian_row(m), "x")
     den = Polynomial([(-1) ** k * math.comb(m + 1, k) for k in range(m + 2)],
                      "x")
-    return RationalFunction(num, den, "x")
+    return RationalFunction.coprime(num, den)
 
 
 def polylog_eval_neg(m: int, x) -> complex:

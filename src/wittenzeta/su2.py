@@ -7,20 +7,23 @@ e^{-i theta}); characters of the (n-dimensional) irreducibles give
     zeta^W(s, g) = sum_{n >= 1} sin(n theta) / (n sin theta) * n^{-s},
 
 which is zeta(s) at theta = 0, the eta-twisted (1 - 2^{1-s}) zeta(s) at
-theta = pi, and a difference of unit-circle polylogarithms in between.
+theta = pi, and a difference of unit-circle polylogarithms in between. The
+Haar average (s in {-2, -1} or s > 1) integrates Im Z(s+1, e^{i theta}) sin
+theta, the polylog expanded in zeta(s - 2j) theta^{2j+1} (DLMF 25.12.12),
+by a nested trapezoid rule with Richardson steps.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
-from .numerics import (DEFAULT_BUDGET, PrecisionBudget, gamma_two_pi,
-                       half_pi_trig, hurwitz_pair, hurwitz_zeta, riemann_zeta)
+from .numerics import (DEFAULT_BUDGET, PrecisionBudget, _em_corrections,
+                       gamma_two_pi, half_pi_trig, hurwitz_pair, hurwitz_zeta,
+                       riemann_zeta)
 from .polylog import UnitCirclePoint, polylog_continued, polylog_series
 
 _TWO_PI = 2.0 * math.pi
@@ -184,8 +187,102 @@ def multi_L(s: complex, gs,
 # Haar average
 # ---------------------------------------------------------------------------
 
-_QUAD_START = 64
-_QUAD_CAP = 1024
+_EULER_GAMMA = 0.5772156649015329
+_POLE_ZONE = 0.2  # |s - m| below which the pole pair at odd m is one form
+_DIRECT_TERMS = 32  # up to this many terms the Dirichlet series is summed
+
+
+def _im_polylog_odd(s: float, budget: PrecisionBudget):
+    """theta -> Im Z(s+1, e^{i theta}) for real s > 1 and 0 <= theta <= pi:
+    the odd part of DLMF 25.12.12, with one zeta(s - 2j) table for all theta,
+
+        pi theta^s / (2 cos(pi s/2) Gamma(1+s))
+            + sum_j (-1)^j zeta(s-2j) theta^{2j+1} / (2j+1)!.
+
+    Once s < 2j the terms fall faster than (theta/2pi)^{2j}; the table ends
+    where that tail bound at theta = pi meets the target. Within _POLE_ZONE
+    of an odd m = 2J+1 the lead term and the pole term j = J are one form,
+    analytic across m: with eps = s - m and L = log theta,
+
+        (-1)^J theta^m/m! (g - expm1(eps lam)/eps),  g = zeta(1+eps) - 1/eps,
+        lam = L + (log((pi eps/2)/sin(pi eps/2)) - log(Gamma(1+s)/m!))/eps,
+
+    g by Euler-Maclaurin and lam - L by its power series in eps; at s = m
+    this is (-1)^J theta^m/m! (H_m - L). For large s, where the tail bound
+    N^{-s}/s of sum_{n <= N} sin(n theta) n^{-s-1} meets the target with
+    N <= _DIRECT_TERMS, that sum is taken instead.
+    """
+    tol = budget.target * 1e-3
+    terms = math.ceil((tol * s) ** (-1.0 / s))
+    if terms <= _DIRECT_TERMS:
+        weights = [n ** (-1.0 - s) for n in range(1, terms + 1)]
+        return lambda theta: math.fsum(
+            w * math.sin(n * theta) for n, w in enumerate(weights, 1))
+    zb = PrecisionBudget(tol, budget.max_terms)
+    m = 2 * round((s - 1.0) / 2.0) + 1
+    eps = s - m
+    pole = abs(eps) < _POLE_ZONE
+    coeffs, fact = [], 1.0
+    for j in itertools.count():
+        fact *= 2 * j * (2 * j + 1) or 1
+        coeffs.insert(0, 0.0 if pole and 2 * j + 1 == m
+                      else (-1) ** j * riemann_zeta(s - 2 * j, zb).real / fact)
+        if s < 2 * j and abs(coeffs[0]) * math.pi ** (2 * j + 1) <= 3.0 * tol:
+            break
+    if pole:
+        n = 17  # the Euler-Maclaurin base for g
+        g = math.fsum(k ** (-1.0 - eps) for k in range(1, n)) \
+            + (math.expm1(-eps * math.log(n)) / eps if eps else -math.log(n)) \
+            + 0.5 * n ** (-1.0 - eps) + _em_corrections(1.0 + eps, n, 1.0, zb)
+        lam0 = _EULER_GAMMA - math.fsum(1.0 / k for k in range(1, m + 1))
+        p = 2
+        while abs(eps) ** (p - 1) > tol:  # each coefficient is at most 1
+            harmonic = math.fsum(k ** -p for k in range(1, m + 1))
+            zeta_p = riemann_zeta(p, zb).real
+            coef = zeta_p - harmonic if p % 2 \
+                else harmonic + (2.0 ** (1 - p) - 1.0) * zeta_p
+            lam0 += coef * eps ** (p - 1) / p
+            p += 1
+        sign = (-1) ** (m // 2) / math.factorial(m)
+    else:
+        lead = math.pi / (2.0 * half_pi_trig(complex(s))[0].real)
+        log_gamma = math.lgamma(1.0 + s)
+
+    def odd(theta: float) -> float:
+        if theta == 0.0:
+            return 0.0
+        t2, acc = theta * theta, 0.0
+        for c in coeffs:
+            acc = acc * t2 + c
+        if not pole:
+            return acc * theta + lead * math.exp(s * math.log(theta) - log_gamma)
+        lam = math.log(theta) + lam0
+        return acc * theta + sign * theta ** m * (
+            g - (math.expm1(eps * lam) / eps if eps else lam))
+    return odd
+
+
+def _periodic_trapezoid(f, order: float, budget: PrecisionBudget) -> float:
+    """Integral on [0, pi] of f, even and 2 pi-periodic and smooth but for a
+    |theta|^{order-1} term at 0, so that the trapezoid error is a series in
+    h^order, h^{order+2}, ...: nested halving, each level adding only the
+    odd nodes, with Richardson steps in those orders, until two
+    extrapolated levels agree to the target."""
+    n, h = 4, math.pi / 4
+    total = 0.5 * (f(0.0) + f(math.pi)) + math.fsum(f(k * h) for k in (1, 2, 3))
+    rows = [h * total]
+    while 2 * n <= budget.max_terms:
+        n, h = 2 * n, 0.5 * h
+        total += math.fsum(f(k * h) for k in range(1, n, 2))
+        new = [h * total]
+        for i, prev in enumerate(rows):
+            q = 2.0 ** min(order + 2 * i, 64.0)  # past 2^64 a step is void
+            new.append((q * new[i] - prev) / (q - 1.0))
+        if abs(new[-1] - rows[-1]) <= budget.target * abs(new[-1]):
+            return new[-1]
+        rows = new
+    raise ConvergenceError("haar average quadrature did not converge",
+                           achieved=rows[-1])
 
 
 def haar_average_su2(s: float,
@@ -193,62 +290,27 @@ def haar_average_su2(s: float,
     """Integral over SU(2) of zeta^W(s, g) dg with normalized Haar measure,
     i.e. (2/pi) * integral of zeta^W(s, theta) sin^2 theta on [0, pi].
 
-    Tested domain: s in {-2, -1} or real s > 1 (where the average is 1 by
-    character orthogonality).
+    Domain: s in {-2, -1} or real s > 1, at any target. For s > 1 (where
+    the average is 1 by character orthogonality) the integrand is
+    (2/pi) sin theta Im Z(s+1, e^{i theta}) from ``_im_polylog_odd``, under
+    the nested trapezoid rule with Richardson steps in the orders s+2,
+    s+4, ... of its |theta|^{s+1} term; s = -1, where it is
+    (2/pi) cos^2(theta/2), takes the same rule; at s = -2 it vanishes.
+    The node values carry the rounding of zeta at negative arguments, so
+    below a target of about 1e-14 the average stays about 1e-14 off.
     """
     s = float(s)
     if s == -2.0:
-        # integrand vanishes identically on the open interval
         return 0.0
     if s == -1.0:
-        # zeta^W(-1, theta) sin^2 theta = cos^2(theta/2) * ... closed form
         def f(th):
             return (2.0 / math.pi) * math.cos(th / 2.0) ** 2
-        return _gauss_doubling(f, budget)
-    if s <= 1.0:
+    elif s > 1.0:
+        odd = _im_polylog_odd(s, budget)
+
+        def f(th):
+            return (2.0 / math.pi) * math.sin(th) * odd(th)
+    else:
         raise DomainError(
-            "haar_average_su2 tested only for s in {-2, -1} or s > 1")
-
-    def f(th):
-        return witten_L_su2(s, ConjugacyClassSU2(th), budget).real \
-            * (2.0 / math.pi) * math.sin(th) ** 2
-    return _gauss_doubling(f, budget)
-
-
-@functools.lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Legendre nodes and weights on [-1, 1] for n >= 2: Newton's
-    method on the three-term recurrence for P_n, one root per symmetric
-    pair."""
-    nodes, weights = [0.0] * n, [0.0] * n
-    for i in range((n + 1) // 2):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(100):
-            p_prev, p = 1.0, x
-            for k in range(2, n + 1):
-                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-            dp = n * (x * p - p_prev) / (x * x - 1.0)
-            step = p / dp
-            x -= step
-            if abs(step) <= 1e-16:
-                break
-        weight = 2.0 / ((1.0 - x * x) * dp * dp)
-        nodes[i], nodes[n - 1 - i] = -x, x
-        weights[i] = weights[n - 1 - i] = weight
-    return tuple(nodes), tuple(weights)
-
-
-def _gauss_doubling(f, budget: PrecisionBudget) -> float:
-    tol = max(budget.target, 1e-9)
-    prev = None
-    order = _QUAD_START
-    while order <= _QUAD_CAP:
-        nodes, weights = _leggauss(order)
-        val = 0.5 * math.pi * math.fsum(
-            wt * f(0.5 * math.pi * (x + 1.0)) for x, wt in zip(nodes, weights))
-        if prev is not None and abs(val - prev) <= tol * (1.0 + abs(val)):
-            return val
-        prev = val
-        order *= 2
-    raise ConvergenceError("haar average quadrature did not converge",
-                           achieved=prev)
+            "haar_average_su2 is defined for s in {-2, -1} or s > 1")
+    return _periodic_trapezoid(f, s + 2.0, budget)

@@ -119,6 +119,14 @@ class TestPrecision:
         rec = json.loads(out)
         assert code == 0 and rec["error"] == 1e-11
 
+    def test_su2_average_meets_tight_claim(self, capsys):
+        # the Haar average is 1 by orthogonality, whatever the route
+        code, out, _ = run(capsys, "su2", "average", "--s", "1.2",
+                           "--precision", "13", "--format", "json")
+        rec = json.loads(out)
+        assert code == 0 and rec["error"] == 1e-13
+        assert abs(rec["value"] - 1.0) <= 1e-13
+
     def test_out_of_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "su2", "eval", "--s", "2",
                            "--theta-pi", "1/3", "--precision", "20")

@@ -1,6 +1,7 @@
 """Exact arithmetic: Bernoulli numbers, polynomials, rational functions."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,14 @@ class TestBernoulli:
         assert bernoulli(2) == F(1, 6)
         assert bernoulli(4) == F(-1, 30)
         assert bernoulli(12) == F(-691, 2730)
+
+    def test_defining_recurrence(self):
+        # sum_{j <= k} C(k+1, j) B_j = 0, independent of the tangent numbers
+        ref = [F(1)]
+        for k in range(1, 61):
+            ref.append(-sum(comb(k + 1, j) * ref[j] for j in range(k))
+                       / (k + 1))
+        assert [bernoulli(k) for k in range(61)] == ref
 
     def test_odd_vanish(self):
         assert all(bernoulli(k) == 0 for k in (3, 5, 7, 9, 11))

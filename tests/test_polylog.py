@@ -183,6 +183,14 @@ class TestClosedFormOracle:
             sign * (-1) ** k * math.comb(m + 1, k) for k in range(m + 2))
         assert rf.num.coeffs == tuple(sign * c for c in _series_numerator(m))
 
+    @pytest.mark.parametrize("m", range(MAX_CLOSED_M + 1))
+    def test_parts_coprime(self, m):
+        # the closed form skips the gcd; running it changes no coefficient
+        rf = polylog_closed_form(m)
+        reduced = RationalFunction(rf.num, rf.den)
+        assert (reduced.num.coeffs, reduced.den.coeffs) \
+            == (rf.num.coeffs, rf.den.coeffs)
+
     @pytest.mark.parametrize("m", [20, 30])
     @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
     def test_eval_neg_large_m_matches_mpmath(self, m, theta):

@@ -9,9 +9,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from wittenzeta import su2
 from wittenzeta.errors import DomainError
 from wittenzeta.numerics import PrecisionBudget
-from wittenzeta.su2 import (ConjugacyClassSU2, _leggauss, char_ratio,
+from wittenzeta.su2 import (ConjugacyClassSU2, _im_polylog_odd, char_ratio,
                             derivative_at_minus2, haar_average_su2, multi_L,
                             special_value_neg_even, witten_L_su2)
 
@@ -227,21 +228,50 @@ class TestMultiCharacter:
             multi_L(2.0, [0.5] * 4)
 
 
-@pytest.mark.parametrize("n", [64, 128, 256])
-def test_leggauss_matches_numpy(n):
-    np = pytest.importorskip("numpy")
-    nodes, weights = _leggauss(n)
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
-    assert np.max(np.abs(np.array(nodes) - ref_nodes)) <= 1e-14
-    assert np.max(np.abs(np.array(weights) - ref_weights)) <= 1e-14
-
-
 class TestHaarAverage:
     def test_values(self):
         assert abs(haar_average_su2(-1.0) - 1.0) <= 1e-8
         assert haar_average_su2(-2.0) == 0.0
         assert abs(haar_average_su2(3.0) - 1.0) <= 1e-8
 
+    @pytest.mark.parametrize("target", [1e-6, 1e-10, 1e-13])
+    @pytest.mark.parametrize("s", [-1.0, 1.0 + 1e-6, 1.001, 1.2, 1.526, 2.0,
+                                   3.0, 3.0 - 1e-7, 3.0 + 1e-7, 5.0, 12.7,
+                                   20.1])
+    def test_orthogonality_to_target(self, s, target):
+        # the average is 1 by character orthogonality, whatever the route
+        got = haar_average_su2(s, PrecisionBudget(target))
+        assert abs(got - 1.0) <= target
+
+    def test_work_bound(self, monkeypatch):
+        # one zeta(s - 2j) table for every node, and no polylog route
+        calls = {"riemann_zeta": 0, "witten_L_su2": 0, "polylog_series": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(su2, name, counted(name, getattr(su2, name)))
+        got = haar_average_su2(2.5, PrecisionBudget(1e-10))
+        assert abs(got - 1.0) <= 1e-10
+        assert calls["riemann_zeta"] <= 64
+        assert calls["witten_L_su2"] == 0 and calls["polylog_series"] == 0
+
     def test_untested_domain(self):
         with pytest.raises(DomainError):
             haar_average_su2(0.5)
+
+
+@pytest.mark.parametrize("s", [1.3, 1.538, 2.0, 2.3, 3.0, 3.0 + 1e-7, 3.7])
+@pytest.mark.parametrize("theta", [1e-3, 0.01, 0.05, PI / 12, PI - 1e-3, PI])
+def test_im_polylog_odd_against_mpmath(s, theta):
+    # Im Z(s+1, e^{i theta}) from the zeta(s - 2j) expansion, including
+    # the small theta where the series route misses its claim and the
+    # odd integer s = 3, where the pole pair takes its limit form
+    with mpmath.workdps(40):
+        want = float(mpmath.polylog(mpmath.mpf(s) + 1,
+                                    mpmath.expj(mpmath.mpf(theta))).imag)
+    got = _im_polylog_odd(s, PrecisionBudget(1e-13))(theta)
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
