@@ -241,12 +241,12 @@ def _handle_su3(args, budget):
     if args.action == "eval":
         if args.s is None:
             raise DomainError("su3 eval requires --s")
-        params = su3_mod.MBParams(n=args.n) if args.n else su3_mod.MBParams()
+        params = su3_mod.MBParams(n=1 if args.n is None else args.n)
         return [(f"su3 eval s={_fmt_s(args.s)}",
                  su3_mod.witten_su3_continued(args.s, params, budget))]
     if args.action == "special":
-        if args.n is None or args.n < 1:
-            raise DomainError("su3 special requires --n >= 1")
+        if args.n is None or args.n < 0:
+            raise DomainError("su3 special requires --n >= 0")
         return [(f"su3 special n={args.n}",
                  su3_mod.special_value_su3(args.n))]
     # lemma

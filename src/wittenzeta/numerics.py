@@ -72,6 +72,7 @@ def log_gamma(z: complex) -> complex:
         raise PoleError(f"log_gamma pole at z = {z}", location=z)
     if z.real < 0.5:
         # log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
+        _check_trig(math.pi * z)
         return math.log(math.pi) - cmath.log(cmath.sin(math.pi * z)) \
             - log_gamma(1.0 - z)
     w = z
@@ -99,12 +100,19 @@ def gamma_two_pi(w: complex) -> complex:
     return cmath.exp(log_gamma(w) - w * math.log(_TWO_PI))
 
 
+def _check_trig(w: complex) -> None:
+    """DomainError where sin(w) and cos(w) overflow (past |Im w| = 710.5)."""
+    if abs(w.imag) > 700.0:
+        raise DomainError(f"sin({w}) overflows double precision")
+
+
 def half_pi_trig(w: complex) -> tuple[complex, complex, complex]:
     """cos(pi w/2), sin(pi w/2) and e^{i pi w/2}, each n exact quarter turns
     from its value at w - n, n the integer nearest Re w: cos and sin vanish
     exactly at the integers and keep their accuracy next to them."""
     n = round(w.real)
     f = complex(w.real - n, w.imag) * (0.5 * math.pi)
+    _check_trig(f)
     c, s, e = cmath.cos(f), cmath.sin(f), cmath.exp(1j * f)
     for _ in range(n % 4):
         c, s, e = -s, c, 1j * e
@@ -112,10 +120,10 @@ def half_pi_trig(w: complex) -> tuple[complex, complex, complex]:
 
 
 def gamma_ratio_at_neg(n: int) -> Fraction:
-    """Exact limit of Gamma(2s-1)/Gamma(s) at s = -n for n >= 1."""
-    if n < 1:
-        raise ValueError("gamma_ratio_at_neg: n must be >= 1")
-    return Fraction((-1) ** (n - 1) * factorial(n), 2 * factorial(2 * n + 1))
+    """Exact limit of Gamma(2s-1)/Gamma(s) at s = -n for n >= 0."""
+    if n < 0:
+        raise ValueError("gamma_ratio_at_neg: n must be >= 0")
+    return Fraction((-1) ** (n + 1) * factorial(n), 2 * factorial(2 * n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +260,10 @@ def riemann_zeta(s: complex,
                  budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
     """Riemann zeta(s) for s != 1.
 
-    Euler-Maclaurin for Re s > 0.5, the functional equation (with log_gamma)
-    otherwise; s = 0 returns the exact -1/2, s = -2, -4, ... exactly 0.
-    Left of Re s = -169, where Gamma(1 - s) overflows, it raises DomainError.
+    Euler-Maclaurin for Re s > 0.5 or |s| < 0.1 (where the functional
+    equation loses eps/|s|), else the functional equation: it raises
+    DomainError where Gamma(1 - s) or the sine overflows (Re s < -169,
+    |Im s| > 445). s = 0 gives the exact -1/2, s = -2, -4, ... exactly 0.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-13:
@@ -263,10 +272,11 @@ def riemann_zeta(s: complex,
         return complex(-0.5)
     if s.imag == 0.0 and s.real < 0.0 and s.real % 2.0 == 0.0:
         return 0j  # the trivial zeros, where sin(pi s/2) rounds to ~1e-16
-    if s.real > _RZ_CROSSOVER:
+    if s.real > _RZ_CROSSOVER or abs(s) < 0.1:
         return _hurwitz_em(s, 1.0, budget)
     if s.real < -169.0:
         raise DomainError(f"Gamma({1.0 - s}) overflows double precision")
+    _check_trig(math.pi * s / 2.0)
     # zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s)
     chi = 2.0 ** s * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0) \
         * cmath.exp(log_gamma(1.0 - s))

@@ -5,26 +5,27 @@ The irreducible degrees are mn(m+n)/2, so
     zeta^W_{SU(3)}(s) = 2^s sum_{m,n >= 1} (m^s n^s (m+n)^s)^{-1},
 
 a diagonal Mordell-Tornheim double series convergent for Re s > 1. Its
-analytic continuation is computed from the Mellin-Barnes identity
+continuation is the Mellin-Barnes identity
 
     zeta^W(s) = 2^s Gamma(2s-1) Gamma(1-s)/Gamma(s) zeta(3s-1)
-              + 2^s sum_{k=0}^{M-1} (-1)^k (s)_k / k! zeta(2s+k) zeta(s-k)
+              + 2^s sum_{k=0}^{m-1} (-1)^k (s)_k / k! zeta(2s+k) zeta(s-k)
               + 2^s/(2 pi i) int_{Re z = c}
                     Gamma(s+z) Gamma(-z)/Gamma(s) zeta(2s+z) zeta(s-z) dz,
 
-valid for Re s > -n - 1/4 with M = 2n+2, or floor(Re s) + 1 if larger, so
-that the pole of zeta(s-z) at z = s-1 lies left of the line. The line Re
-z = c halves the pole-free gap (max(M-1, 1-2 Re s), M), at least 1/2 wide.
-The integrand is analytic in a strip about it and decays like e^{-pi |t|},
-so the trapezoid rule converges geometrically as its step is halved
-(Trefethen and Weideman, SIAM Rev. 56, 2014). For real s the integrand
-obeys f(-t) = conj f(t): the rule is folded onto t >= 0, half the nodes,
-and the value returned is real. The direct series (``mt_series``) stays an
-independent check for Re s > 1: finite square sums, each one numpy
-correlation, extrapolated in N. At negative integers the limit collapses
-to an exact rational combination of zeta values (``special_value_su3``),
-zero for every n >= 1; the even-n case rests on a Bernoulli convolution
-identity exposed as ``bernoulli_convolution_check``.
+whose first two lines are the residues at z = s-1 and z = 0 .. m-1 right
+of the line. The integrand decays like e^{-pi |Im z|}: the trapezoid rule
+converges geometrically as its step is halved (Trefethen and Weideman,
+SIAM Rev. 56, 2014). For Re s >= 5/6 the line is z = -s/2 + iu with no
+residues: z <-> -s-z swaps the gammas and the zetas, so the integrand is
+even in u for every s, no terms cancel, and the poles are at least
+min(Re s/2, 3 Re s/2 - 1) >= 1/4 away. Below 5/6, m = 2n+2 and c halves
+the pole-free gap (max(m-1, 1-2 Re s), m), at least 1/2 wide for Re s >
+-n - 1/4. At s = 0, -1, -2, ... the value is the exact limit
+``special_value_su3``: 1/3 at 0, zero below (for even n by
+``bernoulli_convolution_check``). Next to 0 the rounding of 1 + 2s in
+zeta(2s+1) costs about 1e-17/|s|, 1e-9 at |s| = 1e-9. The direct series
+``mt_series`` (square sums, each one numpy correlation, extrapolated in N)
+stays an independent check for Re s > 1.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ from .exact import rising, zeta_neg_int
 from .numerics import (DEFAULT_BUDGET, PrecisionBudget, gamma_ratio_at_neg,
                        log_gamma, riemann_zeta)
 
-_POLE_TOL = 1e-6
+_POLE_TOL = 1e-6  # the genuine poles s = 2/3 and s = 1/2 - j
+_EVEN_LINE = 5.0 / 6.0  # the even line's strip is >= 1/4 wide from here on
+_MAX_RE_S, _MAX_IM_S = 1000.0, 250.0  # each call then takes under 0.7 s
 _MAX_HALVINGS = 8  # trapezoid steps 1/2 .. 1/256
 _MT_BASE = 1500  # N of mt_series' square sums at N, 2N, 4N
 
@@ -102,7 +105,7 @@ def mt_series(s: complex,
 
 @dataclass(frozen=True)
 class MBParams:
-    """Strip selector n: the continuation takes M = 2n+2 residues of
+    """Strip selector n: the residue line takes M = 2n+2 residues of
     Gamma(-z) and holds for Re s > -n - 1/4 (see the module docstring)."""
 
     n: int = 1
@@ -116,73 +119,63 @@ class MBParams:
         return 2 * self.n + 2
 
 
-def _mb_direct(s: complex, params: MBParams,
-               budget: PrecisionBudget) -> complex:
-    # M residues of Gamma(-z), more when Re s >= M: the pole of zeta(s - z)
-    # at z = s - 1, whose residue is term 1, must lie left of the contour
-    m = max(params.M, math.floor(s.real) + 1)
-    pref = cmath.exp(s * cmath.log(2.0))
-    # term 1: gamma ratio times zeta(3s - 1)
-    log_ratio = log_gamma(2.0 * s - 1.0) + log_gamma(1.0 - s) - log_gamma(s)
-    term1 = cmath.exp(log_ratio) * riemann_zeta(3.0 * s - 1.0, budget)
-    # term 2: finite sum of zeta products
-    term2 = 0.0 + 0.0j
-    poch = 1.0 + 0.0j  # (s)_k
-    for k in range(m):
-        term2 += (-1.0) ** k * poch / factorial(k) \
-            * riemann_zeta(2.0 * s + k, budget) \
-            * riemann_zeta(s - k, budget)
-        poch *= s + k
-    # term 3: the line Re z = c midway across the pole-free gap between
-    # z = m - 1 or the pole of zeta(2s + z) at 1 - 2s, and z = m
-    c = 0.5 * (max(m - 1.0, 1.0 - 2.0 * s.real) + m)
-    lg_s = log_gamma(s)
+def _mb_direct(s: complex, m: int, budget: PrecisionBudget) -> complex:
+    """The Mellin-Barnes formula with m residues of Gamma(-z): m = 0 is the
+    even line, m >= 1 the residue line (Re s < m)."""
+    real, lg_s = s.imag == 0.0, log_gamma(s)
+    if m == 0:  # z = -s/2 + iu
+        centre, terms = -0.5 * s, 0.0
+    else:  # Re z = c, right of the residues at z = s - 1 and z = 0 .. m-1
+        centre = complex(0.5 * (max(m - 1.0, 1.0 - 2.0 * s.real) + m))
+        terms = riemann_zeta(3.0 * s - 1.0, budget) * cmath.exp(
+            log_gamma(2.0 * s - 1.0) + log_gamma(1.0 - s) - lg_s)
+        poch = 1.0 + 0.0j  # (s)_k
+        for k in range(m):
+            terms += (-1.0) ** k * poch / factorial(k) \
+                * riemann_zeta(2.0 * s + k, budget) \
+                * riemann_zeta(s - k, budget)
+            poch *= s + k
+    # 2^s/Gamma(s) inside exp: O(1) at large Re s, as _trapezoid's stop needs
+    log_pref = s * math.log(2.0) - lg_s
 
     def integrand(t: float) -> complex:
-        z = complex(c, t)
-        return cmath.exp(log_gamma(s + z) + log_gamma(-z) - lg_s) \
+        z = centre + complex(0.0, t)
+        v = cmath.exp(log_pref + log_gamma(s + z) + log_gamma(-z)) \
             * riemann_zeta(2.0 * s + z, budget) * riemann_zeta(s - z, budget)
+        return v.real if real else v  # for real s, f(-t) = conj f(t)
 
-    # for real s, f(-t) = conj f(t): half the nodes suffice, and every term
-    # is real, so the round-off in Im is dropped
-    real = s.imag == 0.0
-    integral = _trapezoid(integrand, budget.target, mirrored=real)
-    value = pref * (term1 + term2 + integral / (2.0 * math.pi))
+    # even in t: the even line for every s, Re f on the other for real s
+    integral = _trapezoid(integrand, budget.target, folded=real or m == 0)
+    value = cmath.exp(s * math.log(2.0)) * terms + integral / (2.0 * math.pi)
     return complex(value.real) if real else value
 
 
-def _trapezoid(f, target: float, mirrored: bool = False) -> complex:
+def _trapezoid(f, target: float, folded: bool = False) -> complex:
     """Integral of f over the real line by the trapezoid rule.
 
     The nodes run out from t = 0 in steps of 1 until two in a row fall below
     target/1000; the step is then halved, each level adding only the odd
     nodes, until two levels agree to max(target, 1e-9). For f analytic in a
     strip about the line and decaying exponentially the error falls
-    geometrically with the step. With ``mirrored`` f(-t) = conj f(t) is
-    taken as given: only the nodes t >= 0 are evaluated, each t > 0
-    standing for itself and -t by 2 Re f(t), and the result is real. The
-    folded rule is the full-line rule on the same symmetric nodes, so it
-    converges in the same way.
+    geometrically with the step. With ``folded`` f is even about t = 0 (an
+    even f about another point would repeat its nodes at step 1/2 and stop
+    the halving early): each node t > 0 counts twice, and -t is not run.
     """
     tol = max(target, 1e-9)
-    if mirrored:
-        part, sides, total = (lambda v: 2.0 * v.real), (1,), f(0.0).real
-    else:
-        part, sides, total = (lambda v: v), (1, -1), f(0.0)
-    ends = [0, 0]  # hi, lo; lo stays 0 when mirrored
+    weight, sides = (2.0, (1,)) if folded else (1.0, (1, -1))
+    total, ends = f(0.0), [0, 0]  # ends: hi, lo; lo stays 0 when folded
     for i, step in enumerate(sides):
         t = quiet = 0
         while quiet < 2:
             t += step
             v = f(float(t))
-            total += part(v)
+            total += weight * v
             quiet = quiet + 1 if abs(v) < 1e-3 * target else 0
         ends[i] = t
-    hi, lo = ends
-    h = 1.0
+    (hi, lo), h = ends, 1.0
     for _ in range(_MAX_HALVINGS):
-        odd = sum(part(f(lo + (j + 0.5) * h))
-                  for j in range(round((hi - lo) / h)))
+        odd = weight * sum(f(lo + (j + 0.5) * h)
+                           for j in range(round((hi - lo) / h)))
         refined = 0.5 * (total + h * odd)
         if abs(refined - total) <= tol * (1.0 + abs(refined)):
             return refined
@@ -197,31 +190,26 @@ _panel_quad = _trapezoid  # the name bench/tracing.py wraps
 
 def witten_su3_continued(s: complex, params: MBParams = MBParams(),
                          budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
-    """Analytic continuation of zeta^W_{SU(3)} by the Mellin-Barnes formula.
+    """zeta^W_{SU(3)}(s) on the even line for Re s >= 5/6, on the residue
+    line of strip ``params.n`` below it, exactly at s = 0, -1, -2, ...
 
-    Genuine poles (s = 2/3 and s = 1/2 - j) raise PoleError; removable
-    singular points of the formula (integer s) are filled in by symmetric
-    Richardson extrapolation of nearby direct evaluations.
+    The poles s = 2/3 and 1/2 - j raise PoleError. Outside -n - 1/4 < Re s
+    <= 1000, |Im s| <= 250 (the even line takes 0.3 s at s = 1000, 0.6 s at
+    1 + 250i) and where a sine overflows (left of Re s = 3/4 from |Im s| =
+    111 on) DomainError is raised. Above Re s = 30 the gamma logs, of size
+    s log s, round to 1e-13 (1e-12 at 1000).
     """
-    s = complex(s)
-    if s.real <= -params.n - 0.25:
-        raise DomainError(
-            f"s={s} outside the validity strip for n={params.n} "
-            f"(requires Re s > {-params.n - 0.25})")
+    s, lo = complex(s), -params.n - 0.25
+    if not (lo < s.real <= _MAX_RE_S and abs(s.imag) <= _MAX_IM_S):
+        raise DomainError(f"s={s} outside {lo} < Re s <= {_MAX_RE_S:g}, "
+                          f"|Im s| <= {_MAX_IM_S:g} (strip n={params.n})")
+    if s.imag == 0.0 and s.real <= 0.0 and s.real == round(s.real):
+        return complex(special_value_su3(-round(s.real)))
     for pole in (2.0 / 3.0, 0.5 - max(0, round(0.5 - s.real))):
         if abs(s - pole) < _POLE_TOL:
             raise PoleError(f"zeta^W_SU(3) pole near s = {pole}",
                             location=pole)
-    k = round(s.real)
-    if abs(s - k) < _POLE_TOL:
-        delta = 0.02
-        def sym(d: float) -> complex:
-            return 0.5 * (_mb_direct(k + d, params, budget)
-                          + _mb_direct(k - d, params, budget))
-        g1 = sym(delta / 2.0)
-        g2 = sym(delta)
-        return (4.0 * g1 - g2) / 3.0
-    return _mb_direct(s, params, budget)
+    return _mb_direct(s, 0 if s.real >= _EVEN_LINE else params.M, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +230,13 @@ def _check_special_n(n: int) -> None:
 
 
 def special_value_terms(n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """The three exact pieces of the continuation's limit at s = -n:
+    """The three exact pieces of the continuation's limit at s = -n, n >= 0:
     the gamma-ratio term, the finite zeta-product sum (the Pochhammer
     (-n)_k kills k > n), and the k = 2n+1 term where the vanishing
-    Pochhammer meets the zeta pole, leaving half the residue."""
-    if n < 1:
-        raise DomainError("special_value_terms requires n >= 1")
+    Pochhammer meets the zeta pole, leaving half the residue. The integral
+    term vanishes with 1/Gamma(s)."""
+    if n < 0:
+        raise DomainError("special_value_terms requires n >= 0")
     _check_special_n(n)
     half_pow = Fraction(1, 2 ** n)
     t1 = half_pow * gamma_ratio_at_neg(n) * factorial(n) \
@@ -268,7 +257,8 @@ def special_value_terms(n: int) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def special_value_su3(n: int) -> Fraction:
-    """Exact value of zeta^W_{SU(3)}(-n) for n >= 1; expected 0."""
+    """Exact value of zeta^W_{SU(3)}(-n) for n >= 0: 1/3 at n = 0, and
+    expected 0 for n >= 1."""
     return sum(special_value_terms(n), Fraction(0))
 
 

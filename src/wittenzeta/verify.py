@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import padic, polylog, su2, su3, witten_core
 from .errors import PoleError
 from .exact import Polynomial, RationalFunction
-from .numerics import hurwitz_zeta, rgamma_real, riemann_zeta
+from .numerics import DEFAULT_BUDGET, hurwitz_zeta, rgamma_real, riemann_zeta
 
 _PI = math.pi
 
@@ -201,10 +201,10 @@ def suite_su3() -> list:
                                - su3.mt_series(s)))
     _check(out, "continuation vs double series at s=2, 3, 1.5",
            worst <= 1e-6, f"max {worst:.2e}", "0", "1e-6")
-    worst = 0.0
+    worst = 0.0  # strip n = 2's residue line, a contour n = 1 does not use
     for s in (1.5, -0.4):
-        worst = max(worst, abs(su3.witten_su3_continued(s, su3.MBParams(n=1))
-                               - su3.witten_su3_continued(s, su3.MBParams(n=2))))
+        b = su3._mb_direct(complex(s), su3.MBParams(n=2).M, DEFAULT_BUDGET)
+        worst = max(worst, abs(su3.witten_su3_continued(s) - b))
     _check(out, "strip independence at s=1.5, -0.4", worst <= 1e-6,
            f"max {worst:.2e}", "0", "1e-6")
     # the listed s=0.5 comparison point sits on a genuine pole: report it

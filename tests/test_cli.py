@@ -77,6 +77,9 @@ class TestFormats:
         rec = json.loads(out)
         assert code == 0
         assert rec["value"] == "0" and rec["error"] == "exact"
+        code, out, _ = run(capsys, "su3", "special", "--n", "0",
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["value"] == "1/3"
 
     def test_json_rational_function(self, capsys):
         code, out, _ = run(capsys, "padic", "limit", "--family", "sl2cong",
@@ -164,6 +167,33 @@ class TestExitCodes:
     def test_zeta_gamma_overflow_is_domain_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 3 and "overflows" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("su2", "eval", "--s=-3,1000", "--theta", "1"),
+        ("su2", "eval", "--s=-3,1000", "--theta", "0"),
+        ("polylog", "eval", "--s=-3,1000", "--theta", "1"),
+        ("su3", "eval", "--s", "0.3,200"),
+        ("su3", "eval", "--s", "0.9,1000"),
+        ("su3", "eval", "--s", "1100"),
+    ])
+    def test_sine_overflow_is_domain_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and err.startswith("domain error")
+
+    def test_su3_at_large_imaginary_part(self, capsys):
+        from wittenzeta.su3 import mt_series
+        code, out, _ = run(capsys, "su3", "eval", "--s", "3,230",
+                           "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        got = complex(rec["value"]["re"], rec["value"]["im"])
+        want = mt_series(3.0 + 230.0j)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_su3_strip_zero_is_domain_error(self, capsys):
+        # an explicit --n 0 is an error, not the default strip
+        code, _, err = run(capsys, "su3", "eval", "--s", "1.5", "--n", "0")
+        assert code == 3 and "n must be >= 1" in err
 
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "padic", "eval", "--family", "so5",

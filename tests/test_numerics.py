@@ -48,6 +48,12 @@ class TestLogGamma:
             got = cmath.exp(log_gamma(complex(z) + 1) - log_gamma(complex(z)))
             assert abs(got - z) <= 1e-10 * (1.0 + abs(z))
 
+    def test_sine_overflow_is_domain_error(self):
+        # the reflection's sin(pi z) overflows past |Im z| = 226
+        with pytest.raises(DomainError):
+            log_gamma(-0.4 + 400.0j)
+        log_gamma(0.5 + 400.0j)  # no reflection, no sine
+
     @pytest.mark.parametrize("z", [0.0, -1.0, -5.0])
     def test_poles(self, z):
         with pytest.raises(PoleError):
@@ -75,6 +81,19 @@ class TestRiemannZeta:
         got = riemann_zeta(complex(s))
         want = _mpc(mpmath.zeta(s))
         assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("s", [1e-9, -1e-9, 1e-7, -1e-7, 1e-5, 0.05,
+                                   -0.05, 2e-7 + 1e-7j])
+    def test_next_to_zero(self, s):
+        # Euler-Maclaurin for |s| < 0.1: the functional equation lost about
+        # eps/|s| there, 5.3e-10 at s = 1e-7
+        want = _mpc(mpmath.zeta(s))
+        assert abs(riemann_zeta(complex(s)) - want) <= 1e-13 * abs(want)
+
+    def test_sine_overflow_is_domain_error(self):
+        # sin(pi s/2) in the functional equation overflows past |Im s| = 452
+        with pytest.raises(DomainError):
+            riemann_zeta(-3.0 + 1000.0j)
 
     def test_exact_anchors(self):
         assert riemann_zeta(0.0) == -0.5

@@ -8,7 +8,7 @@ import pytest
 
 from wittenzeta import su3
 from wittenzeta.errors import ConvergenceError, DomainError, PoleError
-from wittenzeta.numerics import riemann_zeta
+from wittenzeta.numerics import DEFAULT_BUDGET, riemann_zeta
 from wittenzeta.su3 import (MBParams, bernoulli_convolution_check, mt_series,
                             special_value_su3, special_value_terms,
                             witten_su3_continued)
@@ -31,6 +31,27 @@ MPMATH_SU3 = [
     (-0.7 + 9j, 2, -7.2170431433747819812 + 9.9523868710968951111j),
     (-2.2 + 8j, 2, 58.453830066199225005 - 186.22433079341531785j),  # 5.7
     (0.6 - 9j, 2, -0.21564983914071534866 - 0.78927013578176822357j),
+]
+
+# zeta^W_SU(3)(k +- 1e-7) from mpmath at 30 digits, the Mellin-Barnes
+# formula with M = 6 residues on the line Re z = 5.5, trapezoid step 1/14;
+# right of s = 2/3 the even line in mpmath agrees to 2e-16. Then the closed
+# forms at s = 1 and 2.
+NEAR_INTEGERS = [
+    (-1.0 - 1e-7, -6.4053754377538560689e-10),
+    (-1.0 + 1e-7, 6.4053807321695798536e-10),
+    (-1e-7, 0.33333312644079122975),
+    (1e-7, 0.33333354022601654899),
+    (1.0 - 1e-7, 4.8082292992003027084),
+    (1.0 + 1e-7, 4.8082259260776334933),
+    (2.0 - 1e-7, 1.3564574724787936751),
+    (2.0 + 1e-7, 1.3564573594797486954),
+    (3.0 - 1e-7, 1.0892074092652333731),
+    (3.0 + 1e-7, 1.0892073867962771687),
+    (5.0 - 1e-7, 1.0085444870107038468),
+    (5.0 + 1e-7, 1.0085444850846945416),
+    (1.0, 4.0 * 1.2020569031595942854),  # 4 zeta(3)
+    (2.0, 4.0 * math.pi ** 6 / 2835.0),  # 4 zeta(6)/3
 ]
 
 
@@ -66,9 +87,39 @@ class TestContinuation:
 
     @pytest.mark.parametrize("s", [1.5, -0.4])
     def test_strip_independence(self, s):
+        # the residue line of strip n = 2 is a different contour from the
+        # even line (s = 1.5) and from the n = 1 residue line (s = -0.4)
         a = witten_su3_continued(s, MBParams(n=1))
-        b = witten_su3_continued(s, MBParams(n=2))
+        b = su3._mb_direct(complex(s), MBParams(n=2).M, DEFAULT_BUDGET)
         assert abs(a - b) <= 1e-6
+
+    @pytest.mark.parametrize("s", [0.84, 0.9 + 0.5j, 1.5, 1.5 + 0.25j,
+                                   2.0 + 0.5j, 3.3 + 0.125j, 0.85 - 2.0j])
+    def test_even_line_against_residue_line(self, s):
+        # dyadic Im s: a two-sided rule about u = 0 on a line even about
+        # u = -Im s/2 would repeat its nodes at step 1/2 and stop early
+        want = su3._mb_direct(complex(s), MBParams(n=2).M, DEFAULT_BUDGET)
+        got = witten_su3_continued(s)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("s", [5.3, 6.3, 10.3, 12.0, 30.5, 100.0])
+    def test_even_line_against_series_at_large_s(self, s):
+        # the residue line's 2^s-scaled terms cancelled here: 3.4e-6 off at
+        # 10.3; the even line has no terms
+        want = mt_series(s)
+        assert abs(witten_su3_continued(s) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("s,want", NEAR_INTEGERS)
+    def test_next_to_integers(self, s, want):
+        got = witten_su3_continued(s)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("k,exact", [(-1, 0.0), (0, 1.0 / 3.0)])
+    def test_continuous_through_exact_integers(self, k, exact):
+        assert witten_su3_continued(float(k)) == exact
+        below = witten_su3_continued(k - 1e-7).real - exact
+        above = witten_su3_continued(k + 1e-7).real - exact
+        assert below * above < 0.0
 
     @pytest.mark.parametrize("s,n", [(2.0 / 3.0, 1), (0.5, 1), (-0.5, 1),
                                      (-1.5, 2)])
@@ -79,19 +130,19 @@ class TestContinuation:
     @pytest.mark.parametrize("s", [2.0, 1.0, 0.0, -1.0])
     def test_removable_integer_points_finite(self, s):
         val = witten_su3_continued(s)
-        assert abs(val.imag) <= 1e-6
-        if s < 0:
-            # exact zero at the negative integers
-            assert abs(val) <= 1e-5
+        assert val.imag == 0.0
+        if s <= 0:
+            # the exact values: 1/3 at 0, zero at the negative integers
+            assert val == float(special_value_su3(-round(s)))
 
     @pytest.mark.parametrize("s", [1.5, -0.4, 2.0])
     def test_real_s_gives_real_value(self, s):
-        # s = 2 goes through the removable-point fill
         assert witten_su3_continued(s).imag == 0.0
 
     @pytest.mark.parametrize("s", [1.5, -0.4])
     def test_mirrored_contour(self, s, monkeypatch):
-        # real s sums half the contour; s + 1e-12j takes the two-sided route
+        # the even line (s = 1.5) is folded for every s; on the residue line
+        # (s = -0.4) only real s is, and s + 1e-12j takes the two-sided rule
         calls = [0]
 
         def counted(*args):
@@ -103,13 +154,21 @@ class TestContinuation:
         cplx = witten_su3_continued(s + 1e-12j)
         # Im of the complex value is 1e-12 f'(s); Re differs by O(1e-24)
         assert abs(real - cplx.real) <= 1e-12 * abs(real)
-        assert real_calls <= 0.55 * calls[0]
+        if s < 5.0 / 6.0:
+            assert real_calls <= 0.55 * calls[0]
 
     def test_strip_boundary(self):
         with pytest.raises(DomainError):
             witten_su3_continued(-1.3, MBParams(n=1))
         # same point is fine one strip further left
         witten_su3_continued(-1.3, MBParams(n=2))
+
+    def test_cost_boundary(self):
+        # the even line's cost grows with Re s and |Im s|
+        assert abs(witten_su3_continued(su3._MAX_RE_S) - 1.0) <= 1e-10
+        for s in (su3._MAX_RE_S + 0.5, complex(3.0, su3._MAX_IM_S + 0.5)):
+            with pytest.raises(DomainError):
+                witten_su3_continued(s)
 
     def test_params_validation(self):
         with pytest.raises(DomainError):
@@ -123,14 +182,16 @@ class TestContinuation:
     def test_trapezoid_rule(self):
         gauss = su3._trapezoid(lambda t: math.exp(-t * t), 1e-12)
         assert abs(gauss - math.sqrt(math.pi)) <= 1e-12
+        folded = su3._trapezoid(lambda t: math.exp(-t * t), 1e-12, folded=True)
+        assert abs(folded - math.sqrt(math.pi)) <= 1e-12
         # poles at t = +-0.001i: the step would have to fall far below the
         # last one allowed, 1/256, so the rule gives up
         with pytest.raises(ConvergenceError):
             su3._trapezoid(lambda t: math.exp(-t * t) / (t * t + 1e-6), 1e-10)
 
     def test_right_of_the_strip(self):
-        # Re s > M + 1/2: the pole of zeta(s - z) at z = s - 1 must stay
-        # left of the contour, or the residue term is counted wrongly
+        # Re s > M + 1/2, where the residue line would have to move the
+        # pole of zeta(s - z) at z = s - 1 as well; the even line moves none
         want = 1.0119952658929042375  # mpmath, as MPMATH_SU3
         assert abs(witten_su3_continued(4.7) - want) <= 1e-10
         assert abs(mt_series(4.7) - want) <= 1e-9
@@ -151,9 +212,12 @@ class TestSpecialValues:
             assert t1 != 0 and t2 != 0 and t3 != 0
             assert t1 + t2 + t3 == 0
 
-    def test_requires_positive_n(self):
+    def test_requires_nonnegative_n(self):
         with pytest.raises(DomainError):
-            special_value_su3(0)
+            special_value_su3(-1)
+        # s = 0: the gamma ratio tends to -1/2, and 1/24 + 1/4 + 1/24
+        assert special_value_terms(0) == (F(1, 24), F(1, 4), F(1, 24))
+        assert special_value_su3(0) == F(1, 3)
 
     def test_maximum_n(self):
         assert special_value_su3(su3.MAX_SPECIAL_N) == 0
