@@ -65,11 +65,14 @@ def log_gamma(z: complex) -> complex:
     """Principal-branch log Gamma via a shifted Stirling series.
 
     Uses the reflection formula for Re z < 0.5; poles at non-positive
-    integers raise PoleError.
+    integers raise PoleError. Real z >= 0.5 take math.lgamma, which the
+    shifted sum, cancelling to about 5e-15, would not match.
     """
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and abs(z.real - round(z.real)) < 1e-12:
         raise PoleError(f"log_gamma pole at z = {z}", location=z)
+    if z.imag == 0.0 and z.real >= 0.5:
+        return complex(math.lgamma(z.real))
     if z.real < 0.5:
         # log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
         _check_trig(math.pi * z)
@@ -214,24 +217,28 @@ def hurwitz_pair(w: complex, a: float, b: float,
     return value_b, diff
 
 
+def _expm1(z):
+    """e^z - 1 for real or complex z, accurate next to 0."""
+    if isinstance(z, complex):
+        return 2.0 * cmath.exp(0.5 * z) * cmath.sinh(0.5 * z)
+    return math.expm1(z)
+
+
 def hurwitz_even(w: complex, a: float, budget: PrecisionBudget) -> complex:
     """zeta(w, a) + zeta(w, 1 - a) for 0 < |w| < 1, accurate relative to |w|
     at its zero w = 0: each power (n+x)^{-w} enters as 1 + expm1(-w log(n+x))
     and the ones, with the integral and half terms, sum exactly to
     (2N+1) w / (w-1)."""
-    def expm1(z):  # e^z - 1, real or complex
-        return 2.0 * cmath.exp(0.5 * z) * cmath.sinh(0.5 * z)
-
     b = 1.0 - a
     n_split = 8
     while n_split <= budget.max_terms:
         head = 0.0
         for n in range(n_split):
-            head += expm1(-w * math.log(n + a)) + expm1(-w * math.log(n + b))
+            head += _expm1(-w * math.log(n + a)) + _expm1(-w * math.log(n + b))
         base_a, base_b = n_split + a, n_split + b
         value = head + (2 * n_split + 1) * w / (w - 1.0) \
-            + expm1(-w * math.log(base_a)) * (0.5 + base_a / (w - 1.0)) \
-            + expm1(-w * math.log(base_b)) * (0.5 + base_b / (w - 1.0))
+            + _expm1(-w * math.log(base_a)) * (0.5 + base_a / (w - 1.0)) \
+            + _expm1(-w * math.log(base_b)) * (0.5 + base_b / (w - 1.0))
         # the value is O(w); Gamma(w) ~ 1/w later scales it back to O(1)
         scale = abs(value) + abs(w)
         corr_a = _em_corrections(w, base_a, scale, budget)

@@ -7,10 +7,13 @@ e^{-i theta}); characters of the (n-dimensional) irreducibles give
     zeta^W(s, g) = sum_{n >= 1} sin(n theta) / (n sin theta) * n^{-s},
 
 which is zeta(s) at theta = 0, the eta-twisted (1 - 2^{1-s}) zeta(s) at
-theta = pi, and a difference of unit-circle polylogarithms in between. The
-Haar average (s in {-2, -1} or s > 1) integrates Im Z(s+1, e^{i theta}) sin
-theta, the polylog expanded in zeta(s - 2j) theta^{2j+1} (DLMF 25.12.12),
-by a nested trapezoid rule with Richardson steps.
+theta = pi, and a difference of unit-circle polylogarithms in between:
+P_1(s+1, theta) / sin theta, with P_1 the odd part of Z(s+1, e^{i theta}).
+Right of Re s = 0.2 (for multi_L, Re(s + r) = 1.2) the even and odd parts
+come from ``polylog._circle_part``, one zeta(s - k) table per call (DLMF
+25.12.12); left of it from the Hurwitz formula. The Haar average (s in
+{-2, -1} or s > 1) integrates P_1(s+1, theta) sin theta by a nested
+trapezoid rule with Richardson steps.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
-from .numerics import (DEFAULT_BUDGET, PrecisionBudget, _em_corrections,
-                       gamma_two_pi, half_pi_trig, hurwitz_pair, hurwitz_zeta,
-                       riemann_zeta)
-from .polylog import UnitCirclePoint, polylog_continued, polylog_series
+from .numerics import (DEFAULT_BUDGET, PrecisionBudget, gamma_two_pi,
+                       half_pi_trig, hurwitz_pair, hurwitz_zeta, riemann_zeta)
+from .polylog import (_EXPANSION_EDGE, UnitCirclePoint, _circle_part,
+                      polylog_continued)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -78,8 +81,10 @@ def witten_L_su2(s: complex, g,
     """zeta^W_{SU(2)}(s, g); real for real s.
 
     At regular theta, (Z(s+1, x) - Z(s+1, 1/x)) / (2i sin theta): right of
-    Re s = 0.2 from the series (once for real s, as 2i Im Z(s+1, x)), left
-    of it from the Hurwitz formula as the sine form, with t = theta / 2 pi,
+    Re s = 0.2 the odd part P_1(s+1, theta) of ``_circle_part`` over
+    sin(pi - theta) (the float angle its expansion about x = -1 uses past
+    2 pi/3), left of it the Hurwitz formula as the sine form, with
+    t = theta / 2 pi,
     Gamma(-s) (2 pi)^s sin(-pi s/2) (zeta(-s,t) - zeta(-s,1-t)) / sin theta,
     which is exactly 0 at s = -2, -4, ...; its limit at s = 0 is
     (pi - theta) / (2 sin theta).
@@ -90,14 +95,13 @@ def witten_L_su2(s: complex, g,
         return riemann_zeta(s, budget)
     if g.is_minus_identity:
         return (1.0 - 2.0 ** (1.0 - s)) * riemann_zeta(s, budget)
-    sin_theta = math.sin(g.theta)
     if s.real > _SINE_EDGE:
-        pt = UnitCirclePoint(g.theta)
-        zp = polylog_series(s + 1.0, pt, budget)
-        if s.imag == 0.0:
-            return complex(zp.imag / sin_theta)
-        zm = polylog_series(s + 1.0, pt.inverse(), budget)
-        return (zp - zm) / (2j * sin_theta)
+        # past 2 pi/3 the odd part is expanded in phi = pi - theta; the
+        # same float phi gives the sine (pi - theta is exact for theta >=
+        # pi/2, and math.pi is 1.2e-16 short of pi)
+        odd = _circle_part(s + 1.0, 1, budget)(g.theta)
+        return complex(odd / math.sin(min(g.theta, math.pi - g.theta)))
+    sin_theta = math.sin(g.theta)
     if s == 0.0:
         return complex((math.pi - g.theta) / (2.0 * sin_theta))
     w = -s.real if s.imag == 0.0 else -s
@@ -156,7 +160,10 @@ def multi_L(s: complex, gs,
     Identity arguments drop out; each theta = pi argument contributes the
     alternating sign (-1)^{n-1}, folded into a half-turn shift of the
     polylog argument; the remaining regular characters are expanded into
-    2^r signed polylog terms. A combined angle within rounding of a
+    2^r signed polylog terms. Right of Re(s + r) = 1.2 the terms of eps and
+    -eps pair into one value of the even (r even) or odd (r odd) part of
+    ``_circle_part``, one table for all 2^{r-1} pairs; left of it each term
+    is ``polylog_continued``. A combined angle within rounding of a
     multiple of 2 pi counts as that multiple.
     """
     s = complex(s)
@@ -171,10 +178,27 @@ def multi_L(s: complex, gs,
     sign = -1.0 if n_pi % 2 else 1.0
     if r_eff == 0:
         return sign * _circle_term(order, shift, budget)
+    expansion = order.real > _EXPANSION_EDGE
     denom = 1.0 + 0.0j
     for th in regular:
-        denom *= 2j * math.sin(th)
+        # the expansion's sines as in witten_L_su2
+        denom *= 2j * math.sin(min(th, math.pi - th) if expansion else th)
     acc = 0.0 + 0.0j
+    if expansion:
+        # eps and -eps give opposite angles (mod 2 pi) and signs (-1)^r
+        # apart, so each pair is 2 P_0(|t|) (r even) or 2i sgn(t) P_1(|t|)
+        # (r odd) of one _circle_part closure
+        part = _circle_part(order, r_eff % 2, budget)
+        for eps in itertools.product((1.0, -1.0), repeat=r_eff - 1):
+            t = math.remainder(shift + regular[0] + sum(
+                e * th for e, th in zip(eps, regular[1:])), _TWO_PI)
+            if abs(t) <= _ANGLE_ROUNDING:
+                t = 0.0
+            pair = 2.0 * part(abs(t))
+            if r_eff % 2:
+                pair *= 1j if t > 0.0 else -1j
+            acc += math.prod(eps) * pair
+        return sign * acc / denom
     for eps in itertools.product((1.0, -1.0), repeat=r_eff):
         big_theta = shift + sum(e * th for e, th in zip(eps, regular))
         if abs(math.remainder(big_theta, _TWO_PI)) <= _ANGLE_ROUNDING:
@@ -186,81 +210,6 @@ def multi_L(s: complex, gs,
 # ---------------------------------------------------------------------------
 # Haar average
 # ---------------------------------------------------------------------------
-
-_EULER_GAMMA = 0.5772156649015329
-_POLE_ZONE = 0.2  # |s - m| below which the pole pair at odd m is one form
-_DIRECT_TERMS = 32  # up to this many terms the Dirichlet series is summed
-
-
-def _im_polylog_odd(s: float, budget: PrecisionBudget):
-    """theta -> Im Z(s+1, e^{i theta}) for real s > 1 and 0 <= theta <= pi:
-    the odd part of DLMF 25.12.12, with one zeta(s - 2j) table for all theta,
-
-        pi theta^s / (2 cos(pi s/2) Gamma(1+s))
-            + sum_j (-1)^j zeta(s-2j) theta^{2j+1} / (2j+1)!.
-
-    Once s < 2j the terms fall faster than (theta/2pi)^{2j}; the table ends
-    where that tail bound at theta = pi meets the target. Within _POLE_ZONE
-    of an odd m = 2J+1 the lead term and the pole term j = J are one form,
-    analytic across m: with eps = s - m and L = log theta,
-
-        (-1)^J theta^m/m! (g - expm1(eps lam)/eps),  g = zeta(1+eps) - 1/eps,
-        lam = L + (log((pi eps/2)/sin(pi eps/2)) - log(Gamma(1+s)/m!))/eps,
-
-    g by Euler-Maclaurin and lam - L by its power series in eps; at s = m
-    this is (-1)^J theta^m/m! (H_m - L). For large s, where the tail bound
-    N^{-s}/s of sum_{n <= N} sin(n theta) n^{-s-1} meets the target with
-    N <= _DIRECT_TERMS, that sum is taken instead.
-    """
-    tol = budget.target * 1e-3
-    terms = math.ceil((tol * s) ** (-1.0 / s))
-    if terms <= _DIRECT_TERMS:
-        weights = [n ** (-1.0 - s) for n in range(1, terms + 1)]
-        return lambda theta: math.fsum(
-            w * math.sin(n * theta) for n, w in enumerate(weights, 1))
-    zb = PrecisionBudget(tol, budget.max_terms)
-    m = 2 * round((s - 1.0) / 2.0) + 1
-    eps = s - m
-    pole = abs(eps) < _POLE_ZONE
-    coeffs, fact = [], 1.0
-    for j in itertools.count():
-        fact *= 2 * j * (2 * j + 1) or 1
-        coeffs.insert(0, 0.0 if pole and 2 * j + 1 == m
-                      else (-1) ** j * riemann_zeta(s - 2 * j, zb).real / fact)
-        if s < 2 * j and abs(coeffs[0]) * math.pi ** (2 * j + 1) <= 3.0 * tol:
-            break
-    if pole:
-        n = 17  # the Euler-Maclaurin base for g
-        g = math.fsum(k ** (-1.0 - eps) for k in range(1, n)) \
-            + (math.expm1(-eps * math.log(n)) / eps if eps else -math.log(n)) \
-            + 0.5 * n ** (-1.0 - eps) + _em_corrections(1.0 + eps, n, 1.0, zb)
-        lam0 = _EULER_GAMMA - math.fsum(1.0 / k for k in range(1, m + 1))
-        p = 2
-        while abs(eps) ** (p - 1) > tol:  # each coefficient is at most 1
-            harmonic = math.fsum(k ** -p for k in range(1, m + 1))
-            zeta_p = riemann_zeta(p, zb).real
-            coef = zeta_p - harmonic if p % 2 \
-                else harmonic + (2.0 ** (1 - p) - 1.0) * zeta_p
-            lam0 += coef * eps ** (p - 1) / p
-            p += 1
-        sign = (-1) ** (m // 2) / math.factorial(m)
-    else:
-        lead = math.pi / (2.0 * half_pi_trig(complex(s))[0].real)
-        log_gamma = math.lgamma(1.0 + s)
-
-    def odd(theta: float) -> float:
-        if theta == 0.0:
-            return 0.0
-        t2, acc = theta * theta, 0.0
-        for c in coeffs:
-            acc = acc * t2 + c
-        if not pole:
-            return acc * theta + lead * math.exp(s * math.log(theta) - log_gamma)
-        lam = math.log(theta) + lam0
-        return acc * theta + sign * theta ** m * (
-            g - (math.expm1(eps * lam) / eps if eps else lam))
-    return odd
-
 
 def _periodic_trapezoid(f, order: float, budget: PrecisionBudget) -> float:
     """Integral on [0, pi] of f, even and 2 pi-periodic and smooth but for a
@@ -292,7 +241,8 @@ def haar_average_su2(s: float,
 
     Domain: s in {-2, -1} or real s > 1, at any target. For s > 1 (where
     the average is 1 by character orthogonality) the integrand is
-    (2/pi) sin theta Im Z(s+1, e^{i theta}) from ``_im_polylog_odd``, under
+    (2/pi) sin theta Im Z(s+1, e^{i theta}), the odd part of
+    ``_circle_part`` (one zeta(s - 2j) table for all nodes), under
     the nested trapezoid rule with Richardson steps in the orders s+2,
     s+4, ... of its |theta|^{s+1} term; s = -1, where it is
     (2/pi) cos^2(theta/2), takes the same rule; at s = -2 it vanishes.
@@ -306,7 +256,7 @@ def haar_average_su2(s: float,
         def f(th):
             return (2.0 / math.pi) * math.cos(th / 2.0) ** 2
     elif s > 1.0:
-        odd = _im_polylog_odd(s, budget)
+        odd = _circle_part(s + 1.0, 1, budget)
 
         def f(th):
             return (2.0 / math.pi) * math.sin(th) * odd(th)

@@ -46,6 +46,7 @@ _EVEN_LINE = 5.0 / 6.0  # the even line's strip is >= 1/4 wide from here on
 _MAX_RE_S, _MAX_IM_S = 1000.0, 250.0  # each call then takes under 0.7 s
 _MAX_HALVINGS = 8  # trapezoid steps 1/2 .. 1/256
 _MT_BASE = 1500  # N of mt_series' square sums at N, 2N, 4N
+_MT_MAX_RE = 512.0  # from here on 2.0 ** (2 Re s) overflows
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +74,8 @@ def _square_sum(s: complex, n_max: int) -> complex:
 
 def mt_series(s: complex,
               budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
-    """2^s times the diagonal Mordell-Tornheim sum, for Re s > 1.
+    """2^s times the diagonal Mordell-Tornheim sum, for 1 < Re s < 512
+    (from 512 on the Richardson ratio 2^{2 Re s} overflows).
 
     Truncated square sums at N, 2N, 4N (``_square_sum``, plain finite sums
     that share nothing with the continuation) are Richardson-extrapolated
@@ -81,8 +83,8 @@ def mt_series(s: complex,
     agree.
     """
     s = complex(s)
-    if s.real <= 1.0:
-        raise DomainError("mt_series requires Re s > 1")
+    if not 1.0 < s.real < _MT_MAX_RE:
+        raise DomainError(f"mt_series requires 1 < Re s < {_MT_MAX_RE:g}")
     sigma = s.real
     pref = 2.0 ** s if s.imag == 0.0 else cmath.exp(s * cmath.log(2.0))
     s1, s2, s4 = (_square_sum(s, k * _MT_BASE) for k in (1, 2, 4))

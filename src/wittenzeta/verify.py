@@ -91,8 +91,9 @@ def suite_polylog() -> list:
                              + (-1.0) ** m * polylog.polylog_eval_neg(m, -th)))
     _check(out, "Z(-m,x) + (-1)^m Z(-m,1/x) = 0, m <= 6", wm <= 1e-10,
            f"max {wm:.2e}", "0", "1e-10")
-    # overlap consistency; below Re s = 1.2 the continuation is the Hurwitz
-    # formula, so those points compare two independent routes
+    # overlap consistency: the continuation is the zeta(s - k) expansion
+    # right of Re s = 1.2 and the Hurwitz formula left of it, so every
+    # point compares the series with an independent route
     wo = 0.0
     for s in (1.5, 2.0, 3.0, 0.4, 0.8, 1.1, 0.6 + 2j):
         for th in (_PI / 3, _PI, 3 * _PI / 2):

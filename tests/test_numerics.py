@@ -42,6 +42,17 @@ class TestLogGamma:
         want = _mpc(mpmath.gamma(z))
         assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
+    @pytest.mark.parametrize("z", [0.5, 0.7, 1.3, 1.8, 2.43, 3.3, 12.5, 40.2,
+                                   170.2])
+    def test_real_to_rounding(self, z):
+        # real z >= 1/2: no cancelling shift sum, so the log is exact to
+        # rounding and Gamma to a few ulps
+        with mpmath.workdps(40):
+            want = mpmath.loggamma(mpmath.mpf(z))
+        got = log_gamma(complex(z))
+        assert got.imag == 0.0
+        assert abs(got.real - float(want)) <= 1e-15 * max(1.0, abs(want))
+
     def test_recurrence(self):
         import cmath
         for z in (0.3, 4.2, 1.5 + 2.0j, -2.7 + 0.1j):

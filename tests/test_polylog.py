@@ -2,13 +2,15 @@
 and the exact closed forms at non-positive integer order."""
 
 import cmath
+import json
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from wittenzeta.errors import ConditioningError, DomainError
+from wittenzeta import cli, polylog
+from wittenzeta.errors import ConditioningError, ConvergenceError, DomainError
 from wittenzeta.exact import Polynomial, RationalFunction
 from wittenzeta.numerics import PrecisionBudget
 from wittenzeta.polylog import (MAX_CLOSED_M, UnitCirclePoint,
@@ -63,8 +65,8 @@ class TestContinuation:
         want = _oracle(s, theta)
         assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
 
-    # right of Re s = 1.2 the continuation is the series itself; the points
-    # left of it compare the Hurwitz formula with summation by parts
+    # the series by summation by parts against the zeta(s - k) expansion
+    # right of Re s = 1.2 and the Hurwitz formula left of it
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 0.4, 0.8, 1.1, 0.6 + 2j])
     @pytest.mark.parametrize("theta", [math.pi / 3, math.pi,
                                        3.0 * math.pi / 2])
@@ -91,6 +93,88 @@ class TestContinuation:
         # Z(1/2, -1) = -eta(1/2)
         want = -0.6048986434216303702
         assert abs(polylog_continued(0.5, math.pi) - want) <= 1e-10
+
+
+def _mp_li(order, theta):
+    """Z(order, e^{i theta}) at 40 digits: DLMF 25.13.2 with x = theta / 2 pi
+    (mod 1), mpmath's polylog at the integer orders where Gamma(1 - order)
+    has its pole."""
+    with mpmath.workdps(40):
+        order = mpmath.mpc(order)
+        angle = mpmath.mpf(theta)
+        if order.imag == 0 and order.real == int(order.real):
+            return complex(mpmath.polylog(order, mpmath.expj(angle)))
+        x = angle / (2 * mpmath.pi)
+        x -= mpmath.floor(x)
+        a = 1 - order
+        phase = mpmath.expjpi(a / 2)
+        return complex(mpmath.gamma(a) / (2 * mpmath.pi) ** a
+                       * (phase * mpmath.zeta(a, x)
+                          + mpmath.zeta(a, 1 - x) / phase))
+
+
+class TestExpansion:
+    """Right of Re s = 1.2 the continuation is the zeta(s - k) expansion: at
+    small theta, next to pi from both sides, just below 2 pi, and at and
+    next to the integer orders where its pole pair is one form."""
+
+    @pytest.mark.parametrize("s", [1.3, 1.538, 2.0, 2.0 + 1e-7, 3.0,
+                                   4.0 - 0.05j, 2.5 + 3j])
+    @pytest.mark.parametrize("theta", [1e-3, 0.05, math.pi - 1e-3,
+                                       math.pi + 1e-3, 2.0 * math.pi - 0.08])
+    def test_against_mpmath(self, s, theta):
+        got = polylog_continued(s, theta, PrecisionBudget(target=1e-13))
+        want = _mp_li(s, theta)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_no_series_call(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("polylog_series called")
+        monkeypatch.setattr(polylog, "polylog_series", forbidden)
+        polylog_continued(1.3, 6.2, PrecisionBudget(target=1e-13))
+        polylog_continued(2.5 + 3j, 0.05)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_parts_at_the_ends(self, parity):
+        # P_0(0) = zeta(s), P_1(0) = 0; P_0(pi) = -eta(s), P_1(pi) = 0
+        part = polylog._circle_part(2.5 + 1j, parity, PrecisionBudget(1e-13))
+        with mpmath.workdps(30):
+            zeta = complex(mpmath.zeta(2.5 + 1j))
+            eta = complex(mpmath.altzeta(2.5 + 1j))
+        assert abs(part(0.0) - (0.0 if parity else zeta)) <= 1e-13
+        assert abs(part(math.pi) - (0.0 if parity else -eta)) <= 1e-13
+
+
+class TestSeriesTail:
+    """The series stops on a bound of its tail: each value meets its claim,
+    or ConvergenceError is raised (at small theta and just below 2 pi the
+    bound needs more terms than the budget allows)."""
+
+    @pytest.mark.parametrize("s,theta", [(1.3, 6.2), (1.538, math.pi / 12),
+                                         (1.7, 0.05),
+                                         (2.3, 2.0 * math.pi - 0.08)])
+    @pytest.mark.parametrize("target", [1e-6, 1e-10, 1e-13])
+    def test_within_claim_or_raises(self, s, theta, target):
+        want = _mp_li(s, theta)
+        try:
+            got = polylog_series(s, theta, PrecisionBudget(target=target))
+        except ConvergenceError:
+            assert target < 1e-6  # the loosest target always converges
+            return
+        assert abs(got - want) <= target * max(1.0, abs(want))
+
+    def test_cli_within_claim_or_exit_4(self, capsys):
+        code = cli.main(["polylog", "series", "--s", "1.3", "--theta", "6.2",
+                         "--precision", "13", "--format", "json"])
+        out = capsys.readouterr().out
+        if code == 4:
+            return
+        assert code == 0
+        value = json.loads(out)["value"]
+        got = complex(value["re"], value["im"]) if isinstance(value, dict) \
+            else complex(value)
+        want = _mp_li(1.3, 6.2)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestJonquiere:

@@ -9,10 +9,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from wittenzeta import su2
-from wittenzeta.errors import DomainError
+from wittenzeta import polylog, su2
+from wittenzeta.errors import ConvergenceError, DomainError
 from wittenzeta.numerics import PrecisionBudget
-from wittenzeta.su2 import (ConjugacyClassSU2, _im_polylog_odd, char_ratio,
+from wittenzeta.polylog import _circle_part
+from wittenzeta.su2 import (ConjugacyClassSU2, char_ratio,
                             derivative_at_minus2, haar_average_su2, multi_L,
                             special_value_neg_even, witten_L_su2)
 
@@ -228,6 +229,21 @@ class TestMultiCharacter:
             multi_L(2.0, [0.5] * 4)
 
 
+def _count_calls(monkeypatch, calls):
+    """Count the calls of each name in `calls`, wherever su2 and polylog
+    look it up."""
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    for module in (su2, polylog):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+
+
 class TestHaarAverage:
     def test_values(self):
         assert abs(haar_average_su2(-1.0) - 1.0) <= 1e-8
@@ -246,14 +262,7 @@ class TestHaarAverage:
     def test_work_bound(self, monkeypatch):
         # one zeta(s - 2j) table for every node, and no polylog route
         calls = {"riemann_zeta": 0, "witten_L_su2": 0, "polylog_series": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-        for name in calls:
-            monkeypatch.setattr(su2, name, counted(name, getattr(su2, name)))
+        _count_calls(monkeypatch, calls)
         got = haar_average_su2(2.5, PrecisionBudget(1e-10))
         assert abs(got - 1.0) <= 1e-10
         assert calls["riemann_zeta"] <= 64
@@ -273,5 +282,121 @@ def test_im_polylog_odd_against_mpmath(s, theta):
     with mpmath.workdps(40):
         want = float(mpmath.polylog(mpmath.mpf(s) + 1,
                                     mpmath.expj(mpmath.mpf(theta))).imag)
-    got = _im_polylog_odd(s, PrecisionBudget(1e-13))(theta)
+    got = _circle_part(s + 1.0, 1, PrecisionBudget(1e-13))(theta)
     assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def _mp_li(order, angle):
+    """Z(order, e^{i angle}) at 50 digits: DLMF 25.13.2 with x = angle / 2 pi
+    (mod 1), mpmath's polylog at the integer orders where Gamma(1 - order)
+    has its pole."""
+    with mpmath.workdps(50):
+        order = mpmath.mpc(order)
+        if order.imag == 0 and order.real == int(order.real):
+            return mpmath.polylog(order, mpmath.expj(angle))
+        x = angle / (2 * mpmath.pi)
+        x -= mpmath.floor(x)
+        a = 1 - order
+        phase = mpmath.expjpi(a / 2)
+        return mpmath.gamma(a) / (2 * mpmath.pi) ** a \
+            * (phase * mpmath.zeta(a, x) + mpmath.zeta(a, 1 - x) / phase)
+
+
+def _mp_witten_hurwitz(s, theta):
+    with mpmath.workdps(50):
+        th = mpmath.mpf(theta)
+        return complex((_mp_li(mpmath.mpc(s) + 1, th)
+                        - _mp_li(mpmath.mpc(s) + 1, -th))
+                       / (2j * mpmath.sin(th)))
+
+
+_TWO_THIRDS_PI = 2.0 * PI / 3.0
+
+
+class TestExpansionRoute:
+    """Right of Re s = 0.2: the zeta(s - k) expansion of the odd part, at
+    small theta, across its switch at 2 pi/3 and next to theta = pi, at and
+    next to the integers where its pole pair is one form."""
+
+    @pytest.mark.parametrize("s", [0.25, 0.7, 1.0, 1.0 + 1e-7, 1.0 - 1e-7,
+                                   1.5, 2.0, 2.3, 3.0, 3.0 + 1e-9,
+                                   1.0 + 0.05j, 1.2 + 3j, 0.5 - 8j,
+                                   2.9 + 9.5j, 1.4 - 30j])
+    @pytest.mark.parametrize("theta", [1e-3, 0.01, 0.05,
+                                       _TWO_THIRDS_PI - 1e-12,
+                                       _TWO_THIRDS_PI + 1e-12, 3 * PI / 4,
+                                       PI - 1e-3, PI - 1e-6])
+    def test_against_mpmath(self, s, theta):
+        want = _mp_witten_hurwitz(s, theta)
+        try:
+            got = witten_L_su2(s, theta, PrecisionBudget(1e-13))
+        except ConvergenceError:
+            # at |Im s| = 30 the terms grow to e^{|Im s|/3} next to 2 pi/3,
+            # and the rounding estimate may refuse a 1e-13 claim there
+            assert abs(s.imag) >= 30 and 1.0 < theta < 3.0
+            return
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("s,thetas", [
+        (0.9, [2.5, 2.7]), (0.9, [0.2, 0.25]), (0.001, [1.0, 2.0]),
+        (0.05 + 0.1j, [0.3, 2.9, 1.1])])
+    def test_multi_next_to_integer_order(self, s, thetas):
+        # the 2^r signed circle terms at the exact angle sums
+        with mpmath.workdps(50):
+            exact = [mpmath.mpf(t) for t in thetas]
+            order = mpmath.mpc(s) + len(thetas)
+            acc = 0
+            for eps in itertools.product((1, -1), repeat=len(thetas)):
+                acc += math.prod(eps) * _mp_li(
+                    order, sum(e * t for e, t in zip(eps, exact)))
+            want = complex(acc / mpmath.fprod(2j * mpmath.sin(t)
+                                              for t in exact))
+        got = multi_L(s, thetas, PrecisionBudget(1e-13))
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("s", [0.7, 1.5 + 2j])
+    def test_multi_one_class_next_to_pi(self, s):
+        # one regular class: the odd part over the same sine as witten_L_su2
+        theta = PI - 1e-6
+        got = multi_L(s, [theta], PrecisionBudget(1e-13))
+        want = _mp_witten_hurwitz(s, theta)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("im", [30.0, 40.0, 50.0])
+    @pytest.mark.parametrize("re", [0.25, 0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("theta", [0.2, 1.0, 2.0, 2.1, 2.6])
+    def test_large_imaginary_part(self, re, im, theta):
+        # the expansion's terms grow before they fall as |Im s| rises: a
+        # returned value meets its claim, else ConvergenceError is raised
+        target = 1e-13
+        want = _mp_witten_hurwitz(complex(re, im), theta)
+        try:
+            got = witten_L_su2(complex(re, im), theta, PrecisionBudget(target))
+        except ConvergenceError:
+            return
+        assert abs(got - want) <= target * max(1.0, abs(want))
+
+    def test_no_series_calls(self, monkeypatch):
+        calls = {"polylog_series": 0}
+        _count_calls(monkeypatch, calls)
+        budget = PrecisionBudget(1e-10)
+        witten_L_su2(1.5, 0.05, budget)
+        witten_L_su2(0.7 - 3j, 3 * PI / 4, budget)
+        multi_L(0.5, [PI / 3, 1.0, 2.0], budget)
+        multi_L(1.5 + 1j, [PI / 3, PI / 5], budget)
+        polylog.polylog_continued(2.3, 6.2, budget)
+        haar_average_su2(1.7, budget)
+        assert calls["polylog_series"] == 0
+
+    @pytest.mark.parametrize("s", [-0.5, 0.3 + 2j, 1.05])
+    def test_multi_one_table(self, monkeypatch, s):
+        # the 2^r terms of multi_L share one table: no more zeta calls than
+        # one witten_L_su2 at the same order (s + 3 = (s + 2) + 1)
+        budget = PrecisionBudget(1e-13)
+        calls = {"riemann_zeta": 0}
+        _count_calls(monkeypatch, calls)
+        witten_L_su2(s + 2.0, 1.0, budget)
+        single = calls["riemann_zeta"]
+        calls["riemann_zeta"] = 0
+        multi_L(s, [PI / 3, 1.0, 2.0], budget)
+        assert 0 < calls["riemann_zeta"] <= single

@@ -66,6 +66,13 @@ class TestSeries:
         with pytest.raises(DomainError):
             mt_series(0.5 + 3.0j)
 
+    def test_upper_domain(self):
+        # the Richardson ratio 2^{2 Re s} overflows a float from 512 on
+        assert abs(mt_series(511.5) - 1.0) <= 1e-15
+        for s in (512.0, 600.0, 600.0 + 3.0j):
+            with pytest.raises(DomainError):
+                mt_series(s)
+
     def test_complex_argument(self):
         a = mt_series(2.0 + 0.5j)
         b = witten_su3_continued(2.0 + 0.5j)
