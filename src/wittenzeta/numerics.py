@@ -65,8 +65,8 @@ def log_gamma(z: complex) -> complex:
     """Principal-branch log Gamma via a shifted Stirling series.
 
     Uses the reflection formula for Re z < 0.5; poles at non-positive
-    integers raise PoleError. Real z >= 0.5 take math.lgamma, which the
-    shifted sum, cancelling to about 5e-15, would not match.
+    integers raise PoleError. Real z >= 0.5 take math.lgamma: there the
+    shifted sum cancels to about 5e-15.
     """
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and abs(z.real - round(z.real)) < 1e-12:

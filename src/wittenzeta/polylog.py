@@ -132,9 +132,10 @@ def polylog_series(s: complex, x, budget: PrecisionBudget = DEFAULT_BUDGET) -> c
     coefs = [(-1.0) ** i * math.comb(q, i) for i in range(q + 1)]
     sign_epow = (-e) ** q  # prefactor of the residual sum
     order = s.real + q
-    rising = math.prod(abs(s + i) for i in range(q if s.imag == 0.0 else q + 1))
+    real = s.imag == 0.0
+    rising = math.prod(abs(s + i) for i in range(q if real else q + 1))
     tail = abs(e) ** q / math.sin(pt.theta / 2.0) \
-        * (rising if s.imag == 0.0 else rising / order)
+        * (rising if real else rising / order)
     tail_tol = budget.target * 0.01
     partial = 0.0 + 0.0j
     phase = cmath.exp(1j * pt.theta)
@@ -216,10 +217,12 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget):
     from one log_gamma; the table ends where Re sigma < k, |Im sigma| < 3k
     and |c_k| (2 pi/3)^k meets the target.
 
-    Within _POLE_ZONE of an integer m = k of the part's parity (eps = s - m)
-    the last term and c_m are one form, analytic across m: with L = log theta,
+    Within _POLE_ZONE of an integer m of the part's parity (eps = s - m),
+    the last term and c_m, whose zeta(sigma - m) = zeta(1 + eps) has its
+    pole, are one form, analytic across m: with L = log theta,
 
-        (-1)^{m//2} theta^m/m! (g - expm1(eps lam)/eps),  g = zeta(1+eps) - 1/eps,
+        (-1)^{m//2} theta^m/m! (g - expm1(eps lam)/eps),
+        g = zeta(1+eps) - 1/eps,
         lam = L + (log((pi eps/2)/sin(pi eps/2)) - log(Gamma(1+s)/m!))/eps,
 
     g by Euler-Maclaurin and lam - L by its power series in eps; at s = m
@@ -248,7 +251,8 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget):
     if terms <= _DIRECT_TERMS:
         trig = math.sin if parity else math.cos
         weights = [n ** -sigma for n in range(1, terms + 1)]
-        # sin(n theta) = (-1)^{n+1} sin(n phi), cos(n theta) = (-1)^n cos(n phi)
+        # sin(n theta) = (-1)^{n+1} sin(n phi),
+        # cos(n theta) = (-1)^n cos(n phi)
         flipped = [(-1) ** (n + parity) * w for n, w in enumerate(weights, 1)]
         add = math.fsum if real else sum
 
