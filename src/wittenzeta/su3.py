@@ -18,14 +18,15 @@ converges geometrically as its step is halved (Trefethen and Weideman,
 SIAM Rev. 56, 2014). For Re s >= 5/6 the line is z = -s/2 + iu with no
 residues: z <-> -s-z swaps the gammas and the zetas, so the integrand is
 even in u for every s, no terms cancel, and the poles are at least
-min(Re s/2, 3 Re s/2 - 1) >= 1/4 away. Below 5/6, m = 2n+2 and c halves
-the pole-free gap (max(m-1, 1-2 Re s), m), at least 1/2 wide for Re s >
--n - 1/4. At s = 0, -1, -2, ... the value is the exact limit
-``special_value_su3``: 1/3 at 0, zero below (for even n by
+min(Re s/2, 3 Re s/2 - 1) >= 1/4 away; for real s it is 2^s/Gamma(s)
+|Gamma(s/2+iu) zeta(3s/2+iu)|^2, one gamma and one zeta per node. Below
+5/6, m = 2n+2 and c halves the pole-free gap (max(m-1, 1-2 Re s), m), at
+least 1/2 wide for Re s > -n - 1/4. At s = 0, -1, -2, ... the value is the
+exact limit ``special_value_su3``: 1/3 at 0, zero below (for even n by
 ``bernoulli_convolution_check``). Next to 0 the rounding of 1 + 2s in
 zeta(2s+1) costs about 1e-17/|s|, 1e-9 at |s| = 1e-9. The direct series
-``mt_series`` (square sums, each one numpy correlation, extrapolated in N)
-stays an independent check for Re s > 1.
+``mt_series`` (square sums, each one FFT self-convolution, extrapolated in
+N) stays an independent check for Re s > 1.
 """
 
 from __future__ import annotations
@@ -56,20 +57,18 @@ _MT_MAX_RE = 512.0  # from here on 2.0 ** (2 Re s) overflows
 def _square_sum(s: complex, n_max: int) -> complex:
     """sum over 1 <= m, n <= n_max of (m n (m+n))^{-s}.
 
-    One correlation gives every row sum r_m = sum_n n^{-s} (m+n)^{-s} at
-    once (numpy conjugates its second argument, so it gets conj n^{-s}); the
-    total is sum_m m^{-s} r_m. It is the plain finite double sum, sharing
-    nothing with the Mellin-Barnes route.
+    That is sum_k k^{-s} c_k, c_k = sum_{m+n=k} m^{-s} n^{-s}, and one FFT
+    self-convolution of the N powers, padded to 2N, gives every c_k. It is
+    the plain finite double sum, sharing nothing with the Mellin-Barnes route.
     """
     import numpy as np  # lazily: the rest of the package does not need it
     n = np.arange(1, 2 * n_max + 1, dtype=np.float64)
     if s.imag == 0.0:
-        pw = n ** (-s.real)
+        pw, fft, ifft = n ** (-s.real), np.fft.rfft, np.fft.irfft
     else:
-        pw = np.exp(-s * np.log(n))
-    npow = pw[:n_max]
-    rows = np.correlate(pw[1:], npow.conj(), "valid")
-    return complex(np.dot(npow, rows))
+        pw, fft, ifft = np.exp(-s * np.log(n)), np.fft.fft, np.fft.ifft
+    c = ifft(fft(pw[:n_max], 2 * n_max) ** 2, 2 * n_max)  # c[k-2] = c_k
+    return complex(np.dot(pw[1:], c[:-1]))
 
 
 def mt_series(s: complex,
@@ -79,20 +78,18 @@ def mt_series(s: complex,
 
     Truncated square sums at N, 2N, 4N (``_square_sum``, plain finite sums
     that share nothing with the continuation) are Richardson-extrapolated
-    against the known tail order N^{1-2 Re s}; the two extrapolants must
-    agree.
+    against the known tail order N^{1-2s}; the two extrapolants must agree.
     """
     s = complex(s)
     if not 1.0 < s.real < _MT_MAX_RE:
         raise DomainError(f"mt_series requires 1 < Re s < {_MT_MAX_RE:g}")
-    sigma = s.real
     pref = 2.0 ** s if s.imag == 0.0 else cmath.exp(s * cmath.log(2.0))
     s1, s2, s4 = (_square_sum(s, k * _MT_BASE) for k in (1, 2, 4))
-    ratio = 2.0 ** (2.0 * sigma - 1.0) - 1.0
-    r1 = s2 + (s2 - s1) / ratio
-    r2 = s4 + (s4 - s2) / ratio
-    # second Richardson level removes the next tail order N^{-2 sigma}
-    r12 = r2 + (r2 - r1) / (2.0 ** (2.0 * sigma) - 1.0)
+    q = 4.0 ** s  # each doubling of N divides the tail by 2^{2s-1} = q/2
+    r1 = s2 + (s2 - s1) / (q / 2.0 - 1.0)
+    r2 = s4 + (s4 - s2) / (q / 2.0 - 1.0)
+    # second Richardson level removes the next tail order N^{-2s}
+    r12 = r2 + (r2 - r1) / (q - 1.0)
     tol = max(budget.target, 1e-9)
     if abs(r12 - r2) > tol * (1.0 + abs(r12)):
         raise ConvergenceError(
@@ -142,8 +139,11 @@ def _mb_direct(s: complex, m: int, budget: PrecisionBudget) -> complex:
 
     def integrand(t: float) -> complex:
         z = centre + complex(0.0, t)
-        v = cmath.exp(log_pref + log_gamma(s + z) + log_gamma(-z)) \
-            * riemann_zeta(2.0 * s + z, budget) * riemann_zeta(s - z, budget)
+        lg, zt = log_gamma(s + z), riemann_zeta(2.0 * s + z, budget)
+        if real and m == 0:  # s + z = conj(-z), 2s + z = conj(s - z)
+            return math.exp((log_pref + 2.0 * lg.real).real) * abs(zt) ** 2
+        v = cmath.exp(log_pref + lg + log_gamma(-z)) * zt \
+            * riemann_zeta(s - z, budget)
         return v.real if real else v  # for real s, f(-t) = conj f(t)
 
     # even in t: the even line for every s, Re f on the other for real s
@@ -196,10 +196,10 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
     line of strip ``params.n`` below it, exactly at s = 0, -1, -2, ...
 
     The poles s = 2/3 and 1/2 - j raise PoleError. Outside -n - 1/4 < Re s
-    <= 1000, |Im s| <= 250 (the even line takes 0.3 s at s = 1000, 0.6 s at
-    1 + 250i) and where a sine overflows (left of Re s = 3/4 from |Im s| =
-    111 on) DomainError is raised. Above Re s = 30 the gamma logs, of size
-    s log s, round to 1e-13 (1e-12 at 1000).
+    <= 1000, |Im s| <= 250 (the even line takes 0.15 s at s = 1000, 0.7 s
+    at 1 + 250i, on one x86-64 core) and where a sine overflows (left of
+    Re s = 3/4 from |Im s| = 111 on) DomainError is raised. Above Re s = 30
+    the gamma logs, of size s log s, round to 1e-13 (1e-12 at 1000).
     """
     s, lo = complex(s), -params.n - 0.25
     if not (lo < s.real <= _MAX_RE_S and abs(s.imag) <= _MAX_IM_S):

@@ -8,7 +8,8 @@ import pytest
 
 from wittenzeta import su3
 from wittenzeta.errors import ConvergenceError, DomainError, PoleError
-from wittenzeta.numerics import DEFAULT_BUDGET, riemann_zeta
+from wittenzeta.numerics import (DEFAULT_BUDGET, PrecisionBudget, log_gamma,
+                                 riemann_zeta)
 from wittenzeta.su3 import (MBParams, bernoulli_convolution_check, mt_series,
                             special_value_su3, special_value_terms,
                             witten_su3_continued)
@@ -84,6 +85,26 @@ class TestSeries:
                    for m in range(1, 41) for n in range(1, 41))
         assert abs(su3._square_sum(complex(s), 40) - want) <= 1e-14 * abs(want)
 
+    @pytest.mark.parametrize("s", [1.05, 2.4, 30.5, 2.0 + 9.0j])
+    def test_square_sum_at_the_ends_of_sigma(self, s):
+        # the FFT's rounding is relative to the largest power, 1: the slow
+        # tail at 1.05 and the fast fall at 30.5 both stay at 1e-16
+        terms = [complex((m * n * (m + n)) ** -s)
+                 for m in range(1, 301) for n in range(1, 301)]
+        want = complex(math.fsum(v.real for v in terms),
+                       math.fsum(v.imag for v in terms))
+        got = su3._square_sum(complex(s), 300)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("s", [1.8140293086310137 + 1.507516358503234j,
+                                   1.8594636493678907 - 2.5765159565856663j])
+    def test_complex_tail_order(self, s):
+        # the tail falls like N^{1-2s}: Richardson ratios taken from Re s
+        # alone left 6.2e-10 and 2.0e-10 here, inside the 1e-9 stop floor
+        budget = PrecisionBudget(target=1e-13)
+        want = witten_su3_continued(s, budget=budget)
+        assert abs(mt_series(s, budget) - want) <= 1e-12 * abs(want)
+
 
 class TestContinuation:
     @pytest.mark.parametrize("s", [2.0, 3.0, 1.5])
@@ -148,21 +169,28 @@ class TestContinuation:
 
     @pytest.mark.parametrize("s", [1.5, -0.4])
     def test_mirrored_contour(self, s, monkeypatch):
-        # the even line (s = 1.5) is folded for every s; on the residue line
-        # (s = -0.4) only real s is, and s + 1e-12j takes the two-sided rule
-        calls = [0]
+        # the even line (s = 1.5) is folded for every s, and for real s its
+        # node needs one gamma and one zeta, |Gamma|^2 |zeta|^2; on the
+        # residue line (s = -0.4) only real s is folded, and s + 1e-12j
+        # takes the two-sided rule
+        calls = {"riemann_zeta": 0, "log_gamma": 0}
 
-        def counted(*args):
-            calls[0] += 1
-            return riemann_zeta(*args)
-        monkeypatch.setattr(su3, "riemann_zeta", counted)
+        def counter(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+        monkeypatch.setattr(su3, "riemann_zeta",
+                            counter("riemann_zeta", riemann_zeta))
+        monkeypatch.setattr(su3, "log_gamma", counter("log_gamma", log_gamma))
         real = witten_su3_continued(s)
-        real_calls, calls[0] = calls[0], 0
+        real_calls = dict(calls)
+        calls.update(riemann_zeta=0, log_gamma=0)
         cplx = witten_su3_continued(s + 1e-12j)
         # Im of the complex value is 1e-12 f'(s); Re differs by O(1e-24)
         assert abs(real - cplx.real) <= 1e-12 * abs(real)
-        if s < 5.0 / 6.0:
-            assert real_calls <= 0.55 * calls[0]
+        for name, n in calls.items():
+            assert real_calls[name] <= 0.55 * n, name
 
     def test_strip_boundary(self):
         with pytest.raises(DomainError):
