@@ -4,7 +4,8 @@ Grammar: ``zeta <module> <action> [flags]`` with modules polylog, su2, su3,
 padic, finite, and verify. Results print as ResultRecords in text, JSON, or
 CSV; exact values carry the error estimate "exact", floating values the
 precision target. Exit codes: 0 success, 2 usage error, 3 domain/pole
-error, 4 convergence failure.
+error, 4 convergence failure. The parser, the missing-flag check, the
+dispatch and each module's --help come from one table, ``_COMMANDS``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import padic as padic_mod
-from . import polylog as polylog_mod
-from . import su2 as su2_mod
-from . import su3 as su3_mod
-from . import verify as verify_mod
-from . import witten_core
+from . import padic, polylog, su2, su3, verify, witten_core
 from .errors import ConvergenceError, DomainError
 from .exact import Polynomial, RationalFunction, fraction_str
 from .numerics import PrecisionBudget, riemann_zeta
@@ -54,27 +50,21 @@ def _parse_s(text: str) -> complex:
     return s
 
 
-def _parse_theta_list(args) -> list:
-    """Angles from --theta (radians) or --theta-pi (rational multiples of
-    pi, 'p/q'); comma-separated lists allowed."""
-    if args.theta is not None and args.theta_pi is not None:
+def _parse_radians(text: str) -> list:
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
         raise argparse.ArgumentTypeError(
-            "--theta and --theta-pi are mutually exclusive")
-    if args.theta_pi is not None:
-        out = []
-        for tok in args.theta_pi.split(","):
-            out.append(float(Fraction(tok)) * math.pi)
-        return out
-    if args.theta is not None:
-        return [float(tok) for tok in args.theta.split(",")]
-    raise argparse.ArgumentTypeError("an angle is required: --theta or --theta-pi")
+            f"expected radians, comma-separated, got {text!r}") from None
 
 
-def _single_theta(args) -> float:
-    thetas = _parse_theta_list(args)
-    if len(thetas) != 1:
-        raise argparse.ArgumentTypeError("exactly one angle expected here")
-    return thetas[0]
+def _parse_pi_multiples(text: str) -> list:
+    # argparse does not catch ZeroDivisionError ('1/0') or OverflowError
+    try:
+        return [float(Fraction(tok)) * math.pi for tok in text.split(",")]
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(
+            f"expected rationals p/q, comma-separated, got {text!r}") from None
 
 
 def _fmt_s(s: complex) -> str:
@@ -85,7 +75,7 @@ def _fmt_s(s: complex) -> str:
 
 def _parse_p(text: str):
     if text == "sym":
-        return padic_mod.SYMBOLIC
+        return padic.SYMBOLIC
     try:
         return int(text)
     except ValueError:
@@ -168,161 +158,162 @@ def _print_records(records, raw_values, fmt: str, precision: int):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns a list of (query, value)
+# The command table
 # ---------------------------------------------------------------------------
 
-def _handle_polylog(args, budget):
-    if args.action == "closed":
-        if args.m is None or args.m < 0:
-            raise DomainError("polylog closed requires --m >= 0")
-        return [(f"polylog closed m={args.m}",
-                 polylog_mod.polylog_closed_form(args.m))]
-    if args.action == "neg":
-        if args.m is None or args.m < 0:
-            raise DomainError("polylog neg requires --m >= 0")
-        th = _single_theta(args)
-        return [(f"polylog neg m={args.m} theta={th:g}",
-                 polylog_mod.polylog_eval_neg(args.m, th))]
-    if args.s is None:
-        raise DomainError(f"polylog {args.action} requires --s")
-    th = _single_theta(args)
-    s = args.s
-    if args.action == "series":
-        return [(f"polylog series s={_fmt_s(s)} theta={th:g}",
-                 polylog_mod.polylog_series(s, th, budget))]
-    if args.action == "jonquiere":
-        if s.imag:
-            raise DomainError("the jonquiere route requires real s")
-        return [(f"polylog jonquiere s={s.real:g} theta={th:g}",
-                 polylog_mod.polylog_via_jonquiere(s.real, th, budget))]
-    # eval: continuation, with theta = 0 mapped to the Riemann zeta
-    if th == 0.0:
-        return [(f"polylog eval s={_fmt_s(s)} theta=0", riemann_zeta(s, budget))]
-    return [(f"polylog eval s={_fmt_s(s)} theta={th:g}",
-             polylog_mod.polylog_continued(s, th, budget))]
-
-
-def _handle_su2(args, budget):
-    if args.action == "eval":
-        if args.s is None:
-            raise DomainError("su2 eval requires --s")
-        th = _single_theta(args)
-        return [(f"su2 eval s={_fmt_s(args.s)} theta={th:g}",
-                 su2_mod.witten_L_su2(args.s, th, budget))]
-    if args.action == "special":
-        if args.m is None:
-            raise DomainError("su2 special requires --m (even, >= 2)")
-        th = _single_theta(args)
-        return [(f"su2 special m={args.m} theta={th:g}",
-                 su2_mod.special_value_neg_even(args.m, th))]
-    if args.action == "deriv2":
-        th = _single_theta(args)
-        return [(f"su2 deriv2 theta={th:g}",
-                 su2_mod.derivative_at_minus2(th, budget))]
-    if args.action == "multi":
-        if args.s is None:
-            raise DomainError("su2 multi requires --s")
-        thetas = _parse_theta_list(args)
-        if not 2 <= len(thetas) <= 3:
-            raise DomainError("su2 multi expects 2 or 3 angles")
-        label = ",".join(f"{t:g}" for t in thetas)
-        return [(f"su2 multi s={_fmt_s(args.s)} thetas={label}",
-                 su2_mod.multi_L(args.s, thetas, budget))]
-    # average
-    if args.s is None:
-        raise DomainError("su2 average requires --s")
+def _real_s(args) -> float:
     if args.s.imag:
-        raise DomainError("su2 average requires real s")
-    return [(f"su2 average s={args.s.real:g}",
-             su2_mod.haar_average_su2(args.s.real, budget))]
+        raise DomainError(f"{args.module} {args.action} requires real s")
+    return args.s.real
 
 
-def _handle_su3(args, budget):
-    if args.action == "eval":
-        if args.s is None:
-            raise DomainError("su3 eval requires --s")
-        params = su3_mod.MBParams(n=1 if args.n is None else args.n)
-        return [(f"su3 eval s={_fmt_s(args.s)}",
-                 su3_mod.witten_su3_continued(args.s, params, budget))]
-    if args.action == "special":
-        if args.n is None or args.n < 0:
-            raise DomainError("su3 special requires --n >= 0")
-        return [(f"su3 special n={args.n}",
-                 su3_mod.special_value_su3(args.n))]
-    # lemma
-    if args.n is None or args.n < 2 or args.n % 2:
-        raise DomainError("su3 lemma requires even --n >= 2")
-    lhs, rhs = su3_mod.bernoulli_convolution_check(args.n)
-    return [(f"su3 lemma n={args.n} lhs", lhs),
-            (f"su3 lemma n={args.n} rhs", rhs)]
+def _polylog_eval(args, budget):
+    # theta = 0 is the Riemann zeta, which the continuation excludes
+    if args.theta[0] == 0.0:
+        return riemann_zeta(args.s, budget)
+    return polylog.polylog_continued(args.s, args.theta[0], budget)
 
 
-def _int_s(args) -> int:
-    if args.s is None:
-        raise DomainError("an integer --s is required")
-    if args.s.imag or args.s.real != int(args.s.real):
-        raise DomainError("padic operations require integer s")
-    return int(args.s.real)
+def _su2_multi(args, budget):
+    if not 2 <= len(args.theta) <= 3:
+        raise DomainError("su2 multi expects 2 or 3 angles")
+    return su2.multi_L(args.s, args.theta, budget)
 
 
-def _handle_padic(args, budget):
-    if args.action == "list":
-        return [(f"padic family {key}", fam.identifier)
-                for key, fam in padic_mod.FAMILIES.items()]
-    if args.action == "factor-check":
-        if args.family is None:
-            raise DomainError("padic factor-check requires --family")
-        ok, _ = padic_mod.factorization_check(args.family)
-        return [(f"padic factor-check {args.family}", ok)]
-    if args.action == "limit":
-        if args.family is None:
-            raise DomainError("padic limit requires --family")
-        return [(f"padic limit {args.family} m={args.m or 1}",
-                 padic_mod.absolute_limit(args.family, args.m or 1))]
-    if args.family is None:
-        raise DomainError(f"padic {args.action} requires --family")
-    m = args.m or 1
-    s = _int_s(args)
-    if args.action == "zero":
-        is_zero, witness = padic_mod.verify_zero(args.family, m, s)
-        return [(f"padic zero {args.family} m={m} s={_fmt_s(s)}", is_zero),
-                (f"padic zero {args.family} m={m} s={_fmt_s(s)} witness", witness)]
-    # eval
-    p = args.p if args.p is not None else padic_mod.SYMBOLIC
-    val = padic_mod.eval_at_int_s(args.family, m, s, p)
-    label = "sym" if p == padic_mod.SYMBOLIC else p
-    return [(f"padic eval {args.family} m={m} s={_fmt_s(s)} p={label}", val)]
-
-
-def _handle_finite(args, budget):
-    if args.table:
-        table = witten_core.load_table(args.table)
-    elif args.family:
-        key = args.family.upper()
-        if key not in witten_core.BUILTIN_TABLES:
-            raise DomainError(
-                f"unknown builtin table {args.family!r}; have "
-                f"{sorted(witten_core.BUILTIN_TABLES)}")
-        table = witten_core.BUILTIN_TABLES[key]
-    else:
-        raise DomainError("finite commands require --table FILE or --family")
-    if args.s is None:
-        raise DomainError("finite commands require --s")
-    if args.action == "average":
-        return [(f"finite average {table.name} s={_fmt_s(args.s)}",
-                 witten_core.haar_average_finite(table, args.s))]
-    # eval
-    c = args.class_index or 0
-    s = args.s
+def _finite_eval(args, budget):
+    s, c = args.s, args.class_index
     if s.imag == 0.0 and s.real == int(s.real):
-        value = witten_core.finite_witten_L_exact(table, int(s.real), c)
-    else:
-        value = witten_core.finite_witten_L(table, s, c)
-    return [(f"finite eval {table.name} s={_fmt_s(s)} class={c}", value)]
+        return witten_core.finite_witten_L_exact(args.table, int(s.real), c)
+    return witten_core.finite_witten_L(args.table, s, c)
+
+
+def _finite_table(args):
+    """The character table from --table FILE, else the builtin --family."""
+    if args.table is not None:
+        try:
+            return witten_core.load_table(args.table)
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(
+                f"cannot read --table {args.table!r}: {exc.strerror}"
+            ) from None
+    key = args.family.upper()
+    if key not in witten_core.BUILTIN_TABLES:
+        raise DomainError(
+            f"unknown builtin table {args.family!r}; have "
+            f"{sorted(witten_core.BUILTIN_TABLES)}")
+    return witten_core.BUILTIN_TABLES[key]
+
+
+# what an action may need: the flags' dests (any one will do) and how a
+# message names them; "theta" is exactly one angle, "thetas" a list
+_NEEDS = {
+    "s": (("s",), "--s"),
+    "theta": (("theta",), "--theta or --theta-pi (one angle)"),
+    "thetas": (("theta",), "--theta or --theta-pi (2 or 3 angles)"),
+    "m": (("m",), "--m"),
+    "n": (("n",), "--n"),
+    "family": (("family",), "--family"),
+    "table": (("table", "family"), "--table FILE or --family"),
+}
+
+# the value of an absent optional flag, once the needs are met
+_DEFAULTS = {"m": 1, "n": 1, "p": padic.SYMBOLIC, "class_index": 0}
+
+# module -> action -> (the flags it needs, its query label, its library
+# call on (args, budget)); a tuple of labels labels a tuple of values
+_COMMANDS = {
+    "polylog": {
+        "eval": (("s", "theta"), "polylog eval s={s} theta={theta}",
+                 _polylog_eval),
+        "series": (("s", "theta"), "polylog series s={s} theta={theta}",
+                   lambda a, b: polylog.polylog_series(a.s, a.theta[0], b)),
+        "jonquiere": (("s", "theta"), "polylog jonquiere s={s} theta={theta}",
+                      lambda a, b: polylog.polylog_via_jonquiere(
+                          _real_s(a), a.theta[0], b)),
+        "closed": (("m",), "polylog closed m={m}",
+                   lambda a, b: polylog.polylog_closed_form(a.m)),
+        "neg": (("m", "theta"), "polylog neg m={m} theta={theta}",
+                lambda a, b: polylog.polylog_eval_neg(a.m, a.theta[0])),
+    },
+    "su2": {
+        "eval": (("s", "theta"), "su2 eval s={s} theta={theta}",
+                 lambda a, b: su2.witten_L_su2(a.s, a.theta[0], b)),
+        "special": (("m", "theta"), "su2 special m={m} theta={theta}",
+                    lambda a, b: su2.special_value_neg_even(a.m, a.theta[0])),
+        "deriv2": (("theta",), "su2 deriv2 theta={theta}",
+                   lambda a, b: su2.derivative_at_minus2(a.theta[0], b)),
+        "multi": (("s", "thetas"), "su2 multi s={s} thetas={theta}",
+                  _su2_multi),
+        "average": (("s",), "su2 average s={s}",
+                    lambda a, b: su2.haar_average_su2(_real_s(a), b)),
+    },
+    "su3": {
+        "eval": (("s",), "su3 eval s={s}",
+                 lambda a, b: su3.witten_su3_continued(
+                     a.s, su3.MBParams(n=a.n), b)),
+        "special": (("n",), "su3 special n={n}",
+                    lambda a, b: su3.special_value_su3(a.n)),
+        "lemma": (("n",), ("su3 lemma n={n} lhs", "su3 lemma n={n} rhs"),
+                  lambda a, b: su3.bernoulli_convolution_check(a.n)),
+    },
+    "padic": {
+        "list": ((), tuple(f"padic family {key}" for key in padic.FAMILIES),
+                 lambda a, b: tuple(f.identifier
+                                    for f in padic.FAMILIES.values())),
+        "eval": (("family", "s"), "padic eval {family} m={m} s={s} p={p}",
+                 lambda a, b: padic.eval_at_int_s(a.family, a.m, a.s, a.p)),
+        "zero": (("family", "s"), ("padic zero {family} m={m} s={s}",
+                                   "padic zero {family} m={m} s={s} witness"),
+                 lambda a, b: padic.verify_zero(a.family, a.m, a.s)),
+        "limit": (("family",), "padic limit {family} m={m}",
+                  lambda a, b: padic.absolute_limit(a.family, a.m)),
+        "factor-check": (("family",), "padic factor-check {family}",
+                         lambda a, b: padic.factorization_check(a.family)[0]),
+    },
+    "finite": {
+        "eval": (("table", "s"),
+                 "finite eval {table.name} s={s} class={class_index}",
+                 _finite_eval),
+        "average": (("table", "s"), "finite average {table.name} s={s}",
+                    lambda a, b: witten_core.haar_average_finite(a.table,
+                                                                 a.s)),
+    },
+}
+
+
+def _complete(args, needs) -> None:
+    """Usage error for a flag the action needs and lacks; then the
+    defaults of the absent optional flags and the finite table."""
+    command = f"{args.module} {args.action}"
+    for need in needs:
+        dests, names = _NEEDS[need]
+        if all(getattr(args, dest) is None for dest in dests):
+            raise argparse.ArgumentTypeError(f"{command} requires {names}")
+    if "theta" in needs and len(args.theta) != 1:
+        raise argparse.ArgumentTypeError(
+            f"{command} takes one angle, got {len(args.theta)}")
+    for dest, default in _DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+    if "table" in needs:
+        args.table = _finite_table(args)
+
+
+def _dispatch(args, budget) -> list:
+    """The (query, value) pairs of the action's row of _COMMANDS."""
+    needs, labels, call = _COMMANDS[args.module][args.action]
+    _complete(args, needs)
+    values = call(args, budget)
+    if isinstance(labels, str):
+        labels, values = (labels,), (values,)
+    fields = dict(vars(args), s=None if args.s is None else _fmt_s(args.s),
+                  theta=",".join(f"{t:g}" for t in args.theta or ()))
+    return [(label.format_map(fields), value)
+            for label, value in zip(labels, values)]
 
 
 def _run_verify(args) -> int:
-    results = verify_mod.run(args.suite)
+    results = verify.run(args.suite)
     if args.format == "json":
         print(json.dumps([vars(r) for r in results], indent=2))
     else:
@@ -343,18 +334,42 @@ def _run_verify(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _actions_help(actions) -> str:
+    """The actions of one module, each with the flags it needs."""
+    width = max(map(len, actions))
+    lines = [f"  {action:<{width}}  "
+             + (", ".join(_NEEDS[need][1] for need in needs) or "(none)")
+             for action, (needs, _, _) in actions.items()]
+    return "actions and the flags each needs:\n" + "\n".join(lines) \
+        + "\nA missing or malformed flag exits 2."
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one line on stderr, as main prints its own."""
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zeta",
         description="Witten zeta and L-functions: SU(2), SU(3), and "
                     "p-adic group families")
     sub = parser.add_subparsers(dest="module", required=True)
 
-    def common(p):
+    for module, actions in _COMMANDS.items():
+        p = sub.add_parser(
+            module, epilog=_actions_help(actions),
+            formatter_class=argparse.RawDescriptionHelpFormatter)
+        p.add_argument("action", choices=tuple(actions))
         p.add_argument("--s", type=_parse_s, help="s as re or re,im")
-        p.add_argument("--theta", help="angle(s) in radians, comma-separated")
-        p.add_argument("--theta-pi", dest="theta_pi",
-                       help="angle(s) as rational multiples of pi, e.g. 1/2")
+        angle = p.add_mutually_exclusive_group()
+        angle.add_argument("--theta", type=_parse_radians,
+                           help="angle(s) in radians, comma-separated")
+        angle.add_argument(
+            "--theta-pi", dest="theta", metavar="THETA_PI",
+            type=_parse_pi_multiples,
+            help="angle(s) as rational multiples of pi, e.g. 1/2")
         p.add_argument("--m", type=int, help="integer parameter m")
         p.add_argument("--n", type=int, help="integer parameter n")
         p.add_argument("--p", type=_parse_p, help="prime p or 'sym'")
@@ -367,16 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", type=int, default=None,
                        help="digits in [6, 15]; default 10")
 
-    for module, actions in (
-            ("polylog", ("eval", "series", "jonquiere", "closed", "neg")),
-            ("su2", ("eval", "special", "deriv2", "multi", "average")),
-            ("su3", ("eval", "special", "lemma")),
-            ("padic", ("list", "eval", "zero", "limit", "factor-check")),
-            ("finite", ("eval", "average"))):
-        p = sub.add_parser(module)
-        p.add_argument("action", choices=actions)
-        common(p)
-
     pv = sub.add_parser("verify")
     pv.add_argument("--suite", default="all",
                     choices=("all", "polylog", "su2", "su3", "padic", "core"))
@@ -384,27 +389,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "polylog": _handle_polylog,
-    "su2": _handle_su2,
-    "su3": _handle_su3,
-    "padic": _handle_padic,
-    "finite": _handle_finite,
-}
+_HANDLERS = {module: _dispatch for module in _COMMANDS}
 
 
 def _resolve_precision(args) -> int:
     digits = args.precision
     if digits is None:
-        env = os.environ.get(_PRECISION_ENV)
-        digits = int(env) if env else 10
+        env = os.environ.get(_PRECISION_ENV) or "10"
+        try:
+            digits = int(env)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{_PRECISION_ENV} must be an integer, got {env!r}") from None
     if not 6 <= digits <= 15:
-        raise _UsageError("precision must lie in [6, 15]")
+        raise argparse.ArgumentTypeError("precision must lie in [6, 15]")
     return digits
-
-
-class _UsageError(Exception):
-    pass
 
 
 def main(argv=None) -> int:
@@ -421,9 +420,6 @@ def main(argv=None) -> int:
         records = [_record(q, v, ms, budget.target) for q, v in pairs]
         _print_records(records, [v for _, v in pairs], args.format, digits)
         return EXIT_OK
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -165,8 +165,12 @@ def _hurwitz_em(s: complex, a: float, budget: PrecisionBudget) -> complex:
     n_split = max(16, math.ceil(abs(s)) + 8)
     while True:
         head = 0.0 + 0.0j
-        for n in range(n_split):
-            head += (n + a) ** (-s)
+        try:
+            for n in range(n_split):
+                head += (n + a) ** (-s)
+        except (OverflowError, ZeroDivisionError):  # a^{-s}, or 0^{-s}
+            raise DomainError(
+                f"zeta({s}, {a}) overflows double precision") from None
         base = n_split + a
         tail = base ** (1.0 - s) / (s - 1.0) + 0.5 * base ** (-s)
         corr = _em_corrections(s, base, abs(head + tail) + 1.0, budget)
@@ -190,9 +194,13 @@ def hurwitz_pair(w: complex, a: float, b: float,
     n_split = math.ceil(abs(w)) + 8
     while n_split <= budget.max_terms:
         head_a = head_b = 0.0
-        for n in range(n_split):
-            head_a += (n + a) ** -w
-            head_b += (n + b) ** -w
+        try:
+            for n in range(n_split):
+                head_a += (n + a) ** -w
+                head_b += (n + b) ** -w
+        except (OverflowError, ZeroDivisionError):  # a^{-w}, or 0^{-w}
+            raise DomainError(
+                f"zeta({w}, {a}) overflows double precision") from None
         base_a, base_b = n_split + a, n_split + b
         pow_a, pow_b = base_a ** (1.0 - w), base_b ** (1.0 - w)
         pole_a, pole_b = (pow_a / (w - 1.0), pow_b / (w - 1.0)) if w != 1.0 \

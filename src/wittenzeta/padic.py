@@ -246,6 +246,11 @@ def _family(family) -> GroupFamily:
     return FAMILIES[key]
 
 
+def _check_m(fam: GroupFamily, m: int):
+    if fam.uses_m and m < 1:
+        raise DomainError(f"family {fam.identifier} requires level m >= 1")
+
+
 def _check_p(fam: GroupFamily, p):
     if _is_symbolic(p):
         return
@@ -258,15 +263,15 @@ def _check_p(fam: GroupFamily, p):
 
 
 def eval_at_int_s(family, m: int, s: int, p=SYMBOLIC):
-    """Exact value of the family's Witten zeta at integer s: a Fraction for
-    numeric p, a reduced RationalFunction in p for symbolic p."""
+    """Exact value of the family's Witten zeta at integer s (an int, or a
+    float or complex equal to one): a Fraction for numeric p, a reduced
+    RationalFunction in p for symbolic p."""
     fam = _family(family)
-    if fam.uses_m and m < 1:
-        raise DomainError(f"family {fam.identifier} requires level m >= 1")
-    if int(s) != s:
+    _check_m(fam, m)
+    if s != int(s.real):
         raise DomainError("eval_at_int_s requires integer s")
     _check_p(fam, p)
-    return fam.form.eval(int(m) if fam.uses_m else 0, int(s), p)
+    return fam.form.eval(int(m) if fam.uses_m else 0, int(s.real), p)
 
 
 def verify_zero(family, m: int, s: int):
@@ -278,8 +283,10 @@ def verify_zero(family, m: int, s: int):
 
 def absolute_limit(family, m: int = 1) -> RationalFunction:
     """The formal p -> 1 limit as a rational function of s (level m drops
-    out). Only LaurentForm families support it."""
+    out, but must still be a level, m >= 1). Only LaurentForm families
+    support it."""
     fam = _family(family)
+    _check_m(fam, m)
     if not isinstance(fam.form, LaurentForm):
         raise DomainError(
             f"absolute limit needs a factored representation; "

@@ -86,8 +86,13 @@ def _parts_depth(s: complex, e_mag: float, target: float) -> int:
     large, where the q-th differences, each rounded to about 2^q ulps of
     n^{-s} and scaled by |E|^q, would round past the target."""
     q = max(0, min(8, math.ceil(4.5 - s.real)))
-    while q > 0 and (2.0 * e_mag) ** q * 2.0 ** -52 > 0.25 * target:
-        q -= 1
+    try:
+        while q > 0 and (2.0 * e_mag) ** q * 2.0 ** -52 > 0.25 * target:
+            q -= 1
+    except OverflowError:  # theta next to 0
+        raise DomainError(
+            f"|x/(1-x)|^{q} = ({e_mag:g})^{q} overflows double precision"
+        ) from None
     return q
 
 
@@ -455,7 +460,7 @@ raise DomainError."""
 
 def _check_m(m: int) -> None:
     if m < 0:
-        raise ValueError("Z(-m, x) closed form: m must be non-negative")
+        raise DomainError("Z(-m, x) closed form: m must be non-negative")
     if m > MAX_CLOSED_M:
         raise DomainError(
             f"Z(-m, x) closed form supports m <= {MAX_CLOSED_M}, got m = {m}")
@@ -505,14 +510,19 @@ def polylog_eval_neg(m: int, x) -> complex:
         return polylog_eval_neg(m, -th).conjugate()
     if th > math.pi:
         return polylog_eval_neg(m, th - _TWO_PI)
-    if m == 0:
-        # x/(1-x) = -1/2 + (i/2) cot(theta/2)
-        return complex(-0.5, 0.5 * math.cos(th / 2.0) / math.sin(th / 2.0))
-    if m == 1:
-        half = math.sin(th / 2.0)
-        return complex(-0.25 / (half * half), 0.0)
-    center = (m - 1) / 2.0
-    cosine = sum(c * math.cos((j - center) * th)
-                 for j, c in enumerate(_eulerian_row(m)))
-    denom = (-2j * math.sin(th / 2.0)) ** (m + 1)
-    return cosine / denom
+    try:
+        if m == 0:
+            # x/(1-x) = -1/2 + (i/2) cot(theta/2)
+            return complex(-0.5,
+                           0.5 * math.cos(th / 2.0) / math.sin(th / 2.0))
+        if m == 1:
+            half = math.sin(th / 2.0)
+            return complex(-0.25 / (half * half), 0.0)
+        center = (m - 1) / 2.0
+        cosine = sum(c * math.cos((j - center) * th)
+                     for j, c in enumerate(_eulerian_row(m)))
+        return cosine / (-2j * math.sin(th / 2.0)) ** (m + 1)
+    except ZeroDivisionError:  # sin(theta/2)^(m+1) underflows to 0
+        raise DomainError(
+            f"Z(-{m}, x) at theta = {th:g} overflows double precision"
+        ) from None

@@ -220,9 +220,14 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
 
 MAX_SPECIAL_N = 200
 """Largest n that ``special_value_su3`` and ``bernoulli_convolution_check``
-accept: both need Bernoulli numbers up to B_{3n+2}, from an O(n^2)
-recurrence of growing Fractions (``su3 special`` costs about 6x more at
-n = 400 than at n = 200); larger n raise DomainError."""
+accept; larger n raise DomainError. The cost is Fraction arithmetic, not
+the Bernoulli numbers up to B_{3n+2} (a table, 4 ms at n = 200). At
+n = 200 ``special_value_su3`` takes 0.40 s, nearly all of it in
+``exact.rising``: each Pochhammer symbol (-n)_k, k <= 2n, is rebuilt from
+scratch as a product of k Fractions, about 80 000 products in all (those
+past k = n run to their full length, though a factor is 0).
+``bernoulli_convolution_check(200)`` takes 0.19 s in its sum of zeta
+products over factorials (one Xeon core, Python 3.11)."""
 
 
 def _check_special_n(n: int) -> None:

@@ -349,3 +349,156 @@ class TestImport:
         text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
         declared = re.search(r'^version = "([^"]+)"', text, re.M).group(1)
         assert declared == wittenzeta.__version__
+
+
+def exit_code(capsys, *argv):
+    """(exit code, stderr) whether main returns or argparse exits."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def _one_line(err):
+    return len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+# a value for each flag an action may need, and the flag a message names
+_GIVEN = {"s": ("--s", "-1"), "theta": ("--theta", "1"),
+          "thetas": ("--theta", "1,2"), "m": ("--m", "2"), "n": ("--n", "2"),
+          "family": ("--family", "sl3cong"), "table": ("--family", "s3")}
+_NAMED = {"s": "--s", "theta": "--theta", "thetas": "--theta", "m": "--m",
+          "n": "--n", "family": "--family", "table": "--table"}
+_ROWS = [(module, action, needs)
+         for module, actions in cli._COMMANDS.items()
+         for action, (needs, _, _) in actions.items()]
+
+# one command per action, and the query label of its first record
+_LABELS = [
+    ("polylog eval --s 2.5 --theta 1", "polylog eval s=2.5 theta=1"),
+    ("polylog series --s 1.5 --theta-pi 1/3",
+     "polylog series s=1.5 theta=1.0472"),
+    ("polylog jonquiere --s -1.5 --theta 2",
+     "polylog jonquiere s=-1.5 theta=2"),
+    ("polylog closed --m 3", "polylog closed m=3"),
+    ("polylog neg --m 2 --theta-pi 1/2", "polylog neg m=2 theta=1.5708"),
+    ("su2 eval --s -1 --theta-pi 1/3", "su2 eval s=-1 theta=1.0472"),
+    ("su2 special --m 2 --theta-pi 1/2", "su2 special m=2 theta=1.5708"),
+    ("su2 deriv2 --theta-pi 1/2", "su2 deriv2 theta=1.5708"),
+    ("su2 multi --s=-0.5,2 --theta-pi 1/2,1/3",
+     "su2 multi s=-0.5+2i thetas=1.5708,1.0472"),
+    ("su2 average --s 2", "su2 average s=2"),
+    ("su3 eval --s 2.5", "su3 eval s=2.5"),
+    ("su3 special --n 2", "su3 special n=2"),
+    ("su3 lemma --n 2", "su3 lemma n=2 lhs"),
+    ("padic list", "padic family sl2zp"),
+    ("padic eval --family sl2cong --s -1 --p 5",
+     "padic eval sl2cong m=1 s=-1 p=5"),
+    ("padic zero --family su3cong --s -1", "padic zero su3cong m=1 s=-1"),
+    ("padic limit --family sl2cong --m 2", "padic limit sl2cong m=2"),
+    ("padic factor-check --family sl3cong",
+     "padic factor-check sl3cong"),
+    ("finite eval --family q8 --s -2 --class 1",
+     "finite eval Q8 s=-2 class=1"),
+    ("finite average --family s3 --s 1.7", "finite average S3 s=1.7"),
+]
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("module,action,needs", _ROWS,
+                             ids=[f"{m}-{a}" for m, a, _ in _ROWS])
+    def test_needed_flags_suffice(self, capsys, module, action, needs):
+        # no usage error; s = -1 is outside the domain of polylog series
+        argv = [tok for need in needs for tok in _GIVEN[need]]
+        code, err = exit_code(capsys, module, action, *argv)
+        assert code == (3 if (module, action) == ("polylog", "series")
+                        else 0), err
+
+    @pytest.mark.parametrize("module,action,missing", [
+        (module, action, need) for module, action, needs in _ROWS
+        for need in needs])
+    def test_missing_flag_is_usage_error(self, capsys, module, action,
+                                         missing):
+        needs = cli._COMMANDS[module][action][0]
+        argv = [tok for need in needs if need != missing
+                for tok in _GIVEN[need]]
+        code, err = exit_code(capsys, module, action, *argv)
+        assert code == 2 and _NAMED[missing] in err and _one_line(err)
+
+    def test_help_lists_each_action_with_its_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["su2", "--help"])
+        out = capsys.readouterr().out
+        assert re.search(r"^  multi +--s, --theta or --theta-pi", out, re.M)
+        for action in cli._COMMANDS["su2"]:
+            assert re.search(rf"^  {action} ", out, re.M)
+
+    @pytest.mark.parametrize("argv,query", _LABELS)
+    def test_query_label(self, capsys, argv, query):
+        code, out, _ = run(capsys, *argv.split(), "--format", "json")
+        records = json.loads(out)
+        first = records[0] if isinstance(records, list) else records
+        assert code == 0 and first["query"] == query
+
+    def test_every_action_has_a_pinned_label(self):
+        assert {tuple(argv.split()[:2]) for argv, _ in _LABELS} \
+            == {(module, action) for module, action, _ in _ROWS}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ("su2", "eval", "--s", "1", "--theta", "abc"),
+        ("su2", "eval", "--s", "1", "--theta-pi", "1/0"),
+        ("su2", "eval", "--s", "1", "--theta-pi", "x"),
+        ("su2", "eval", "--s", "1", "--theta", "1", "--theta-pi", "1/2"),
+        ("su2", "eval", "--s", "1", "--theta", "1,2"),
+    ])
+    def test_angle_is_usage_error(self, capsys, argv):
+        code, err = exit_code(capsys, *argv)
+        assert code == 2 and _one_line(err)
+
+    def test_precision_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("WITTENZETA_PRECISION", "abc")
+        code, err = exit_code(capsys, "su2", "eval", "--s", "1",
+                              "--theta", "1")
+        assert code == 2 and _one_line(err) and "WITTENZETA_PRECISION" in err
+
+    def test_unreadable_table_is_usage_error(self, capsys, tmp_path):
+        code, err = exit_code(capsys, "finite", "eval", "--s", "1",
+                              "--table", str(tmp_path / "absent.tbl"))
+        assert code == 2 and _one_line(err)
+
+    @pytest.mark.parametrize("argv", [
+        ("padic", "eval", "--family", "sl2cong", "--m", "0", "--s", "-1"),
+        ("padic", "zero", "--family", "sl2cong", "--m", "0", "--s", "-1"),
+        ("padic", "limit", "--family", "sl2cong", "--m", "0"),
+    ])
+    def test_level_zero_is_domain_error(self, capsys, argv):
+        # --m 0 is not read as the default level 1
+        code, err = exit_code(capsys, *argv)
+        assert code == 3 and "m >= 1" in err and _one_line(err)
+
+    @pytest.mark.parametrize("argv", [
+        ("su2", "eval", "--s=-100.5", "--theta", "0.001"),
+        ("polylog", "eval", "--s=-100.5", "--theta", "0.001"),
+        ("polylog", "jonquiere", "--s=-100.5", "--theta", "0.001"),
+        ("su2", "multi", "--s=-100.5", "--theta", "0.001,0.002"),
+        ("su2", "deriv2", "--theta", "1e-200"),
+        ("polylog", "series", "--s", "1.5", "--theta", "1e-300"),
+        ("polylog", "neg", "--m", "30", "--theta", "1e-300"),
+    ])
+    def test_float_overflow_is_domain_error(self, capsys, argv):
+        code, err = exit_code(capsys, *argv)
+        assert code == 3 and "overflows double precision" in err
+        assert _one_line(err)
+
+    @pytest.mark.parametrize("argv", [
+        ("polylog", "closed", "--m", "-1"),
+        ("polylog", "neg", "--m", "-1", "--theta", "1"),
+        ("su3", "special", "--n", "-1"),
+        ("su3", "lemma", "--n", "3"),
+    ])
+    def test_library_range_check_reaches_the_user(self, capsys, argv):
+        code, err = exit_code(capsys, *argv)
+        assert code == 3 and err.startswith("domain error")

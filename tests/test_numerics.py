@@ -145,3 +145,10 @@ class TestHurwitzZeta:
             hurwitz_zeta(2.0, 0.0)
         with pytest.raises(DomainError):
             hurwitz_zeta(2.0, 1.5)
+
+    @pytest.mark.parametrize("s,a", [(2.0, 1e-201), (101.5, 1.6e-4),
+                                     (2.0, 5e-324)])
+    def test_overflow_is_domain_error(self, s, a):
+        # a^{-s} is past a double (or 0^{-s}, where a underflows)
+        with pytest.raises(DomainError, match="overflows"):
+            hurwitz_zeta(s, a)

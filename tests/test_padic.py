@@ -43,6 +43,13 @@ class TestCatalog:
 
 
 class TestValues:
+    def test_integer_s_of_any_number_type(self):
+        want = eval_at_int_s("sl2cong", 1, -1)
+        assert eval_at_int_s("sl2cong", 1, -1.0) == want
+        assert eval_at_int_s("sl2cong", 1, complex(-1)) == want
+        with pytest.raises(DomainError):
+            eval_at_int_s("sl2cong", 1, complex(-1, 1))
+
     def test_sl2zp_at_zero(self):
         assert eval_at_int_s("sl2zp", 0, 0) == -4 / (P - 1)
 
@@ -129,6 +136,11 @@ class TestAbsoluteLimits:
     def test_dimension_list_unsupported(self):
         with pytest.raises(DomainError):
             absolute_limit("sl2zp")
+
+    def test_level_zero_is_domain_error(self):
+        # m drops out of the limit, but m = 0 is no level
+        with pytest.raises(DomainError, match="m >= 1"):
+            absolute_limit("sl2cong", 0)
 
     def test_numeric_extrapolation(self):
         for family in ("sl2cong", "sl3cong", "su3cong"):

@@ -241,6 +241,19 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             polylog_eval_neg(2, 0.0)
 
+    def test_negative_m_is_domain_error(self):
+        with pytest.raises(DomainError):
+            polylog_closed_form(-1)
+        with pytest.raises(DomainError):
+            polylog_eval_neg(-1, 1.0)
+
+    @pytest.mark.parametrize("m,theta", [(0, 5e-324), (1, 1e-200),
+                                         (30, 1e-11), (30, 1e-300)])
+    def test_eval_neg_overflow_is_domain_error(self, m, theta):
+        # sin(theta/2)^(m+1) underflows to 0: the value is past a double
+        with pytest.raises(DomainError, match="overflows"):
+            polylog_eval_neg(m, theta)
+
 
 def _series_numerator(m):
     """Coefficients of (1 - x)^{m+1} sum_{n <= m+1} n^m x^n up to degree m+1:
