@@ -52,17 +52,6 @@ def zeta_neg_int(k: int) -> Fraction:
     return -bernoulli(k + 1) / (k + 1)
 
 
-def rising(a, k: int) -> Fraction:
-    """Rising factorial a (a+1) ... (a+k-1) as an exact Fraction."""
-    if k < 0:
-        raise ValueError("rising: k must be non-negative")
-    acc = Fraction(1)
-    a = Fraction(a)
-    for i in range(k):
-        acc *= a + i
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Univariate polynomials over Fraction
 # ---------------------------------------------------------------------------

@@ -39,8 +39,9 @@ class PrecisionBudget:
 
 DEFAULT_BUDGET = PrecisionBudget()
 
-# Bernoulli numbers as floats, B_2 .. B_100, for Stirling / Euler-Maclaurin.
+# B_2 .. B_100 as floats (Stirling), and B_{2j}/(2j)! (Euler-Maclaurin)
 _BFLOAT = {k: float(bernoulli(k)) for k in range(2, 102, 2)}
+_EM_COEF = [_BFLOAT[2 * j] / factorial(2 * j) for j in range(1, 51)]
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +143,8 @@ def _em_corrections(s: complex, base: float, scale: float,
     power = base ** (-s - 1.0)
     corr = 0.0
     prev_mag = math.inf
-    for j in range(1, 51):
-        term = _BFLOAT[2 * j] / factorial(2 * j) * risefac * power
+    for j, coef in enumerate(_EM_COEF, 1):
+        term = coef * risefac * power
         mag = abs(term)
         if mag > prev_mag and j * 2 > _EM_ORDER:
             return None  # asymptotic series started diverging
@@ -191,13 +192,13 @@ def hurwitz_pair(w: complex, a: float, b: float,
     integral term ((N+a)^{1-w} - (N+b)^{1-w}) / (w-1) is taken as
     -(N+b)^{1-w} L e^{u/2} sinh(u/2)/(u/2), L = log((N+a)/(N+b)), u = (1-w) L.
     """
-    n_split = math.ceil(abs(w)) + 8
+    n_split, minus_w = math.ceil(abs(w)) + 8, -w
     while n_split <= budget.max_terms:
         head_a = head_b = 0.0
         try:
             for n in range(n_split):
-                head_a += (n + a) ** -w
-                head_b += (n + b) ** -w
+                head_a += (n + a) ** minus_w
+                head_b += (n + b) ** minus_w
         except (OverflowError, ZeroDivisionError):  # a^{-w}, or 0^{-w}
             raise DomainError(
                 f"zeta({w}, {a}) overflows double precision") from None

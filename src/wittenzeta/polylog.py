@@ -6,15 +6,16 @@ Three evaluation routes are exposed and cross-checked by the tests:
                             summation by parts, stopped on a bound of its
                             tail; the independent oracle of the others;
 * ``polylog_continued``  -- Z(s, x) for x != 1 and every s: right of
-                            Re s = 1.2 the zeta(s - k) expansion about x = 1
-                            (DLMF 25.12.12) or the eta(s - k) expansion about
-                            x = -1, one table per even or odd part
-                            (``_circle_part``, which also serves the SU(2)
-                            L-functions); left of it the Hurwitz (Jonquiere)
-                            formula, DLMF 25.13.2;
+                            Re s = 1.2 the even and odd parts of
+                            ``_circle_part``, left of it the Hurwitz
+                            (Jonquiere) formula, DLMF 25.13.2, for Z itself;
 * ``polylog_via_jonquiere`` -- for real s, the functional equation relating
                             Z(s, e^{i theta}) and Z(s, e^{-i theta}) to the
                             Hurwitz zeta, solved as a 2x2 real system.
+
+The SU(2) L-functions take the even or odd part of Z from ``_part``: right
+of Re s = 1.2 ``_circle_part`` (zeta(s - k) about x = 1, DLMF 25.12.12, or
+eta(s - k) about x = -1, one table per part), left of it DLMF 25.13.2.
 
 At non-positive integers Z(-m, x) = x A_m(x) / (1 - x)^{m+1}, with A_m the
 Eulerian polynomial (DLMF 26.14): ``polylog_closed_form`` returns it as an
@@ -39,6 +40,12 @@ from .numerics import (DEFAULT_BUDGET, PrecisionBudget, _em_corrections,
 _TWO_PI = 2.0 * math.pi
 
 
+def _finite(theta: float) -> float:
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta}")
+    return theta
+
+
 @dataclass(frozen=True)
 class UnitCirclePoint:
     """Point x = e^{i theta} on the unit circle; theta stored in [0, 2 pi)."""
@@ -46,7 +53,7 @@ class UnitCirclePoint:
     theta: float
 
     def __post_init__(self):
-        t = math.fmod(self.theta, _TWO_PI)
+        t = math.fmod(_finite(self.theta), _TWO_PI)
         if t < 0.0:
             t += _TWO_PI
         if t == _TWO_PI:  # a tiny negative angle plus 2 pi rounds to 2 pi
@@ -357,11 +364,59 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget):
     return part
 
 
+_NEAR_ONE = 0.25  # |s - 1| below which the bracket is split at its zero
+
+
+def _finite_value(value, theta: float, what: str, *args):
+    """value, or DomainError naming what.format(*args) if it overflowed."""
+    if cmath.isfinite(value):
+        return value
+    raise DomainError(f"{what.format(*args)} at theta = {theta:g} "
+                      "overflows double precision")
+
+
+def _part(sigma: complex, parity: int, budget: PrecisionBudget):
+    """theta -> P(theta) on [0, pi] for every sigma, the odd (parity 1) or
+    even (parity 0) part of Z(sigma, e^{i theta}): ``_circle_part`` right of
+    Re sigma = 1.2; left of it DLMF 25.13.2 for the part, w = 1 - sigma,
+    t = theta/2pi: Gamma(w) (2pi)^{-w} sin(pi w/2) (zeta(w,t) - zeta(w,1-t))
+    from one ``hurwitz_pair``, or cos(pi w/2) and the sum, by ``hurwitz_even``
+    where |w| < 1/4. The trig factor comes first, so P_1 is exactly 0 at
+    sigma = -1, -3, ... and P_0 at -2, -4, .... Limits: at sigma = 1, P_1 =
+    (pi - theta)/2, P_0 = -log(2 sin(theta/2)); at sigma = 0, P_0 = -1/2; at
+    theta = 0, P_1 = 0, P_0 = zeta(sigma). An overflow raises DomainError."""
+    sigma = complex(sigma)
+    if sigma.real > _EXPANSION_EDGE:
+        return _circle_part(sigma, parity, budget)
+    real = sigma.imag == 0.0
+    w = 1.0 - (sigma.real if real else sigma)
+    limit = w == 0.0 or (w == 1.0 and not parity)
+    if not limit:
+        cos, sin, _ = half_pi_trig(w)
+        # complex even for real w: the value is then +0, not -0, at a zero
+        pref = gamma_two_pi(w) * (sin if parity else cos)
+
+    def part(theta: float):
+        t = theta / _TWO_PI
+        if theta == 0.0:
+            value = 0.0 if parity else riemann_zeta(sigma, budget)
+        elif limit:
+            value = -0.5 if w else (0.5 * (math.pi - theta) if parity
+                                    else -math.log(2.0 * math.sin(0.5 * theta)))
+        elif not parity and abs(w) < _NEAR_ONE:
+            value = pref * hurwitz_even(w, t, budget)
+        else:
+            zeta_b, diff = hurwitz_pair(w, t, 1.0 - t, budget)
+            value = pref * (diff if parity else diff + 2.0 * zeta_b)
+        if not cmath.isfinite(value):
+            _finite_value(value, theta, "P_{}({:g}, x)", parity, sigma)
+        return value.real if real else value
+    return part
+
+
 # ---------------------------------------------------------------------------
 # Analytic continuation
 # ---------------------------------------------------------------------------
-
-_NEAR_ONE = 0.25  # |s - 1| below which the bracket is split at its zero
 
 
 def polylog_continued(s: complex, x,
@@ -403,9 +458,11 @@ def polylog_continued(s: complex, x,
     if abs(w) < _NEAR_ONE:
         # Gamma(w) has a pole at w = 0, where the bracket vanishes: keep
         # its relative accuracy through cos (zeta(w,t) + zeta(w,1-t))
-        return gamma_two_pi(w) * (cos * hurwitz_even(w, t, budget)
-                                  + 1j * sin * diff)
-    return gamma_two_pi(w) * (phase * diff + 2.0 * cos * zeta_b)
+        value = gamma_two_pi(w) * (cos * hurwitz_even(w, t, budget)
+                                   + 1j * sin * diff)
+    else:
+        value = gamma_two_pi(w) * (phase * diff + 2.0 * cos * zeta_b)
+    return _finite_value(value, pt.theta, "Z({:g}, x)", s)
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +498,9 @@ def polylog_via_jonquiere(s: float, x,
     r_plus = pref * hurwitz_zeta(1.0 - s, t, budget).real
     r_minus = pref * hurwitz_zeta(1.0 - s, 1.0 - t, budget).real
     phi = math.pi * s / 2.0
-    u = (r_plus + r_minus) / (4.0 * math.cos(phi))
-    v = (r_plus - r_minus) / (4.0 * math.sin(phi))
-    return complex(u, v)
+    return _finite_value(complex((r_plus + r_minus) / (4.0 * math.cos(phi)),
+                                 (r_plus - r_minus) / (4.0 * math.sin(phi))),
+                         pt.theta, "Z({:g}, x)", s)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +557,7 @@ def polylog_eval_neg(m: int, x) -> complex:
     if isinstance(x, UnitCirclePoint):
         th = x.theta
     else:
-        th = math.fmod(float(x), _TWO_PI)  # fmod is exact
+        th = math.fmod(_finite(float(x)), _TWO_PI)  # fmod is exact
     if th == 0.0:
         raise DomainError("Z(-m, x) closed form requires x != 1")
     if th < 0.0:
@@ -513,16 +570,16 @@ def polylog_eval_neg(m: int, x) -> complex:
     try:
         if m == 0:
             # x/(1-x) = -1/2 + (i/2) cot(theta/2)
-            return complex(-0.5,
-                           0.5 * math.cos(th / 2.0) / math.sin(th / 2.0))
-        if m == 1:
+            value = complex(-0.5,
+                            0.5 * math.cos(th / 2.0) / math.sin(th / 2.0))
+        elif m == 1:
             half = math.sin(th / 2.0)
-            return complex(-0.25 / (half * half), 0.0)
-        center = (m - 1) / 2.0
-        cosine = sum(c * math.cos((j - center) * th)
-                     for j, c in enumerate(_eulerian_row(m)))
-        return cosine / (-2j * math.sin(th / 2.0)) ** (m + 1)
+            value = complex(-0.25 / (half * half), 0.0)
+        else:
+            center = (m - 1) / 2.0
+            cosine = sum(c * math.cos((j - center) * th)
+                         for j, c in enumerate(_eulerian_row(m)))
+            value = cosine / (-2j * math.sin(th / 2.0)) ** (m + 1)
     except ZeroDivisionError:  # sin(theta/2)^(m+1) underflows to 0
-        raise DomainError(
-            f"Z(-{m}, x) at theta = {th:g} overflows double precision"
-        ) from None
+        value = math.inf
+    return _finite_value(value, th, "Z(-{}, x)", m)

@@ -8,12 +8,13 @@ e^{-i theta}); characters of the (n-dimensional) irreducibles give
 
 which is zeta(s) at theta = 0, the eta-twisted (1 - 2^{1-s}) zeta(s) at
 theta = pi, and a difference of unit-circle polylogarithms in between:
-P_1(s+1, theta) / sin theta, with P_1 the odd part of Z(s+1, e^{i theta}).
-Right of Re s = 0.2 (for multi_L, Re(s + r) = 1.2) the even and odd parts
-come from ``polylog._circle_part``, one zeta(s - k) table per call (DLMF
-25.12.12); left of it from the Hurwitz formula. The Haar average (s in
-{-2, -1} or s > 1) integrates P_1(s+1, theta) sin theta by a nested
-trapezoid rule with Richardson steps.
+P_1(s+1, theta) / sin theta, with P_1 the odd part of Z(s+1, e^{i theta}),
+exactly 0 at s = -2, -4, .... The eval, multi and Haar paths take the even
+and odd parts from one dispatch, ``polylog._part``: the zeta(s - k)
+expansion right of Re(s + 1) = 1.2, the Hurwitz formula for the part left
+of it. multi_L pairs its 2^r signed polylog terms into 2^{r-1} values of
+one part on both sides of that line. The Haar average (s in {-2, -1} or
+s > 1) integrates P_1(s+1, theta) sin theta by a nested trapezoid rule.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
-from .numerics import (DEFAULT_BUDGET, PrecisionBudget, gamma_two_pi,
-                       half_pi_trig, hurwitz_pair, hurwitz_zeta, riemann_zeta)
-from .polylog import (_EXPANSION_EDGE, UnitCirclePoint, _circle_part,
-                      polylog_continued)
+from .numerics import (DEFAULT_BUDGET, PrecisionBudget, hurwitz_zeta,
+                       riemann_zeta)
+from .polylog import _part
 
 _TWO_PI = 2.0 * math.pi
 
@@ -73,21 +73,15 @@ def char_ratio(n: int, g) -> float:
     return math.sin(n * g.theta) / (n * math.sin(g.theta))
 
 
-_SINE_EDGE = 0.2  # the sine form left of this line, the series right of it
-
-
 def witten_L_su2(s: complex, g,
                  budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
     """zeta^W_{SU(2)}(s, g); real for real s.
 
-    At regular theta, (Z(s+1, x) - Z(s+1, 1/x)) / (2i sin theta): right of
-    Re s = 0.2 the odd part P_1(s+1, theta) of ``_circle_part`` over
-    sin(pi - theta) (the float angle its expansion about x = -1 uses past
-    2 pi/3), left of it the Hurwitz formula as the sine form, with
-    t = theta / 2 pi,
-    Gamma(-s) (2 pi)^s sin(-pi s/2) (zeta(-s,t) - zeta(-s,1-t)) / sin theta,
-    which is exactly 0 at s = -2, -4, ...; its limit at s = 0 is
-    (pi - theta) / (2 sin theta).
+    At regular theta, (Z(s+1, x) - Z(s+1, 1/x)) / (2i sin theta): the odd
+    part P_1(s+1, theta) of ``polylog._part`` over sin(min(theta, pi -
+    theta)). Past pi/2 the float pi - theta is exact, and it is the angle
+    the expansion about x = -1 uses past 2 pi/3 (math.pi is 1.2e-16 short
+    of pi).
     """
     s = complex(s)
     g = _as_class(g)
@@ -95,19 +89,8 @@ def witten_L_su2(s: complex, g,
         return riemann_zeta(s, budget)
     if g.is_minus_identity:
         return (1.0 - 2.0 ** (1.0 - s)) * riemann_zeta(s, budget)
-    if s.real > _SINE_EDGE:
-        # past 2 pi/3 the odd part is expanded in phi = pi - theta; the
-        # same float phi gives the sine (pi - theta is exact for theta >=
-        # pi/2, and math.pi is 1.2e-16 short of pi)
-        odd = _circle_part(s + 1.0, 1, budget)(g.theta)
-        return complex(odd / math.sin(min(g.theta, math.pi - g.theta)))
-    sin_theta = math.sin(g.theta)
-    if s == 0.0:
-        return complex((math.pi - g.theta) / (2.0 * sin_theta))
-    w = -s.real if s.imag == 0.0 else -s
-    t = g.theta / _TWO_PI
-    _, diff = hurwitz_pair(w, t, 1.0 - t, budget)
-    return complex(gamma_two_pi(w) * half_pi_trig(w)[1] * diff / sin_theta)
+    odd = _part(s + 1.0, 1, budget)(g.theta)
+    return complex(odd / math.sin(min(g.theta, math.pi - g.theta)))
 
 
 def special_value_neg_even(m: int, g) -> Fraction:
@@ -139,16 +122,6 @@ def derivative_at_minus2(g, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
 # Multi-character L-functions (r = 2, 3)
 # ---------------------------------------------------------------------------
 
-def _circle_term(order: complex, theta: float,
-                 budget: PrecisionBudget) -> complex:
-    """Z(order, e^{i theta}) with the theta = 0 (mod 2 pi) case mapped to
-    riemann_zeta, per the continuation of the degenerate product."""
-    pt = UnitCirclePoint(theta)
-    if pt.is_one:
-        return riemann_zeta(order, budget)
-    return polylog_continued(order, pt, budget)
-
-
 # rounding of a signed sum of up to four angles in [0, pi]
 _ANGLE_ROUNDING = 8.0 * math.ulp(_TWO_PI)
 
@@ -159,13 +132,13 @@ def multi_L(s: complex, gs,
 
     Identity arguments drop out; each theta = pi argument contributes the
     alternating sign (-1)^{n-1}, folded into a half-turn shift of the
-    polylog argument; the remaining regular characters are expanded into
-    2^r signed polylog terms. Right of Re(s + r) = 1.2 the terms of eps and
-    -eps pair into one value of the even (r even) or odd (r odd) part of
-    ``_circle_part``, one table for all 2^{r-1} pairs; left of it each term
-    is ``polylog_continued``. A combined angle within rounding of a
-    multiple of 2 pi counts as that multiple.
-    """
+    polylog argument; the remaining r regular characters expand into 2^r
+    signed polylog terms of order s + r. The terms of eps and -eps pair
+    into one value of the even (r even) or odd (r odd) part of
+    ``polylog._part``, one closure for all 2^{r-1} pairs, over the sines of
+    ``witten_L_su2``; with no regular class it is the even part at the
+    shift. A combined angle within rounding of a multiple of 2 pi counts as
+    that multiple."""
     s = complex(s)
     gs = [_as_class(g) for g in gs]
     if not 1 <= len(gs) <= 3:
@@ -173,37 +146,23 @@ def multi_L(s: complex, gs,
     regular = [g.theta for g in gs if g.is_regular]
     n_pi = sum(1 for g in gs if g.is_minus_identity)
     r_eff = len(regular)
-    order = s + r_eff
-    shift = math.pi if n_pi % 2 else 0.0
-    sign = -1.0 if n_pi % 2 else 1.0
+    shift, sign = (math.pi, -1.0) if n_pi % 2 else (0.0, 1.0)
+    part = _part(s + r_eff, r_eff % 2, budget)
     if r_eff == 0:
-        return sign * _circle_term(order, shift, budget)
-    expansion = order.real > _EXPANSION_EDGE
-    denom = 1.0 + 0.0j
-    for th in regular:
-        # the expansion's sines as in witten_L_su2
-        denom *= 2j * math.sin(min(th, math.pi - th) if expansion else th)
+        return complex(sign * part(shift))
+    # eps and -eps give opposite angles (mod 2 pi) and signs (-1)^r apart,
+    # so each pair is 2 P_0(|t|) (r even) or 2i sgn(t) P_1(|t|) (r odd)
     acc = 0.0 + 0.0j
-    if expansion:
-        # eps and -eps give opposite angles (mod 2 pi) and signs (-1)^r
-        # apart, so each pair is 2 P_0(|t|) (r even) or 2i sgn(t) P_1(|t|)
-        # (r odd) of one _circle_part closure
-        part = _circle_part(order, r_eff % 2, budget)
-        for eps in itertools.product((1.0, -1.0), repeat=r_eff - 1):
-            t = math.remainder(shift + regular[0] + sum(
-                e * th for e, th in zip(eps, regular[1:])), _TWO_PI)
-            if abs(t) <= _ANGLE_ROUNDING:
-                t = 0.0
-            pair = 2.0 * part(abs(t))
-            if r_eff % 2:
-                pair *= 1j if t > 0.0 else -1j
-            acc += math.prod(eps) * pair
-        return sign * acc / denom
-    for eps in itertools.product((1.0, -1.0), repeat=r_eff):
-        big_theta = shift + sum(e * th for e, th in zip(eps, regular))
-        if abs(math.remainder(big_theta, _TWO_PI)) <= _ANGLE_ROUNDING:
-            big_theta = 0.0  # e.g. pi/2 - pi/3 - pi/6, which rounds to 1e-16
-        acc += math.prod(eps) * _circle_term(order, big_theta, budget)
+    for eps in itertools.product((1.0, -1.0), repeat=r_eff - 1):
+        t = math.remainder(shift + regular[0] + sum(
+            e * th for e, th in zip(eps, regular[1:])), _TWO_PI)
+        if abs(t) <= _ANGLE_ROUNDING:
+            t = 0.0  # e.g. pi/2 - pi/3 - pi/6, which rounds to 1e-16
+        pair = 2.0 * part(abs(t))
+        if r_eff % 2:
+            pair *= 1j if t > 0.0 else -1j
+        acc += math.prod(eps) * pair
+    denom = math.prod(2j * math.sin(min(th, math.pi - th)) for th in regular)
     return sign * acc / denom
 
 
@@ -242,7 +201,7 @@ def haar_average_su2(s: float,
     Domain: s in {-2, -1} or real s > 1, at any target. For s > 1 (where
     the average is 1 by character orthogonality) the integrand is
     (2/pi) sin theta Im Z(s+1, e^{i theta}), the odd part of
-    ``_circle_part`` (one zeta(s - 2j) table for all nodes), under
+    ``polylog._part`` (one zeta(s - 2j) table for all nodes), under
     the nested trapezoid rule with Richardson steps in the orders s+2,
     s+4, ... of its |theta|^{s+1} term; s = -1, where it is
     (2/pi) cos^2(theta/2), takes the same rule; at s = -2 it vanishes.
@@ -256,7 +215,7 @@ def haar_average_su2(s: float,
         def f(th):
             return (2.0 / math.pi) * math.cos(th / 2.0) ** 2
     elif s > 1.0:
-        odd = _circle_part(s + 1.0, 1, budget)
+        odd = _part(s + 1.0, 1, budget)
 
         def f(th):
             return (2.0 / math.pi) * math.sin(th) * odd(th)

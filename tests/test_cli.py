@@ -487,11 +487,31 @@ class TestMalformedInput:
         ("su2", "deriv2", "--theta", "1e-200"),
         ("polylog", "series", "--s", "1.5", "--theta", "1e-300"),
         ("polylog", "neg", "--m", "30", "--theta", "1e-300"),
+        # values that overflowed after the last kernel call, and printed
+        # inf or nan
+        ("su2", "eval", "--s=-100.5", "--theta", "0.01"),
+        ("su2", "multi", "--s=-100.5", "--theta", "0.01,0.02"),
+        ("polylog", "eval", "--s=-100.5", "--theta", "0.01"),
+        ("polylog", "jonquiere", "--s=-100.5", "--theta", "0.01"),
+        ("polylog", "neg", "--m", "30", "--theta", "1e-9"),
     ])
     def test_float_overflow_is_domain_error(self, capsys, argv):
         code, err = exit_code(capsys, *argv)
         assert code == 3 and "overflows double precision" in err
         assert _one_line(err)
+
+    @pytest.mark.parametrize("argv", [
+        ("polylog", "eval", "--s", "2", "--theta", "inf"),
+        ("polylog", "series", "--s", "2", "--theta", "inf"),
+        ("polylog", "neg", "--m", "2", "--theta", "inf"),
+        ("polylog", "jonquiere", "--s", "0.5", "--theta", "inf"),
+        ("polylog", "neg", "--m", "2", "--theta", "nan"),
+        ("polylog", "series", "--s", "2", "--theta", "nan"),
+        ("polylog", "eval", "--s", "0.5", "--theta", "nan"),
+    ])
+    def test_non_finite_angle_is_domain_error(self, capsys, argv):
+        code, err = exit_code(capsys, *argv)
+        assert code == 3 and "finite" in err and _one_line(err)
 
     @pytest.mark.parametrize("argv", [
         ("polylog", "closed", "--m", "-1"),

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittenzeta.exact import (LaurentPoly2, Polynomial, RationalFunction,
-                              bernoulli, fraction_str, rising,
-                              zeta_neg_int)
+                              bernoulli, fraction_str, zeta_neg_int)
 
 F = Fraction
 
@@ -39,14 +38,6 @@ class TestBernoulli:
         assert zeta_neg_int(3) == F(1, 120)
         assert zeta_neg_int(7) == F(1, 240)
         assert all(zeta_neg_int(k) == 0 for k in (2, 4, 6, 8))
-
-
-class TestCombinatorial:
-    def test_rising(self):
-        assert rising(F(3), 0) == 1
-        assert rising(F(3), 4) == 3 * 4 * 5 * 6
-        assert rising(F(-2), 3) == 0  # passes through zero
-        assert rising(F(1, 2), 2) == F(3, 4)
 
 
 class TestPolynomial:

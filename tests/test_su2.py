@@ -339,7 +339,11 @@ class TestExpansionRoute:
 
     @pytest.mark.parametrize("s,thetas", [
         (0.9, [2.5, 2.7]), (0.9, [0.2, 0.25]), (0.001, [1.0, 2.0]),
-        (0.05 + 0.1j, [0.3, 2.9, 1.1])])
+        (0.05 + 0.1j, [0.3, 2.9, 1.1]),
+        # left of the line: order exactly 1, order 1.05 + 0.1i, and a pair
+        # whose terms cancel
+        (-1.0, [1.0, 2.0]), (-1.95 + 0.1j, [0.3, 2.9, 1.1]),
+        (-11.212 + 5.267j, [0.3846, 0.3744])])
     def test_multi_next_to_integer_order(self, s, thetas):
         # the 2^r signed circle terms at the exact angle sums
         with mpmath.workdps(50):
@@ -353,6 +357,38 @@ class TestExpansionRoute:
                                               for t in exact))
         got = multi_L(s, thetas, PrecisionBudget(1e-13))
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("s", [-1.5, -0.3, -2.5 + 1j, -7.25])
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    def test_multi_central_classes_left_of_the_line(self, s, theta):
+        # one regular class with the identity, or with -identity: oracles
+        # that take neither the sine of 0 or pi nor the part route
+        with mpmath.workdps(50):
+            order = mpmath.mpc(s) + 1
+            th = mpmath.mpf(theta)
+            flipped = -(_mp_li(order, mpmath.pi + th)
+                        - _mp_li(order, mpmath.pi - th)) / (2j * mpmath.sin(th))
+            central = {(0.0, 0.0): mpmath.zeta(s), (PI, 0.0): mpmath.altzeta(s)}
+        cases = [([theta, 0.0], _mp_witten_hurwitz(s, theta)),
+                 ([theta, PI], complex(flipped))]
+        cases += [(list(k), complex(v)) for k, v in central.items()]
+        for thetas, want in cases:
+            got = multi_L(s, thetas, PrecisionBudget(1e-13))
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), thetas
+
+    @pytest.mark.parametrize("s,thetas", [
+        (-1.5, [1.0, 2.0]), (-1.1, [1.0, 2.0]), (-2.5, [0.3, 2.9, 1.1]),
+        (-2.1 + 0.1j, [0.3, 2.9, 1.1]), (-3.0 + 2j, [PI / 3, PI, 0.4])])
+    def test_multi_hurwitz_passes(self, monkeypatch, s, thetas):
+        # left of the line the 2^r terms pair into 2^{r-1} values of one
+        # part, each one Hurwitz pass: a hurwitz_pair, or a hurwitz_even
+        # next to w = 0; Z itself is never taken
+        calls = {"hurwitz_pair": 0, "hurwitz_even": 0, "polylog_continued": 0}
+        _count_calls(monkeypatch, calls)
+        multi_L(s, thetas, PrecisionBudget(1e-13))
+        r = sum(1 for t in thetas if 0.0 < t < PI)
+        assert calls["hurwitz_pair"] + calls["hurwitz_even"] == 2 ** (r - 1)
+        assert calls["polylog_continued"] == 0
 
     @pytest.mark.parametrize("s", [0.7, 1.5 + 2j])
     def test_multi_one_class_next_to_pi(self, s):

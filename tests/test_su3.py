@@ -8,6 +8,7 @@ import pytest
 
 from wittenzeta import su3
 from wittenzeta.errors import ConvergenceError, DomainError, PoleError
+from wittenzeta.exact import zeta_neg_int
 from wittenzeta.numerics import (DEFAULT_BUDGET, PrecisionBudget, log_gamma,
                                  riemann_zeta)
 from wittenzeta.su3 import (MBParams, bernoulli_convolution_check, mt_series,
@@ -258,6 +259,17 @@ class TestSpecialValues:
         assert special_value_su3(su3.MAX_SPECIAL_N) == 0
         with pytest.raises(DomainError):
             special_value_su3(su3.MAX_SPECIAL_N + 1)
+
+    @pytest.mark.parametrize("n", [37, 150, 200])
+    def test_zeta_product_sum_against_pochhammer(self, n):
+        # the finite sum as written, (-1)^k (-n)_k / k! zeta(k - 2n)
+        # zeta(-n - k) over k <= 2n, the rising factorial in Fractions
+        want, rising = F(0), F(1)
+        for k in range(2 * n + 1):
+            want += (-1) ** k * rising / math.factorial(k) \
+                * zeta_neg_int(2 * n - k) * zeta_neg_int(n + k)
+            rising *= -n + k
+        assert special_value_terms(n)[1] == want / 2 ** n
 
 
 class TestBernoulliConvolution:
