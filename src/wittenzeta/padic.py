@@ -117,38 +117,56 @@ class LaurentForm:
 
 @dataclass(frozen=True)
 class DimensionListForm:
-    """Finite list of (multiplicity, dimension) pairs plus a geometric
-    infinite part prefixed by 1/(1 - p^{1-s})."""
+    """Finite list of (multiplicity, dimension) pairs, each a Polynomial in
+    p, plus a geometric infinite part prefixed by 1/(1 - p^{1-s}). A value
+    is summed over the denominator common^s and reduced once."""
 
-    finite_terms: tuple  # of (RationalFunction, RationalFunction) in p
+    finite_terms: tuple  # of (Polynomial, Polynomial) in p
     infinite_terms: tuple
+    common: Polynomial  # a common multiple of the dimensions
+
+    def _sum(self, terms, s: int, p):
+        """(num, den), unreduced, with sum mult dim^{-s} = num / den and den
+        = common^s (1 for s <= 0): Fractions for numeric p, Polynomials in
+        p for symbolic p."""
+        pairs = [(mult, dim if s <= 0 else self.common.div_exact(dim))
+                 for mult, dim in terms]
+        den = self.common if s > 0 else self.common ** 0
+        if not _is_symbolic(p):
+            q = Fraction(p)
+            pairs, den = [(m(q), b(q)) for m, b in pairs], den(q)
+        return sum(m * b ** abs(s) for m, b in pairs), den ** abs(s)
 
     @staticmethod
-    def _term_sum(terms, s: int, p):
-        acc = Fraction(0) if not _is_symbolic(p) \
-            else RationalFunction(0, 1, "p")
-        for mult, dim in terms:
-            if _is_symbolic(p):
-                acc = acc + mult * dim ** (-s)
-            else:
-                pv = Fraction(p)
-                acc = acc + mult(pv) * dim(pv) ** (-s)
-        return acc
-
-    def eval_finite(self, s: int, p):
-        return self._term_sum(self.finite_terms, s, p)
-
-    def eval_infinite(self, s: int, p):
+    def _geometric(s: int, p):
+        """(num, den) of 1/(1 - p^{1-s})."""
         if s == 1:
             raise PoleError("geometric factor 1/(1 - p^{1-s}) at s = 1",
                             location=1)
-        one = Fraction(1) if not _is_symbolic(p) \
-            else RationalFunction(1, 1, "p")
-        geo = one / (one - _p_power(1 - s, p))
-        return geo * self._term_sum(self.infinite_terms, s, p)
+        q = Polynomial([0, 1], "p") if _is_symbolic(p) else Fraction(p)
+        if s <= 0:
+            return 1, 1 - q ** (1 - s)
+        return q ** (s - 1), q ** (s - 1) - 1
+
+    @staticmethod
+    def _value(num, den, p):
+        if _is_symbolic(p):
+            return RationalFunction(num, den, "p")
+        return num / den
+
+    def eval_finite(self, s: int, p):
+        return self._value(*self._sum(self.finite_terms, s, p), p)
+
+    def eval_infinite(self, s: int, p):
+        (num, den), (gn, gd) = self._sum(self.infinite_terms, s, p), \
+            self._geometric(s, p)
+        return self._value(num * gn, den * gd, p)
 
     def eval(self, m: int, s: int, p):
-        return self.eval_finite(s, p) + self.eval_infinite(s, p)
+        (fin, den), (inf, _) = self._sum(self.finite_terms, s, p), \
+            self._sum(self.infinite_terms, s, p)
+        gn, gd = self._geometric(s, p)
+        return self._value(fin * gd + inf * gn, den * gd, p)
 
 
 @dataclass(frozen=True)
@@ -160,19 +178,13 @@ class GroupFamily:
     form: object  # LaurentForm or DimensionListForm
 
 
-def _rf(num, den=1) -> RationalFunction:
-    return RationalFunction(Polynomial(num, "p"), Polynomial(den, "p")
-                            if isinstance(den, (list, tuple)) else den, "p")
-
-
 def _build_sl2zp() -> DimensionListForm:
-    one = _rf([1])
-    p = _rf([0, 1])
+    one, p = Polynomial([1], "p"), Polynomial([0, 1], "p")
     half = Fraction(1, 2)
     finite = (
         (one, one),
-        (_rf([2]), (p - 1) * half),
-        (_rf([2]), (p + 1) * half),
+        (2 * one, (p - 1) * half),
+        (2 * one, (p + 1) * half),
         ((p - 1) * half, p - 1),
         (one, p),
         ((p - 3) * half, p + 1),
@@ -182,7 +194,8 @@ def _build_sl2zp() -> DimensionListForm:
         ((p * p - 1) * half, p * p - p),
         ((p - 1) * (p - 1) * half, p * p + p),
     )
-    return DimensionListForm(finite_terms=finite, infinite_terms=infinite)
+    return DimensionListForm(finite_terms=finite, infinite_terms=infinite,
+                             common=p * p * p - p)
 
 
 def _laurent(*terms) -> LaurentPoly2:

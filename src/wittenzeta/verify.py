@@ -160,10 +160,12 @@ def suite_su2() -> list:
     _check(out, "zeta^W(-2; g,g,g) = pi/4 at theta=pi/2",
            _close(v3.real, _PI / 4, 1e-10) and abs(v3.imag) <= 1e-10,
            v3, "pi/4", "1e-10")
+    # an identity class drops out: L(-1, theta) = 1/(4 sin^2(theta/2)),
+    # the closed form rather than witten_L_su2, which shares the route
     red = abs(su2.multi_L(-1.0, [_PI / 3, 0.0])
-              - su2.witten_L_su2(-1.0, _PI / 3))
+              - 1.0 / (4.0 * math.sin(_PI / 6) ** 2))
     _check(out, "multi_L reduction at identity", red <= 1e-10,
-           f"{red:.2e}", "0", "1e-10")
+           f"{red:.2e}", "1/(4 sin^2(pi/6)) = 1", "1e-10")
     h1 = su2.haar_average_su2(-1.0)
     h2 = su2.haar_average_su2(-2.0)
     h3 = su2.haar_average_su2(3.0)

@@ -6,7 +6,8 @@ SU(2), outside the `defect` stratum, with r the number of regular classes:
 witten_L_su2 at regular theta and multi_L with r >= 1, in the domain of the
 zeta(s - k) expansion (Re s > 0.2, Re(s + r) > 1.2) and left of it, where
 the parts come from the Hurwitz formula. SU(3): mt_series on the mt rows
-and witten_su3_continued on the real rows with Re s >= 5/6 (the even line).
+and witten_su3_continued on the real rows, with Re s >= 5/6 (the even line)
+and below it (the residue line).
 Every row meets its claim but those skipped below."""
 
 import itertools
@@ -142,3 +143,15 @@ def test_su3_rows(target):
     rows = [(s, kind, ref) for s, kind, ref in SU3
             if (s.real, target) != _MT_FLOOR_MISS]
     assert _misses(_su3_value, rows, target) == []
+
+
+# the real rows left of 5/6, on the residue line of strip n = 1
+SU3_LEFT = [(complex(*r[:2]), "su3", complex(*r[2:4]))
+            for r in json.loads((ORACLE / "su3.json").read_text())
+            ["pools"]["real"] if r[0] < 5.0 / 6.0]
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_su3_rows_left_of_the_line(target):
+    assert len(SU3_LEFT) == 105
+    assert _misses(_su3_value, SU3_LEFT, target) == []

@@ -62,6 +62,24 @@ class TestValues:
             total = sl2zp_z0(s, 5) + sl2zp_zinf(s, 5)
             assert eval_at_int_s("sl2zp", 0, s, 5) == total
 
+    @pytest.mark.parametrize("s", [-4, 0, 3])
+    def test_sl2zp_reduced_once(self, s, monkeypatch):
+        # the terms are summed over one denominator, (p^3 - p)^s times the
+        # geometric factor's, and reduced once; summed term by term as
+        # RationalFunctions they took 47 gcds at s = 3
+        calls = [0]
+        gcd = Polynomial.gcd
+
+        def counted(a, b):
+            calls[0] += 1
+            return gcd(a, b)
+        monkeypatch.setattr(Polynomial, "gcd", counted)
+        value = eval_at_int_s("sl2zp", 0, s)
+        assert calls[0] == 1
+        assert value.den.leading() == 1
+        for q in (3, 5, F(7, 2)):
+            assert value(F(q)) == eval_at_int_s("sl2zp", 0, s, q)
+
     def test_sl2zp_pole_at_one(self):
         with pytest.raises(PoleError):
             sl2zp_zinf(1, 5)

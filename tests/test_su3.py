@@ -225,6 +225,39 @@ class TestContinuation:
         with pytest.raises(ConvergenceError):
             su3._trapezoid(lambda t: math.exp(-t * t) / (t * t + 1e-6), 1e-10)
 
+    @pytest.mark.parametrize("folded", [False, True])
+    def test_mapped_trapezoid_rule(self, folded):
+        # t = sinh(tau): the Gaussian and sech t, which decays only like
+        # e^{-|t|}, both to the target itself, with no 1e-9 floor
+        gauss = su3._trapezoid(lambda t: math.exp(-t * t), 1e-13, folded,
+                               True)
+        assert abs(gauss - math.sqrt(math.pi)) <= 1e-13
+        sech = su3._trapezoid(lambda t: 1.0 / math.cosh(t), 1e-13, folded,
+                              True)
+        assert abs(sech - math.pi) <= 1e-13 * math.pi
+
+    @pytest.mark.parametrize("s,want", NEAR_INTEGERS[:2])
+    def test_next_to_minus_one_at_1e13(self, s, want):
+        # the plain rule's 1e-9 stop floor left these 1.8x their claim
+        got = witten_su3_continued(s, budget=PrecisionBudget(1e-13))
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("s", [1.5, -0.4, 0.3])
+    def test_real_s_contour_work(self, s, monkeypatch):
+        # real s takes the sinh-mapped rule on both lines: 65 integrand
+        # calls here at 1e-13, where the plain rule took 209 to 225
+        calls = [0]
+        plain = su3._trapezoid
+
+        def counted(f, *args, **kwargs):
+            def g(t):
+                calls[0] += 1
+                return f(t)
+            return plain(g, *args, **kwargs)
+        monkeypatch.setattr(su3, "_trapezoid", counted)
+        witten_su3_continued(s, budget=PrecisionBudget(1e-13))
+        assert 0 < calls[0] <= 80
+
     def test_right_of_the_strip(self):
         # Re s > M + 1/2, where the residue line would have to move the
         # pole of zeta(s - z) at z = s - 1 as well; the even line moves none
