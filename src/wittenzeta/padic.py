@@ -131,7 +131,7 @@ class DimensionListForm:
         p for symbolic p."""
         pairs = [(mult, dim if s <= 0 else self.common.div_exact(dim))
                  for mult, dim in terms]
-        den = self.common if s > 0 else self.common ** 0
+        den = self.common if s > 0 else Polynomial([1], "p")
         if not _is_symbolic(p):
             q = Fraction(p)
             pairs, den = [(m(q), b(q)) for m, b in pairs], den(q)
