@@ -101,9 +101,6 @@ def _encode_value(value):
     if isinstance(value, RationalFunction):
         return {"num": _poly_coeffs(value.num), "den": _poly_coeffs(value.den),
                 "var": value.var}, True
-    if isinstance(value, Polynomial):
-        return {"num": _poly_coeffs(value), "den": ["1"],
-                "var": value.var}, True
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}, False
     if isinstance(value, (int, float)):

@@ -4,12 +4,13 @@ arbitrary-precision rationals.
 
 Rationals are ``fractions.Fraction`` throughout (always normalized, positive
 denominator), so the only code here is what the closed forms and the p-adic
-catalog actually need: univariate polynomials, reduced rational functions,
-and a sparse two-variable Laurent polynomial for identity checks.
+catalog actually need: univariate polynomials and reduced rational
+functions. The gcd that reduces them runs over the integers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -61,6 +62,29 @@ def _as_fraction_list(coeffs):
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def _primitive(coeffs) -> list:
+    """The integer list with content 1 proportional to rational coeffs."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*ints) or 1
+    return [c // g for c in ints]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """A non-zero rational multiple of a mod b, for integer lists."""
+    r, lead = list(a), b[-1]
+    while len(r) >= len(b):
+        g = math.gcd(r[-1], lead)
+        x, y, shift = lead // g, r[-1] // g, len(r) - len(b)
+        if x != 1:
+            r = [x * c for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= y * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
 
 
 class Polynomial:
@@ -164,14 +188,13 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def divmod(self, other: "Polynomial"):
         """Euclidean division; raises ZeroDivisionError on zero divisor."""
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other, self.var)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero polynomial")
         self._check_var(other)
@@ -197,28 +220,20 @@ class Polynomial:
         return q
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic gcd via the Euclidean algorithm."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a * (1 / a.leading())
-
-    # -- evaluation / composition ------------------------------------------
+        """Monic gcd, by a primitive remainder sequence over the integers:
+        the gcd Euclid gives over the rationals, without its Fractions."""
+        self._check_var(other)
+        a, b = _primitive(self.coeffs), _primitive(other.coeffs)
+        while b:
+            a, b = b, _primitive(_pseudo_remainder(a, b))
+        lead = a[-1] if a else 1
+        return Polynomial([Fraction(c, lead) for c in a], self._var_of(other))
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction input, float/complex otherwise."""
-        acc = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
+        """Horner evaluation at an int or a Fraction."""
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * x + (c if not isinstance(x, (float, complex)) else
-                             (float(c) if isinstance(x, float) else complex(c)))
-        return acc
-
-    def compose(self, other: "Polynomial") -> "Polynomial":
-        acc = Polynomial([], other.var)
-        for c in reversed(self.coeffs):
-            acc = acc * other + c
+            acc = acc * x + c
         return acc
 
     # -- misc ---------------------------------------------------------------
@@ -256,15 +271,13 @@ class RationalFunction:
 
     def __init__(self, num, den=1, var: str = "x"):
         if not isinstance(num, Polynomial):
-            num = Polynomial.constant(num, var) if isinstance(num, (int, Fraction)) \
-                else Polynomial(num, var)
+            num = Polynomial.constant(num, var)
         if not isinstance(den, Polynomial):
-            den = Polynomial.constant(den, num.var) if isinstance(den, (int, Fraction)) \
-                else Polynomial(den, num.var)
+            den = Polynomial.constant(den, num.var)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
+        if g.degree > 0:
             num = num.div_exact(g)
             den = den.div_exact(g)
         self._store(num, den)
@@ -295,24 +308,12 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant rational function")
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num.coeffs[0] / self.den.coeffs[0]
-
     @staticmethod
     def _coerce(other, var):
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other, 1, other.var)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(Polynomial.constant(other, var), 1, var)
+        if isinstance(other, (Polynomial, int, Fraction)):
+            return RationalFunction(other, 1, var)
         return None
 
     def __add__(self, other):
@@ -384,96 +385,6 @@ class RationalFunction:
         if self.den == Polynomial.constant(1, self.var):
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
-
-
-# ---------------------------------------------------------------------------
-# Sparse Laurent polynomials in two variables
-# ---------------------------------------------------------------------------
-
-class LaurentPoly2:
-    """Sparse Laurent polynomial in two variables (P, U) over Fraction.
-
-    Terms map (i, j) in Z^2 to a non-zero coefficient; used for the exact
-    two-variable factorization identities of the p-adic catalog, where P
-    stands for p and U for p^{-s}.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                clean[(int(key[0]), int(key[1]))] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentPoly2 is immutable")
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c=1):
-        return cls({(i, j): c})
-
-    @classmethod
-    def one(cls):
-        return cls.monomial(0, 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly2.monomial(0, 0, other)
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return LaurentPoly2(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly2({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly2.monomial(0, 0, other)
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly2({k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return LaurentPoly2(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms):
-            c = self.terms[(i, j)]
-            parts.append(f"{c}*P^{i}*U^{j}")
-        return " + ".join(parts)
 
 
 def fraction_str(q: Fraction) -> str:

@@ -23,18 +23,19 @@ _TWO_PI = 2.0 * math.pi
 _EM_ORDER = 8  # below this order a growing correction is not yet divergence
 
 
+MAX_TERMS = 10_000  # cap on the terms, splits and nodes of every loop
+
+
 @dataclass(frozen=True)
 class PrecisionBudget:
-    """Target relative error plus hard caps on the work spent reaching it."""
+    """Target relative error; the work spent reaching it is capped by
+    MAX_TERMS."""
 
     target: float = 1e-10
-    max_terms: int = 10_000
 
     def __post_init__(self):
         if not self.target > 0:
             raise ValueError("precision target must be positive")
-        if self.max_terms < 16:
-            raise ValueError("max_terms must be at least 16")
 
 
 DEFAULT_BUDGET = PrecisionBudget()
@@ -177,7 +178,7 @@ def _hurwitz_em(s: complex, a: float, budget: PrecisionBudget) -> complex:
         corr = _em_corrections(s, base, abs(head + tail) + 1.0, budget)
         if corr is not None:
             return head + tail + corr
-        if 2 * n_split > budget.max_terms:
+        if 2 * n_split > MAX_TERMS:
             raise ConvergenceError(
                 f"hurwitz zeta did not converge for s={s}, a={a}",
                 achieved=head + tail)
@@ -193,7 +194,7 @@ def hurwitz_pair(w: complex, a: float, b: float,
     -(N+b)^{1-w} L e^{u/2} sinh(u/2)/(u/2), L = log((N+a)/(N+b)), u = (1-w) L.
     """
     n_split, minus_w = math.ceil(abs(w)) + 8, -w
-    while n_split <= budget.max_terms:
+    while n_split <= MAX_TERMS:
         head_a = head_b = 0.0
         try:
             for n in range(n_split):
@@ -240,7 +241,7 @@ def hurwitz_even(w: complex, a: float, budget: PrecisionBudget) -> complex:
     (2N+1) w / (w-1)."""
     b = 1.0 - a
     n_split = 8
-    while n_split <= budget.max_terms:
+    while n_split <= MAX_TERMS:
         head = 0.0
         for n in range(n_split):
             head += _expm1(-w * math.log(n + a)) + _expm1(-w * math.log(n + b))

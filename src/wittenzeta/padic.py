@@ -12,12 +12,16 @@ Four families are cataloged:
 the last two p^{8m} times products of (1 -+ p^E) and short brackets, over
 (1 - p^{1-2s})(1 - p^{2-3s}). The three congruence families are each one
 LaurentForm p^{a+bm} N / D, with N and D Laurent polynomials in
-(P, U) = (p, p^{-s}) multiplied out once from those factors.
+(P, U) = (p, p^{-s}), kept as {(i, j): c} term maps with int coefficients
+and multiplied out once, at import, from those factors.
 
 Everything here is exact: integer s with numeric p gives a Fraction, with
 symbolic p a reduced RationalFunction in p (one gcd per value, after the
-substitution U = p^{-s}). The "absolute limit" p -> 1 is the ratio of the
-leading coefficients of N and D in u = log p, a RationalFunction in s.
+substitution U = p^{-s}). A value is refused with DomainError before it is
+built when it is too large: a symbolic value past degree MAX_DEGREE in p,
+a numeric one past MAX_DIGITS digits. The "absolute limit" p -> 1 is the
+ratio of the leading coefficients of N and D in u = log p, a
+RationalFunction in s.
 """
 
 from __future__ import annotations
@@ -27,34 +31,44 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstraintError, DegenerateLimitError, DomainError, PoleError
-from .exact import LaurentPoly2, Polynomial, RationalFunction
+from .exact import Polynomial, RationalFunction
 
 SYMBOLIC = "sym"
-
-
-def _p_var() -> RationalFunction:
-    return RationalFunction.variable("p")
+MAX_DEGREE = 110  # symbolic p: sl2zp at s = 27 takes 0.5 s on one Xeon core
+MAX_DIGITS = 4000  # numeric p: str() of an int stops at 4300 digits
 
 
 def _is_symbolic(p) -> bool:
     return p is None or p == SYMBOLIC
 
 
-def _p_power(e: int, p):
-    """p^e as a RationalFunction (symbolic) or Fraction (numeric)."""
+def _check_size(degree: int, p):
+    """DomainError before a value of this degree in p is built: past
+    MAX_DEGREE for symbolic p; for numeric p, past MAX_DIGITS digits, where
+    each factor p^e is below (numerator + denominator of p)^e."""
     if _is_symbolic(p):
-        return _p_var() ** e
-    return Fraction(p) ** e
+        size, limit, what = degree, MAX_DEGREE, f"degree {degree} in p"
+    else:
+        q = Fraction(p)
+        size = degree * math.log10(abs(q.numerator) + q.denominator)
+        limit, what = MAX_DIGITS, f"about {size:.0f} digits"
+    if size > limit:
+        raise DomainError(f"the value at p = {p} is too large, {what}; "
+                          f"the limit is {limit}")
 
 
-def _at_s(poly: LaurentPoly2, s: int) -> dict:
+def _collect(pairs) -> dict:
+    """{key: sum of its c} over the (key, c) pairs, the non-zero sums only."""
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _at_s(poly: dict, s: int) -> dict:
     """Substitute U = p^{-s}: term (i, j) becomes p^{i - j s}; returns the
     non-zero coefficients by exponent of p."""
-    out = {}
-    for (i, j), c in poly.terms.items():
-        e = i - j * s
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
+    return _collect((i - j * s, c) for (i, j), c in poly.items())
 
 
 def _p_poly(coeffs: dict, shift: int) -> Polynomial:
@@ -63,16 +77,16 @@ def _p_poly(coeffs: dict, shift: int) -> Polynomial:
     return Polynomial([coeffs.get(k + shift, 0) for k in range(top + 1)], "p")
 
 
-def _leading_moment(poly: LaurentPoly2):
+def _leading_moment(poly: dict):
     """(k, C_k) for the lowest k with C_k(s) = sum c_ij (i - j s)^k != 0.
 
     With p = e^u, p^{i - j s} = sum_k u^k (i - j s)^k / k!, so C_k / k! is
     the leading coefficient of the expansion at p = 1. k is below the number
     of terms unless the polynomial is zero (Vandermonde)."""
-    for k in range(len(poly.terms)):
+    for k in range(len(poly)):
         # (i - j s)^k = sum_t C(k, t) i^{k-t} (-j)^t s^t
         moment = Polynomial([math.comb(k, t) * sum(
-            c * (i ** (k - t) * (-j) ** t) for (i, j), c in poly.terms.items())
+            c * (i ** (k - t) * (-j) ** t) for (i, j), c in poly.items())
             for t in range(k + 1)], "s")
         if not moment.is_zero():
             return k, moment
@@ -86,21 +100,23 @@ class LaurentForm:
 
     a: int
     b: int
-    num: LaurentPoly2
-    den: LaurentPoly2
+    num: dict  # {(i, j): c}, the term c P^i U^j
+    den: dict
 
     def eval(self, m: int, s: int, p):
         num, den = _at_s(self.num, s), _at_s(self.den, s)
         if not den:
             raise PoleError(f"the denominator vanishes at s={s}", location=s)
         pre = self.a + self.b * m
-        if not _is_symbolic(p):
-            q = Fraction(p)
-            return q ** pre * sum(c * q ** e for e, c in num.items()) \
-                / sum(c * q ** e for e, c in den.items())
-        num = {pre + e: c for e, c in num.items()}
-        shift = min([*num, *den])
-        return RationalFunction(_p_poly(num, shift), _p_poly(den, shift), "p")
+        exponents = [*(pre + e for e in num), *den]
+        shift = min(exponents)
+        _check_size(max(exponents) - shift, p)
+        if _is_symbolic(p):
+            num = _p_poly({pre + e: c for e, c in num.items()}, shift)
+            return RationalFunction(num, _p_poly(den, shift), "p")
+        q = Fraction(p)
+        return q ** pre * sum(c * q ** e for e, c in num.items()) \
+            / sum(c * q ** e for e, c in den.items())
 
     def absolute_limit(self) -> RationalFunction:
         """Formal limit p -> 1: the ratio of the leading coefficients of N
@@ -129,6 +145,8 @@ class DimensionListForm:
         """(num, den), unreduced, with sum mult dim^{-s} = num / den and den
         = common^s (1 for s <= 0): Fractions for numeric p, Polynomials in
         p for symbolic p."""
+        # common^|s| times the geometric factor, and the multiplicities
+        _check_size(self.common.degree * abs(s) + abs(s - 1) + 2, p)
         pairs = [(mult, dim if s <= 0 else self.common.div_exact(dim))
                  for mult, dim in terms]
         den = self.common if s > 0 else Polynomial([1], "p")
@@ -156,11 +174,6 @@ class DimensionListForm:
 
     def eval_finite(self, s: int, p):
         return self._value(*self._sum(self.finite_terms, s, p), p)
-
-    def eval_infinite(self, s: int, p):
-        (num, den), (gn, gd) = self._sum(self.infinite_terms, s, p), \
-            self._geometric(s, p)
-        return self._value(num * gn, den * gd, p)
 
     def eval(self, m: int, s: int, p):
         (fin, den), (inf, _) = self._sum(self.finite_terms, s, p), \
@@ -198,13 +211,22 @@ def _build_sl2zp() -> DimensionListForm:
                              common=p * p * p - p)
 
 
-def _laurent(*terms) -> LaurentPoly2:
-    """sum c P^i U^j over the (c, i, j) triples: c p^{i - j s}."""
-    return sum((LaurentPoly2.monomial(i, j, c) for c, i, j in terms),
-               LaurentPoly2())
+def _laurent(*terms) -> dict:
+    """sum c P^i U^j over the (c, i, j) triples, that is c p^{i - j s}, as
+    the {(i, j): c} map of its non-zero coefficients."""
+    return _collect(((i, j), c) for c, i, j in terms)
 
 
-def _one_minus(i: int, j: int) -> LaurentPoly2:
+def _product(*factors) -> dict:
+    """The product of the term maps."""
+    out = {(0, 0): 1}
+    for f in factors:
+        out = _collect(((i + k, j + l), c * d) for (i, j), c in out.items()
+                       for (k, l), d in f.items())
+    return out
+
+
+def _one_minus(i: int, j: int) -> dict:
     """The factor 1 - p^{i - j s}."""
     return _laurent((1, 0, 0), (-1, i, j))
 
@@ -214,21 +236,20 @@ _SL2_CONG = LaurentForm(a=2, b=3, num=_one_minus(-2, 1),
                         den=_one_minus(1, 1))
 
 # (1 - p^{1-2s}) (1 - p^{2-3s})
-_COMMON_DEN = _one_minus(1, 2) * _one_minus(2, 3)
+_COMMON_DEN = _product(_one_minus(1, 2), _one_minus(2, 3))
 
 # p^{8m} (1 - p^{-2-s}) (1 - p^{-1-s})
 #   [1 + p^{-1-s} + p^{-2-s} + p^{-2s} + p^{-1-2s} + p^{-2-3s}] / common den
-_SL3_CONG = LaurentForm(a=0, b=8, den=_COMMON_DEN, num=math.prod((
+_SL3_CONG = LaurentForm(a=0, b=8, den=_COMMON_DEN, num=_product(
     _one_minus(-2, 1), _one_minus(-1, 1),
     _laurent((1, 0, 0), (1, -1, 1), (1, -2, 1), (1, 0, 2), (1, -1, 2),
-             (1, -2, 3))), start=LaurentPoly2.one()))
+             (1, -2, 3))))
 
 # p^{8m} (1 - p^{-2-s}) (1 - p^{-s}) (1 + p^{-1-s})
 #   [1 + p^{-s} - p^{-1-s} + p^{-2-s} + p^{-2-2s}] / common den
-_SU3_CONG = LaurentForm(a=0, b=8, den=_COMMON_DEN, num=math.prod((
+_SU3_CONG = LaurentForm(a=0, b=8, den=_COMMON_DEN, num=_product(
     _one_minus(-2, 1), _one_minus(0, 1), _laurent((1, 0, 0), (1, -1, 1)),
-    _laurent((1, 0, 0), (1, 0, 1), (-1, -1, 1), (1, -2, 1), (1, -2, 2))),
-    start=LaurentPoly2.one()))
+    _laurent((1, 0, 0), (1, 0, 1), (-1, -1, 1), (1, -2, 1), (1, -2, 2))))
 
 # u-form numerators 1 + u(p) p^{-3-2s} + u(1/p) p^{-2-3s} + p^{-5-5s},
 # with u given by exponent -> coefficient maps.
@@ -250,8 +271,6 @@ FAMILIES = {
 
 
 def _family(family) -> GroupFamily:
-    if isinstance(family, GroupFamily):
-        return family
     key = str(family).lower()
     if key not in FAMILIES:
         raise DomainError(
@@ -307,34 +326,28 @@ def absolute_limit(family, m: int = 1) -> RationalFunction:
     return fam.form.absolute_limit()
 
 
-def factorization_check(family, u=None):
+def factorization_check(family):
     """Exact identity between the u-form numerator and the cataloged
-    numerator N, as Laurent polynomials in (p, p^{-s}).
-
-    Returns (equal, difference); ``u`` overrides the exponent->coefficient
-    map of the u polynomial (mutation testing)."""
+    numerator N, as term maps in (p, p^{-s}): (equal, u-form minus N)."""
     fam = _family(family)
     if fam.key not in U_POLY:
         raise DomainError(f"no u-form numerator cataloged for {fam.identifier}")
-    umap = U_POLY[fam.key] if u is None else u
-    uform = LaurentPoly2.one() + LaurentPoly2.monomial(-5, 5)
-    for e, c in umap.items():
-        uform = uform + LaurentPoly2.monomial(e - 3, 2, c)   # u(p) p^{-3-2s}
-        uform = uform + LaurentPoly2.monomial(-e - 2, 3, c)  # u(1/p) p^{-2-3s}
-    diff = uform - fam.form.num
-    return diff.is_zero(), diff
+    umap = U_POLY[fam.key]
+    # 1 + p^{-5-5s}, u(p) p^{-3-2s}, u(1/p) p^{-2-3s}, minus N
+    diff = _laurent((1, 0, 0), (1, -5, 5),
+                    *((c, e - 3, 2) for e, c in umap.items()),
+                    *((c, -e - 2, 3) for e, c in umap.items()),
+                    *((-c, i, j) for (i, j), c in fam.form.num.items()))
+    return not diff, diff
 
 
 def q_integer(n: int, p=SYMBOLIC):
     """[n]_p = (p^n - 1)/(p - 1) = 1 + p + ... + p^{n-1}."""
     if n < 1:
         raise DomainError("q_integer requires n >= 1")
-    if _is_symbolic(p):
-        return Polynomial([1] * n, "p")
-    q = Fraction(p)
-    if q == 1:
-        return Fraction(n)
-    return (q ** n - 1) / (q - 1)
+    _check_size(n - 1, p)
+    poly = Polynomial([1] * n, "p")
+    return poly if _is_symbolic(p) else poly(Fraction(p))
 
 
 def su3_cong_minus1(p=SYMBOLIC, m: int = 1):
@@ -347,7 +360,9 @@ def su3_cong_minus1(p=SYMBOLIC, m: int = 1):
         raise DomainError("su3_cong_minus1 requires m >= 1")
     if not _is_symbolic(p) and Fraction(p) == 1:
         raise DomainError("su3_cong_minus1 requires p != 1; use the limit")
-    return -2 * _p_power(8 * m - 2, p) / q_integer(5, p)
+    _check_size(8 * m - 2, p)
+    q = RationalFunction.variable("p") if _is_symbolic(p) else Fraction(p)
+    return -2 * q ** (8 * m - 2) / q_integer(5, p)
 
 
 def su3_cong_minus1_limit() -> Fraction:
@@ -358,8 +373,3 @@ def su3_cong_minus1_limit() -> Fraction:
 def sl2zp_z0(s: int, p=SYMBOLIC):
     """Finite part Z_0 of the sl2zp dimension list at integer s."""
     return FAMILIES["sl2zp"].form.eval_finite(int(s), p)
-
-
-def sl2zp_zinf(s: int, p=SYMBOLIC):
-    """Infinite part Z_inf of the sl2zp dimension list at integer s."""
-    return FAMILIES["sl2zp"].form.eval_infinite(int(s), p)

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 from .errors import ConditioningError, ConvergenceError, DomainError
 from .exact import Polynomial, RationalFunction
-from .numerics import (DEFAULT_BUDGET, PrecisionBudget, _em_corrections,
-                       _expm1, _hurwitz_em, gamma_two_pi, half_pi_trig,
-                       hurwitz_even, hurwitz_pair, hurwitz_zeta, log_gamma,
-                       rgamma_real, riemann_zeta)
+from .numerics import (DEFAULT_BUDGET, MAX_TERMS, PrecisionBudget,
+                       _em_corrections, _expm1, _hurwitz_em, gamma_two_pi,
+                       half_pi_trig, hurwitz_even, hurwitz_pair, hurwitz_zeta,
+                       log_gamma, rgamma_real, riemann_zeta)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -115,7 +115,7 @@ def polylog_series(s: complex, x, budget: PrecisionBudget = DEFAULT_BUDGET) -> c
     most |E|^q/sin(theta/2) times the variation of a past n, which is
     |(s)_q| n^{-Re s-q} for real s (a is monotone) and at most
     |(s)_{q+1}| n^{-Re s-q}/(Re s + q) for complex s. Past
-    budget.max_terms it raises ConvergenceError.
+    MAX_TERMS terms it raises ConvergenceError.
     """
     s = complex(s)
     pt = _as_point(x)
@@ -152,7 +152,7 @@ def polylog_series(s: complex, x, budget: PrecisionBudget = DEFAULT_BUDGET) -> c
     partial = 0.0 + 0.0j
     phase = cmath.exp(1j * pt.theta)
     zn = 1.0 + 0.0j
-    for n in range(1, budget.max_terms + 1):
+    for n in range(1, MAX_TERMS + 1):
         zn *= phase
         dq = 0.0 + 0.0j
         for i, c in enumerate(coefs):
@@ -274,7 +274,7 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget):
             return add(w * trig(n * x) for n, w in enumerate(ws, 1))
         return direct
 
-    zb = PrecisionBudget(tol, budget.max_terms)
+    zb = PrecisionBudget(tol)
     rounding = _rounding(sigma.imag)
     m = 2 * round((s.real - parity) / 2.0) + parity
     eps = s - m
@@ -282,7 +282,7 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget):
     coeffs, etas = [], []  # c_k and the eta-expansion coefficients
     eta_sign = 1.0 if parity else -1.0
     ratio = None  # R_k once the functional equation takes over
-    for k in range(parity, budget.max_terms, 2):
+    for k in range(parity, MAX_TERMS, 2):
         u = sigma - k
         if pole and k == m:
             coeffs.append(0.0)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
-from .numerics import (DEFAULT_BUDGET, PrecisionBudget, hurwitz_zeta,
-                       riemann_zeta)
+from .numerics import (DEFAULT_BUDGET, MAX_TERMS, PrecisionBudget,
+                       hurwitz_zeta, riemann_zeta)
 from .polylog import _part
 
 _TWO_PI = 2.0 * math.pi
@@ -137,8 +137,8 @@ def multi_L(s: complex, gs,
     into one value of the even (r even) or odd (r odd) part of
     ``polylog._part``, one closure for all 2^{r-1} pairs, over the sines of
     ``witten_L_su2``; with no regular class it is the even part at the
-    shift. A combined angle within rounding of a multiple of 2 pi counts as
-    that multiple."""
+    shift. For r >= 2 a combined angle within rounding of a multiple of
+    2 pi counts as that multiple; a single angle is exact as given."""
     s = complex(s)
     gs = [_as_class(g) for g in gs]
     if not 1 <= len(gs) <= 3:
@@ -156,7 +156,7 @@ def multi_L(s: complex, gs,
     for eps in itertools.product((1.0, -1.0), repeat=r_eff - 1):
         t = math.remainder(shift + regular[0] + sum(
             e * th for e, th in zip(eps, regular[1:])), _TWO_PI)
-        if abs(t) <= _ANGLE_ROUNDING:
+        if r_eff >= 2 and abs(t) <= _ANGLE_ROUNDING:
             t = 0.0  # e.g. pi/2 - pi/3 - pi/6, which rounds to 1e-16
         pair = 2.0 * part(abs(t))
         if r_eff % 2:
@@ -179,7 +179,7 @@ def _periodic_trapezoid(f, order: float, budget: PrecisionBudget) -> float:
     n, h = 4, math.pi / 4
     total = 0.5 * (f(0.0) + f(math.pi)) + math.fsum(f(k * h) for k in (1, 2, 3))
     rows = [h * total]
-    while 2 * n <= budget.max_terms:
+    while 2 * n <= MAX_TERMS:
         n, h = 2 * n, 0.5 * h
         total += math.fsum(f(k * h) for k in range(1, n, 2))
         new = [h * total]

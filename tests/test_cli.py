@@ -329,6 +329,28 @@ class TestPadicCli:
         rec = json.loads(out)
         assert code == 0 and rec["value"] is True
 
+    @pytest.mark.parametrize("argv", [
+        # numeric p: these printed a traceback, past str()'s 4300 digits
+        ("eval", "--family", "sl3cong", "--m", "1000", "--s", "2", "--p", "5"),
+        ("eval", "--family", "sl2cong", "--m", "2000", "--s", "2", "--p", "7"),
+        ("eval", "--family", "sl2zp", "--s", "20000", "--p", "3"),
+        # symbolic p: these ran for seconds to minutes
+        ("eval", "--family", "sl2zp", "--s", "30"),
+        ("eval", "--family", "sl2zp", "--s=-60"),
+        ("eval", "--family", "sl3cong", "--s", "60"),
+        ("eval", "--family", "sl3cong", "--m", "20000", "--s", "2"),
+        ("zero", "--family", "su3cong", "--s", "40"),
+    ])
+    def test_too_large_is_domain_error(self, capsys, argv):
+        code, _, err = run(capsys, "padic", *argv)
+        assert code == 3 and "the limit is" in err and _one_line(err)
+
+    def test_symbolic_sl2zp_at_twenty(self, capsys):
+        # 57 s with Euclid over the rationals
+        code, out, _ = run(capsys, "padic", "eval", "--family", "sl2zp",
+                           "--s", "20", "--format", "json")
+        assert code == 0 and json.loads(out)["value"]["var"] == "p"
+
 
 class TestImport:
     def test_numpy_not_loaded(self):

@@ -25,8 +25,6 @@ class TestPrecisionBudget:
     def test_validation(self):
         with pytest.raises(ValueError):
             PrecisionBudget(target=0.0)
-        with pytest.raises(ValueError):
-            PrecisionBudget(max_terms=0)
 
 
 class TestLogGamma:

@@ -9,11 +9,11 @@ import pytest
 
 from wittenzeta.errors import (ConstraintError, DegenerateLimitError,
                                DomainError, PoleError)
-from wittenzeta.exact import LaurentPoly2, Polynomial, RationalFunction
-from wittenzeta.padic import (FAMILIES, SYMBOLIC, U_POLY, GroupFamily,
-                              LaurentForm, absolute_limit, eval_at_int_s,
-                              factorization_check, q_integer, sl2zp_z0,
-                              sl2zp_zinf, su3_cong_minus1,
+from wittenzeta.exact import Polynomial, RationalFunction
+from wittenzeta.padic import (FAMILIES, MAX_DEGREE, MAX_DIGITS, SYMBOLIC,
+                              U_POLY, LaurentForm, absolute_limit,
+                              eval_at_int_s, factorization_check, q_integer,
+                              sl2zp_z0, su3_cong_minus1,
                               su3_cong_minus1_limit, verify_zero)
 
 F = Fraction
@@ -57,10 +57,14 @@ class TestValues:
         assert sl2zp_z0(0) == P + 4
         assert sl2zp_z0(-1) == P * (P + 1)
         assert sl2zp_z0(-2) == P * (P * P - 1)
-        # numeric consistency of the full value at a concrete prime
+        # the full value is Z_0 plus the infinite part, summed here straight
+        # from its (multiplicity, dimension) list
+        p = F(5)
+        infinite = ((4 * p, (p * p - 1) / 2), ((p * p - 1) / 2, p * p - p),
+                    ((p - 1) ** 2 / 2, p * p + p))
         for s in (0, -1, -2, 2):
-            total = sl2zp_z0(s, 5) + sl2zp_zinf(s, 5)
-            assert eval_at_int_s("sl2zp", 0, s, 5) == total
+            z_inf = sum(m * d ** -s for m, d in infinite) / (1 - p ** (1 - s))
+            assert eval_at_int_s("sl2zp", 0, s, 5) == sl2zp_z0(s, 5) + z_inf
 
     @pytest.mark.parametrize("s", [-4, 0, 3])
     def test_sl2zp_reduced_once(self, s, monkeypatch):
@@ -81,8 +85,9 @@ class TestValues:
             assert value(F(q)) == eval_at_int_s("sl2zp", 0, s, q)
 
     def test_sl2zp_pole_at_one(self):
+        # the geometric factor 1/(1 - p^{1-s}) of the infinite part
         with pytest.raises(PoleError):
-            sl2zp_zinf(1, 5)
+            eval_at_int_s("sl2zp", 0, 1, 5)
 
     @pytest.mark.parametrize("p", [SYMBOLIC, 5])
     def test_sl2cong_pole_at_one(self, p):
@@ -130,13 +135,14 @@ class TestFactorization:
     @pytest.mark.parametrize("family", ["sl3cong", "su3cong"])
     def test_identity_holds(self, family):
         ok, diff = factorization_check(family)
-        assert ok and diff.is_zero()
+        assert ok and not diff
 
-    def test_mutated_u_polynomial_fails(self):
+    def test_mutated_u_polynomial_fails(self, monkeypatch):
         bad = dict(U_POLY["su3cong"])
         bad[3] = -bad[3]
-        ok, diff = factorization_check("su3cong", u=bad)
-        assert not ok and not diff.is_zero()
+        monkeypatch.setitem(U_POLY, "su3cong", bad)
+        ok, diff = factorization_check("su3cong")
+        assert not ok and diff
 
     def test_no_u_form_for_dimension_lists(self):
         with pytest.raises(DomainError):
@@ -171,15 +177,48 @@ class TestAbsoluteLimits:
 
     def test_unequal_orders_are_degenerate(self):
         # N = 1 - p^{1-s} vanishes at p = 1 to first order, D = 1 + p not
-        form = LaurentForm(a=0, b=0,
-                           num=LaurentPoly2({(0, 0): 1, (1, 1): -1}),
-                           den=LaurentPoly2({(0, 0): 1, (1, 0): 1}))
-        fam = GroupFamily("test", "TEST", frozenset(), False, form)
+        form = LaurentForm(a=0, b=0, num={(0, 0): 1, (1, 1): -1},
+                           den={(0, 0): 1, (1, 0): 1})
         with pytest.raises(DegenerateLimitError):
-            absolute_limit(fam)
+            form.absolute_limit()
 
     def test_su3_minus1_limit(self):
         assert su3_cong_minus1_limit() == F(-2, 5)
+
+
+class TestBounds:
+    # each bound at the largest admissible (m, s) and one step past it
+    @pytest.mark.parametrize("family,at,past", [
+        ("sl2zp", (0, 27), (0, 28)), ("sl2zp", (0, -26), (0, -27)),
+        ("sl2cong", (1, 106), (1, 107)), ("sl2cong", (35, 2), (36, 2)),
+        ("sl3cong", (1, -21), (1, -22)), ("su3cong", (12, 2), (13, 2)),
+    ])
+    def test_symbolic_degree(self, family, at, past):
+        assert eval_at_int_s(family, *at) is not None
+        with pytest.raises(DomainError, match=f"limit is {MAX_DEGREE}$"):
+            eval_at_int_s(family, *past)
+
+    @pytest.mark.parametrize("family,p,at,past", [
+        ("sl2zp", 3, (0, 1660), (0, 1661)),
+        ("sl2zp", 7, (0, -1106), (0, -1107)),
+        ("sl2cong", 7, (1475, 2), (1476, 2)),
+        ("sl3cong", 5, (1, 1027), (1, 1028)),
+        ("sl3cong", 5, (641, 2), (642, 2)),
+        ("su3cong", 7, (1, -885), (1, -886)),
+    ])
+    def test_numeric_digits(self, family, p, at, past):
+        value = eval_at_int_s(family, *at, p)
+        assert len(str(max(abs(value.numerator), value.denominator))) \
+            <= MAX_DIGITS
+        with pytest.raises(DomainError, match=f"limit is {MAX_DIGITS}$"):
+            eval_at_int_s(family, *past, p)
+
+    def test_su3cong_minus1(self):
+        assert su3_cong_minus1(SYMBOLIC, 14) is not None
+        with pytest.raises(DomainError, match="limit"):
+            su3_cong_minus1(SYMBOLIC, 15)
+        with pytest.raises(DomainError, match="limit"):
+            su3_cong_minus1(5, 10 ** 9)
 
 
 class TestQInteger:
@@ -193,6 +232,11 @@ class TestQInteger:
     def test_domain(self):
         with pytest.raises(DomainError):
             q_integer(0)
+        assert q_integer(MAX_DEGREE + 1).degree == MAX_DEGREE
+        with pytest.raises(DomainError, match="limit"):
+            q_integer(MAX_DEGREE + 2)
+        with pytest.raises(DomainError, match="limit"):
+            q_integer(10 ** 12, 3)
 
 
 # ---------------------------------------------------------------------------

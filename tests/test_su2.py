@@ -398,6 +398,14 @@ class TestExpansionRoute:
         want = _mp_witten_hurwitz(s, theta)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("classes", [[1e-15, 0.0], [0.0, 1e-15, 0.0]])
+    def test_multi_one_class_next_to_identity(self, classes):
+        # one regular class leaves one angle, which is not a rounded sum and
+        # is not snapped to 0: zeta^W(2, 1e-15) is about zeta(2), not 0
+        got = multi_L(2.0, classes)
+        assert got == witten_L_su2(2.0, 1e-15)
+        assert abs(got - math.pi ** 2 / 6) <= 1e-10
+
     @pytest.mark.parametrize("im", [30.0, 40.0, 50.0])
     @pytest.mark.parametrize("re", [0.25, 0.5, 1.5, 2.5])
     @pytest.mark.parametrize("theta", [0.2, 1.0, 2.0, 2.1, 2.6])
