@@ -1,9 +1,8 @@
 """Witten zeta and L-functions for SU(2), SU(3), finite groups, and
 p-adic group families."""
 
-from .errors import (ConditioningError, ConstraintError, ConvergenceError,
-                     DegenerateLimitError, DomainError, PoleError,
-                     WittenZetaError)
+from .errors import (ConstraintError, ConvergenceError, DegenerateLimitError,
+                     DomainError, PoleError, WittenZetaError)
 from .exact import Polynomial, RationalFunction, bernoulli, zeta_neg_int
 from .numerics import DEFAULT_BUDGET, PrecisionBudget, riemann_zeta
 from .padic import (FAMILIES, absolute_limit, eval_at_int_s,
@@ -22,8 +21,8 @@ from .witten_core import (BUILTIN_TABLES, CharacterTable, GaussianRational,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTIN_TABLES", "CharacterTable", "ConditioningError",
-    "ConstraintError", "ConvergenceError", "DEFAULT_BUDGET",
+    "BUILTIN_TABLES", "CharacterTable", "ConstraintError",
+    "ConvergenceError", "DEFAULT_BUDGET",
     "DegenerateLimitError", "DomainError", "FAMILIES", "GaussianRational",
     "MBParams", "PoleError", "Polynomial", "PrecisionBudget",
     "RationalFunction", "UnitCirclePoint", "WittenZetaError",

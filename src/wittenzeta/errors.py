@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: DomainError and its subclasses -> 3,
-ConvergenceError -> 4.
+The CLI maps these onto exit codes: DomainError and its subclasses
+PoleError, ConstraintError and DegenerateLimitError -> 3, ConvergenceError
+-> 4.
 """
 
 
@@ -23,10 +24,6 @@ class PoleError(DomainError):
 
 class ConstraintError(DomainError):
     """A catalog parameter constraint (e.g. excluded prime) is violated."""
-
-
-class ConditioningError(DomainError):
-    """A linear solve is too ill-conditioned to trust; caller should fall back."""
 
 
 class DegenerateLimitError(DomainError):

@@ -88,14 +88,6 @@ def log_gamma(z: complex) -> complex:
     return _stirling_log_gamma(w) - shift
 
 
-def rgamma_real(s: float) -> float:
-    """1/Gamma(s) for real s, zero at non-positive integers."""
-    if s > 0.0:
-        return math.exp(-log_gamma(s).real)
-    # 1/Gamma(s) = sin(pi s) Gamma(1-s) / pi
-    return math.sin(math.pi * s) * math.exp(log_gamma(1.0 - s).real) / math.pi
-
-
 def gamma_two_pi(w: complex) -> complex:
     """Gamma(w) (2 pi)^{-w}, the prefactor of the Hurwitz formula."""
     if w.real > 170.0:
@@ -158,12 +150,21 @@ def _em_corrections(s: complex, base: float, scale: float,
     return None
 
 
+def _check_order(s: complex) -> None:
+    """DomainError past |s| = MAX_TERMS - 8, where the first Euler-Maclaurin
+    split, |s| + 8 terms, would pass MAX_TERMS."""
+    if abs(s) > MAX_TERMS - 8:
+        raise DomainError(f"zeta({s}, a) supports |s| <= {MAX_TERMS - 8}")
+
+
 def _hurwitz_em(s: complex, a: float, budget: PrecisionBudget) -> complex:
     """Euler-Maclaurin evaluation of zeta(s, a), valid for Re s >= -40.
 
     N explicit terms, the integral term, the half term, and adaptive
     Bernoulli corrections; N is doubled if the corrections fail to decay.
+    N starts at |s| + 8, so |s| > MAX_TERMS - 8 raises DomainError.
     """
+    _check_order(s)
     n_split = max(16, math.ceil(abs(s)) + 8)
     while True:
         head = 0.0 + 0.0j
@@ -185,14 +186,17 @@ def _hurwitz_em(s: complex, a: float, budget: PrecisionBudget) -> complex:
         n_split *= 2
 
 
-def hurwitz_pair(w: complex, a: float, b: float,
+def hurwitz_pair(w: complex, t: float,
                  budget: PrecisionBudget) -> tuple[complex, complex]:
-    """zeta(w, b) and zeta(w, a) - zeta(w, b), Re w >= -40, from one
-    Euler-Maclaurin pass with a shared split N. The difference stays
-    accurate through the pole at w = 1 (where zeta(w, b) is infinite): its
-    integral term ((N+a)^{1-w} - (N+b)^{1-w}) / (w-1) is taken as
+    """zeta(w, b) and zeta(w, a) - zeta(w, b), a = t, b = 1 - t, Re w >= -40,
+    from one Euler-Maclaurin pass with a shared split N. The difference
+    stays accurate through the pole at w = 1 (where zeta(w, b) is infinite):
+    its integral term ((N+a)^{1-w} - (N+b)^{1-w}) / (w-1) is taken as
     -(N+b)^{1-w} L e^{u/2} sinh(u/2)/(u/2), L = log((N+a)/(N+b)), u = (1-w) L.
+    N starts at |w| + 8, so |w| > MAX_TERMS - 8 raises DomainError.
     """
+    a, b = t, 1.0 - t
+    _check_order(w)
     n_split, minus_w = math.ceil(abs(w)) + 8, -w
     while n_split <= MAX_TERMS:
         head_a = head_b = 0.0

@@ -1,17 +1,17 @@
 """Polylogarithm Z(s, x) = sum x^n / n^s on the unit circle x = e^{i theta}.
 
-Three evaluation routes are exposed and cross-checked by the tests:
+Two evaluation routes are exposed and cross-checked by the tests:
 
 * ``polylog_series``     -- the defining series, accelerated by repeated
                             summation by parts, stopped on a bound of its
-                            tail; the independent oracle of the others;
+                            tail; the independent oracle of the other;
 * ``polylog_continued``  -- Z(s, x) for x != 1 and every s: right of
                             Re s = 1.2 the even and odd parts of
                             ``_circle_part``, left of it the Hurwitz
-                            (Jonquiere) formula, DLMF 25.13.2, for Z itself;
-* ``polylog_via_jonquiere`` -- for real s, the functional equation relating
-                            Z(s, e^{i theta}) and Z(s, e^{-i theta}) to the
-                            Hurwitz zeta, solved as a 2x2 real system.
+                            (Jonquiere) formula, DLMF 25.13.2, for Z itself.
+
+``polylog_via_jonquiere`` is the continuation at real s, kept by name for
+the ``polylog jonquiere`` action.
 
 The SU(2) L-functions take the even or odd part of Z from ``_part``: right
 of Re s = 1.2 ``_circle_part`` (zeta(s - k) about x = 1, DLMF 25.12.12, or
@@ -30,12 +30,12 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import ConditioningError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .exact import Polynomial, RationalFunction
 from .numerics import (DEFAULT_BUDGET, MAX_TERMS, PrecisionBudget,
                        _em_corrections, _expm1, _hurwitz_em, gamma_two_pi,
-                       half_pi_trig, hurwitz_even, hurwitz_pair, hurwitz_zeta,
-                       log_gamma, rgamma_real, riemann_zeta)
+                       half_pi_trig, hurwitz_even, hurwitz_pair, log_gamma,
+                       riemann_zeta)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -406,7 +406,7 @@ def _part(sigma: complex, parity: int, budget: PrecisionBudget):
         elif not parity and abs(w) < _NEAR_ONE:
             value = pref * hurwitz_even(w, t, budget)
         else:
-            zeta_b, diff = hurwitz_pair(w, t, 1.0 - t, budget)
+            zeta_b, diff = hurwitz_pair(w, t, budget)
             value = pref * (diff if parity else diff + 2.0 * zeta_b)
         if not cmath.isfinite(value):
             _finite_value(value, theta, "P_{}({:g}, x)", parity, sigma)
@@ -454,7 +454,7 @@ def polylog_continued(s: complex, x,
     w = 1.0 - s
     t = pt.theta / _TWO_PI
     cos, sin, phase = half_pi_trig(w)
-    zeta_b, diff = hurwitz_pair(w, t, 1.0 - t, budget)
+    zeta_b, diff = hurwitz_pair(w, t, budget)
     if abs(w) < _NEAR_ONE:
         # Gamma(w) has a pole at w = 0, where the bracket vanishes: keep
         # its relative accuracy through cos (zeta(w,t) + zeta(w,1-t))
@@ -465,42 +465,11 @@ def polylog_continued(s: complex, x,
     return _finite_value(value, pt.theta, "Z({:g}, x)", s)
 
 
-# ---------------------------------------------------------------------------
-# Jonquiere functional-equation route (real s)
-# ---------------------------------------------------------------------------
-
 def polylog_via_jonquiere(s: float, x,
                           budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
-    """Z(s, x) for real s from the functional equation
-
-        e^{-pi i s/2} Z(s, e^{i t}) + e^{pi i s/2} Z(s, e^{-i t})
-            = (2 pi)^s / Gamma(s) * zeta(1 - s, t / 2 pi)
-
-    applied at t and 2 pi - t, solved with Z(s, e^{-i t}) = conj Z(s, e^{i t}).
-    At non-positive integer s, where the solve degenerates, the value is
-    polylog_continued's; positive integer s is rejected, near-integer s
-    raises ConditioningError.
-    """
-    s = float(s)
-    pt = _as_point(x)
-    if pt.is_one:
-        raise DomainError("jonquiere route requires theta != 0")
-    t = pt.theta / _TWO_PI  # in (0, 1)
-    if s == int(s):
-        if s > 0:
-            raise DomainError("jonquiere solve degenerates at positive integer s")
-        return polylog_continued(s, pt, budget)
-    if abs(math.sin(math.pi * s)) / 2.0 < 1e-4:
-        raise ConditioningError(
-            f"jonquiere system ill-conditioned near integer s = {s}")
-    rg = rgamma_real(s)
-    pref = _TWO_PI ** s * rg
-    r_plus = pref * hurwitz_zeta(1.0 - s, t, budget).real
-    r_minus = pref * hurwitz_zeta(1.0 - s, 1.0 - t, budget).real
-    phi = math.pi * s / 2.0
-    return _finite_value(complex((r_plus + r_minus) / (4.0 * math.cos(phi)),
-                                 (r_plus - r_minus) / (4.0 * math.sin(phi))),
-                         pt.theta, "Z({:g}, x)", s)
+    """Z(s, x) for real s and x = e^{i theta} != 1: ``polylog_continued``,
+    which takes Jonquiere's formula (DLMF 25.13.2) left of Re s = 1.2."""
+    return polylog_continued(float(s), x, budget)
 
 
 # ---------------------------------------------------------------------------

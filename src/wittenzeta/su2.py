@@ -61,18 +61,6 @@ def _as_class(g) -> ConjugacyClassSU2:
     return ConjugacyClassSU2(float(g))
 
 
-def char_ratio(n: int, g) -> float:
-    """chi_n(g)/n = sin(n theta)/(n sin theta); 1 at theta=0, (-1)^{n-1} at pi."""
-    if n < 1:
-        raise DomainError("char_ratio requires n >= 1")
-    g = _as_class(g)
-    if g.is_identity:
-        return 1.0
-    if g.is_minus_identity:
-        return float((-1) ** (n - 1))
-    return math.sin(n * g.theta) / (n * math.sin(g.theta))
-
-
 def witten_L_su2(s: complex, g,
                  budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
     """zeta^W_{SU(2)}(s, g); real for real s.

@@ -544,3 +544,33 @@ class TestMalformedInput:
     def test_library_range_check_reaches_the_user(self, capsys, argv):
         code, err = exit_code(capsys, *argv)
         assert code == 3 and err.startswith("domain error")
+
+
+class TestJonquiereCli:
+    def test_gamma_overflow_is_one_line(self, capsys):
+        code, err = exit_code(capsys, "polylog", "jonquiere", "--s=-180.5",
+                              "--theta", "1")
+        assert code == 3 and _one_line(err)
+
+    def test_large_order(self, capsys):
+        # Z(s, e^i) -> e^i as s grows
+        code, out, _ = run(capsys, "polylog", "jonquiere", "--s", "30.5",
+                           "--theta", "1")
+        assert code == 0 and "0.5403023056 + 0.8414709854i" in out
+
+
+class TestTermCap:
+    @pytest.mark.parametrize("argv", [
+        "su2 eval --s 2,1e300 --theta 0",
+        "polylog eval --s 2,1e300 --theta 1",
+        "polylog series --s 2,1e300 --theta 0",
+        "su2 multi --s 1,1e300 --theta 1,2",
+        "polylog eval --s=-20000 --theta 1",
+        "su2 eval --s=-20000 --theta 1",
+    ])
+    def test_order_past_the_cap_is_domain_error(self, argv):
+        # a fresh process with a timeout, so that an unbounded run fails
+        # the test instead of holding the suite
+        proc = run_python("import sys\nfrom wittenzeta import cli\n"
+                          f"sys.exit(cli.main({argv.split()!r}))", timeout=20)
+        assert proc.returncode == 3 and _one_line(proc.stderr)

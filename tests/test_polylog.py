@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 from wittenzeta import cli, polylog
-from wittenzeta.errors import ConditioningError, ConvergenceError, DomainError
+from wittenzeta.errors import ConvergenceError, DomainError
 from wittenzeta.exact import Polynomial, RationalFunction
 from wittenzeta.numerics import PrecisionBudget
 from wittenzeta.polylog import (MAX_CLOSED_M, UnitCirclePoint,
@@ -177,6 +177,21 @@ class TestSeriesTail:
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
+def _mp_polylog(s, theta):
+    """Z(s, e^{i theta}) from mpmath's polylog at 40 digits."""
+    with mpmath.workdps(40):
+        return complex(mpmath.polylog(mpmath.mpf(s),
+                                      mpmath.expj(mpmath.mpf(theta))))
+
+
+# the grid of the agreement test, then real orders at an integer, next to
+# one, and far right of Re s = 1.2
+_JONQUIERE_POINTS = [(s, theta) for s in (-0.5, 0.5, 2.5)
+                     for theta in (math.pi / 3, math.pi / 2, math.pi)] \
+    + [(s, theta) for s in (2.0, 2.0000001, 3.5, 9.5, 20.5, 30.5)
+       for theta in (0.3, 1.0, 2.5)]
+
+
 class TestJonquiere:
     @pytest.mark.parametrize("s", [-0.5, 0.5, 2.5])
     @pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 2, math.pi])
@@ -191,9 +206,18 @@ class TestJonquiere:
         want = polylog_eval_neg(m, math.pi / 3)
         assert abs(got - want) <= 1e-9
 
-    def test_near_integer_conditioning(self):
-        with pytest.raises(ConditioningError):
-            polylog_via_jonquiere(2.0000001, math.pi / 3)
+    def test_near_integer_value(self):
+        got = polylog_via_jonquiere(2.0000001, math.pi / 3,
+                                    PrecisionBudget(1e-13))
+        want = _mp_polylog(2.0000001, math.pi / 3)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("target", [1e-10, 1e-13])
+    @pytest.mark.parametrize("s,theta", _JONQUIERE_POINTS)
+    def test_meets_claim_against_mpmath(self, s, theta, target):
+        got = polylog_via_jonquiere(s, theta, PrecisionBudget(target))
+        want = _mp_polylog(s, theta)
+        assert abs(got - want) <= target * max(1.0, abs(want))
 
     def test_residual_identity(self):
         # e^{-pi i s/2} Z(s,x) + e^{pi i s/2} Z(s,1/x)

@@ -13,9 +13,9 @@ from wittenzeta import polylog, su2
 from wittenzeta.errors import ConvergenceError, DomainError
 from wittenzeta.numerics import PrecisionBudget
 from wittenzeta.polylog import _circle_part
-from wittenzeta.su2 import (ConjugacyClassSU2, char_ratio,
-                            derivative_at_minus2, haar_average_su2, multi_L,
-                            special_value_neg_even, witten_L_su2)
+from wittenzeta.su2 import (ConjugacyClassSU2, derivative_at_minus2,
+                            haar_average_su2, multi_L, special_value_neg_even,
+                            witten_L_su2)
 
 mpmath.mp.dps = 30
 
@@ -35,13 +35,6 @@ class TestConjugacyClass:
             ConjugacyClassSU2(-0.1)
         with pytest.raises(DomainError):
             ConjugacyClassSU2(PI + 0.1)
-
-    def test_char_ratio(self):
-        assert char_ratio(3, 0.0) == 1.0
-        assert char_ratio(2, PI) == -1.0
-        got = char_ratio(4, PI / 3)
-        want = math.sin(4 * PI / 3) / (4 * math.sin(PI / 3))
-        assert got == pytest.approx(want)
 
 
 class TestEval:
