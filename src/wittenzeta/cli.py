@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
-import json
 import math
 import os
 import sys
 import time
 from fractions import Fraction
 
-from . import padic, polylog, su2, su3, verify, witten_core
+from . import padic, polylog, su2, su3, witten_core
 from .errors import ConvergenceError, DomainError
 from .exact import Polynomial, RationalFunction, fraction_str
 from .numerics import PrecisionBudget, riemann_zeta
@@ -128,11 +126,14 @@ def _csv_numbers(value):
 
 
 def _print_records(records, raw_values, fmt: str, precision: int):
+    # json and csv load only for the formats that use them
     if fmt == "json":
+        import json
         print(json.dumps(records if len(records) > 1 else records[0],
                          indent=2, sort_keys=True))
         return
     if fmt == "csv":
+        import csv
         writer = csv.writer(sys.stdout)
         writer.writerow(("query", "value_re", "value_im", "error", "ms"))
         for rec, raw in zip(records, raw_values):
@@ -310,9 +311,11 @@ def _dispatch(args, budget) -> list:
 
 
 def _run_verify(args) -> int:
+    from . import verify  # the suites load only for this command
     results = verify.run(args.suite)
     if args.format == "json":
-        print(json.dumps([vars(r) for r in results], indent=2))
+        import json
+        print(json.dumps([r.as_dict() for r in results], indent=2))
     else:
         width = max(len(r.name) for r in results)
         for r in results:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -26,16 +25,16 @@ _EM_ORDER = 8  # below this order a growing correction is not yet divergence
 MAX_TERMS = 10_000  # cap on the terms, splits and nodes of every loop
 
 
-@dataclass(frozen=True)
 class PrecisionBudget:
     """Target relative error; the work spent reaching it is capped by
     MAX_TERMS."""
 
-    target: float = 1e-10
+    __slots__ = ("target",)
 
-    def __post_init__(self):
-        if not self.target > 0:
+    def __init__(self, target: float = 1e-10):
+        if not target > 0:
             raise ValueError("precision target must be positive")
+        self.target = target
 
 
 DEFAULT_BUDGET = PrecisionBudget()

@@ -18,8 +18,9 @@ and multiplied out once, at import, from those factors.
 Everything here is exact: integer s with numeric p gives a Fraction, with
 symbolic p a reduced RationalFunction in p (one gcd per value, after the
 substitution U = p^{-s}). A value is refused with DomainError before it is
-built when it is too large: a symbolic value past degree MAX_DEGREE in p,
-a numeric one past MAX_DIGITS digits. The "absolute limit" p -> 1 is the
+built when it is too large: a symbolic value past the degree in p that its
+form admits (``max_degree``, set by the cost of its gcd), a numeric one
+past MAX_DIGITS digits. The "absolute limit" p -> 1 is the
 ratio of the leading coefficients of N and D in u = log p, a
 RationalFunction in s.
 """
@@ -27,14 +28,16 @@ RationalFunction in s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstraintError, DegenerateLimitError, DomainError, PoleError
 from .exact import Polynomial, RationalFunction
 
 SYMBOLIC = "sym"
-MAX_DEGREE = 110  # symbolic p: sl2zp at s = 27 takes 0.5 s on one Xeon core
+# symbolic p: sl2zp at s = 27, degree 107, takes 0.45-0.6 s on one Xeon
+# core, in the gcd of its coprime parts; the bound of DimensionListForm and
+# of the q-integer values
+MAX_DEGREE = 110
 MAX_DIGITS = 4000  # numeric p: str() of an int stops at 4300 digits
 
 
@@ -42,12 +45,12 @@ def _is_symbolic(p) -> bool:
     return p is None or p == SYMBOLIC
 
 
-def _check_size(degree: int, p):
+def _check_size(degree: int, p, max_degree: int = MAX_DEGREE):
     """DomainError before a value of this degree in p is built: past
-    MAX_DEGREE for symbolic p; for numeric p, past MAX_DIGITS digits, where
+    max_degree for symbolic p; for numeric p, past MAX_DIGITS digits, where
     each factor p^e is below (numerator + denominator of p)^e."""
     if _is_symbolic(p):
-        size, limit, what = degree, MAX_DEGREE, f"degree {degree} in p"
+        size, limit, what = degree, max_degree, f"degree {degree} in p"
     else:
         q = Fraction(p)
         size = degree * math.log10(abs(q.numerator) + q.denominator)
@@ -93,15 +96,20 @@ def _leading_moment(poly: dict):
     raise DegenerateLimitError("the form has a zero numerator or denominator")
 
 
-@dataclass(frozen=True)
 class LaurentForm:
     """p^{a + b m} N / D, with N and D Laurent polynomials in
     (P, U) = (p, p^{-s}) multiplied out from the cataloged factors."""
 
-    a: int
-    b: int
-    num: dict  # {(i, j): c}, the term c P^i U^j
-    den: dict
+    __slots__ = ("a", "b", "num", "den")
+
+    # symbolic p: the largest values, sl3cong and su3cong at |s| = 239,
+    # take 0.28-0.39 s (the gcd of two dense polynomials), below sl2zp at
+    # MAX_DEGREE
+    max_degree = 1200
+
+    def __init__(self, a: int, b: int, num: dict, den: dict):
+        self.a, self.b = a, b
+        self.num, self.den = num, den  # {(i, j): c}, the term c P^i U^j
 
     def eval(self, m: int, s: int, p):
         num, den = _at_s(self.num, s), _at_s(self.den, s)
@@ -110,7 +118,7 @@ class LaurentForm:
         pre = self.a + self.b * m
         exponents = [*(pre + e for e in num), *den]
         shift = min(exponents)
-        _check_size(max(exponents) - shift, p)
+        _check_size(max(exponents) - shift, p, self.max_degree)
         if _is_symbolic(p):
             num = _p_poly({pre + e: c for e, c in num.items()}, shift)
             return RationalFunction(num, _p_poly(den, shift), "p")
@@ -131,22 +139,29 @@ class LaurentForm:
         return RationalFunction(cn, cd, "s")
 
 
-@dataclass(frozen=True)
 class DimensionListForm:
     """Finite list of (multiplicity, dimension) pairs, each a Polynomial in
     p, plus a geometric infinite part prefixed by 1/(1 - p^{1-s}). A value
     is summed over the denominator common^s and reduced once."""
 
-    finite_terms: tuple  # of (Polynomial, Polynomial) in p
-    infinite_terms: tuple
-    common: Polynomial  # a common multiple of the dimensions
+    __slots__ = ("finite_terms", "infinite_terms", "common")
+
+    max_degree = MAX_DEGREE
+
+    def __init__(self, finite_terms: tuple, infinite_terms: tuple,
+                 common: Polynomial):
+        # (multiplicity, dimension) Polynomials in p, and a common multiple
+        # of the dimensions
+        self.finite_terms, self.infinite_terms = finite_terms, infinite_terms
+        self.common = common
 
     def _sum(self, terms, s: int, p):
         """(num, den), unreduced, with sum mult dim^{-s} = num / den and den
         = common^s (1 for s <= 0): Fractions for numeric p, Polynomials in
         p for symbolic p."""
         # common^|s| times the geometric factor, and the multiplicities
-        _check_size(self.common.degree * abs(s) + abs(s - 1) + 2, p)
+        _check_size(self.common.degree * abs(s) + abs(s - 1) + 2, p,
+                    self.max_degree)
         pairs = [(mult, dim if s <= 0 else self.common.div_exact(dim))
                  for mult, dim in terms]
         den = self.common if s > 0 else Polynomial([1], "p")
@@ -182,13 +197,14 @@ class DimensionListForm:
         return self._value(fin * gd + inf * gn, den * gd, p)
 
 
-@dataclass(frozen=True)
 class GroupFamily:
-    key: str
-    identifier: str
-    excluded_p: frozenset
-    uses_m: bool
-    form: object  # LaurentForm or DimensionListForm
+    __slots__ = ("key", "identifier", "excluded_p", "uses_m", "form")
+
+    def __init__(self, key: str, identifier: str, excluded_p: frozenset,
+                 uses_m: bool, form):
+        self.key, self.identifier = key, identifier
+        self.excluded_p, self.uses_m = excluded_p, uses_m
+        self.form = form  # LaurentForm or DimensionListForm
 
 
 def _build_sl2zp() -> DimensionListForm:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
@@ -32,15 +31,15 @@ from .polylog import _part
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
 class ConjugacyClassSU2:
     """Class of diag(e^{i theta}, e^{-i theta}); regular iff 0 < theta < pi."""
 
-    theta: float
+    __slots__ = ("theta",)
 
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise DomainError(f"theta must lie in [0, pi], got {self.theta}")
+    def __init__(self, theta: float):
+        if not 0.0 <= theta <= math.pi:
+            raise DomainError(f"theta must lie in [0, pi], got {theta}")
+        self.theta = theta
 
     @property
     def is_identity(self) -> bool:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -105,16 +104,16 @@ def mt_series(s: complex,
 # Mellin-Barnes continuation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class MBParams:
     """Strip selector n: the residue line takes M = 2n+2 residues of
     Gamma(-z) and holds for Re s > -n - 1/4 (see the module docstring)."""
 
-    n: int = 1
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int = 1):
+        if n < 1:
             raise DomainError("MBParams.n must be >= 1")
+        self.n = n
 
     @property
     def M(self) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import padic, polylog, su2, su3, witten_core
@@ -26,14 +25,20 @@ from .numerics import DEFAULT_BUDGET, hurwitz_zeta, riemann_zeta
 _PI = math.pi
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    observed: str
-    expected: str
-    tol: str
-    note: str = ""
+    """One named check: its verdict, and what was observed and expected
+    within which tolerance, as text."""
+
+    __slots__ = ("name", "passed", "observed", "expected", "tol", "note")
+
+    def __init__(self, name: str, passed: bool, observed: str, expected: str,
+                 tol: str, note: str = ""):
+        self.name, self.passed, self.observed = name, passed, observed
+        self.expected, self.tol, self.note = expected, tol, note
+
+    def as_dict(self) -> dict:
+        """The fields by name, in declaration order."""
+        return {key: getattr(self, key) for key in self.__slots__}
 
 
 def _check(results, name, passed, observed, expected, tol, note=""):

@@ -3,15 +3,18 @@
 A ``CharacterTable`` holds the class sizes and irreducible characters of a
 finite group with Gaussian-rational character values; ``finite_witten_L``
 evaluates sum over irreps of chi(g)/deg * deg^{-s}, which at s = -2 counts
-|G| on the identity class and vanishes elsewhere. Two built-in tables (S3
-and Q8) anchor the test suite; further tables load from a line-oriented
-text format.
+|G| on the identity class and vanishes elsewhere. Tables load from a
+line-oriented text format. Two built-in tables (S3 and Q8) anchor the test
+suite; they are kept in that format and each is parsed and checked, row
+orthogonality included, on first use (``BUILTIN_TABLES[name]``), not at
+import.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import DomainError
@@ -23,12 +26,25 @@ class TableFormatError(DomainError):
     """A character-table file failed validation; message carries the line."""
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact a + b*i with rational a, b."""
+    """Exact a + b*i with rational a, b; immutable, as it is hashed."""
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction = Fraction(0)):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GaussianRational is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     @staticmethod
     def of(x) -> "GaussianRational":
@@ -94,20 +110,25 @@ def parse_gaussian(token: str) -> GaussianRational:
             f"cannot parse Gaussian rational {token!r}") from None
 
 
-@dataclass(frozen=True)
 class Irrep:
-    degree: int
-    chars: tuple  # GaussianRational per class, chars[identity] == degree
+    __slots__ = ("degree", "chars")
+
+    def __init__(self, degree: int, chars: tuple):
+        # a GaussianRational per class, chars[identity] == degree
+        self.degree, self.chars = degree, chars
 
 
-@dataclass(frozen=True)
 class CharacterTable:
-    name: str
-    order: int
-    class_sizes: tuple  # of int; class 0 is the identity class
-    irreps: tuple  # of Irrep
+    """A finite group's class sizes (class 0 the identity) and irreps,
+    checked on construction: the order, the degrees and row
+    orthogonality."""
 
-    def __post_init__(self):
+    __slots__ = ("name", "order", "class_sizes", "irreps")
+
+    def __init__(self, name: str, order: int, class_sizes: tuple,
+                 irreps: tuple):
+        self.name, self.order = name, order
+        self.class_sizes, self.irreps = class_sizes, irreps
         if sum(self.class_sizes) != self.order:
             raise TableFormatError(
                 f"{self.name}: class sizes sum to {sum(self.class_sizes)}, "
@@ -129,15 +150,21 @@ class CharacterTable:
                 raise TableFormatError(
                     f"{self.name}: character at the identity must equal the "
                     f"degree {r.degree}")
-        # row orthogonality: sum_c |c| chi_i(c) conj(chi_j(c)) = |G| [i=j]
-        for i, ri in enumerate(self.irreps):
-            for j, rj in enumerate(self.irreps):
-                acc = GaussianRational(Fraction(0))
-                for size, a, b in zip(self.class_sizes, ri.chars, rj.chars):
-                    acc = acc + size * (GaussianRational.of(a)
-                                        * GaussianRational.of(b).conjugate())
-                want = Fraction(self.order if i == j else 0)
-                if acc.re != want or acc.im != 0:
+        # row orthogonality: sum_c |c| chi_i(c) conj(chi_j(c)) = |G| [i=j],
+        # in Gaussian integers: each value times the lcm d of the
+        # denominators, so a sum is d^2 times the rational one; the sum for
+        # (j, i) is the conjugate of the one for (i, j)
+        vals = [[GaussianRational.of(x) for x in r.chars] for r in irreps]
+        d = math.lcm(*(x.denominator for row in vals for v in row
+                       for x in (v.re, v.im)))
+        rows = [[(int(v.re * d), int(v.im * d)) for v in row] for row in vals]
+        for i, ri in enumerate(rows):
+            for j in range(i, len(rows)):
+                re = im = 0
+                for size, (a, b), (c, e) in zip(class_sizes, ri, rows[j]):
+                    re += size * (a * c + b * e)
+                    im += size * (b * c - a * e)
+                if re != (order * d * d if i == j else 0) or im:
                     raise TableFormatError(
                         f"{self.name}: row orthogonality fails for irreps "
                         f"{i} and {j}")
@@ -145,31 +172,6 @@ class CharacterTable:
     @property
     def n_classes(self) -> int:
         return len(self.class_sizes)
-
-
-def _gr(*vals):
-    return tuple(GaussianRational.of(v) for v in vals)
-
-
-S3 = CharacterTable(
-    name="S3", order=6, class_sizes=(1, 3, 2),
-    irreps=(
-        Irrep(1, _gr(1, 1, 1)),
-        Irrep(1, _gr(1, -1, 1)),
-        Irrep(2, _gr(2, 0, -1)),
-    ))
-
-Q8 = CharacterTable(
-    name="Q8", order=8, class_sizes=(1, 1, 2, 2, 2),
-    irreps=(
-        Irrep(1, _gr(1, 1, 1, 1, 1)),
-        Irrep(1, _gr(1, 1, 1, -1, -1)),
-        Irrep(1, _gr(1, 1, -1, 1, -1)),
-        Irrep(1, _gr(1, 1, -1, -1, 1)),
-        Irrep(2, _gr(2, -2, 0, 0, 0)),
-    ))
-
-BUILTIN_TABLES = {"S3": S3, "Q8": Q8}
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +225,56 @@ def parse_table(text: str) -> CharacterTable:
 def load_table(path: str) -> CharacterTable:
     with open(path, encoding="utf-8") as fh:
         return parse_table(fh.read())
+
+
+# the built-in tables in the table-file format
+_BUILTIN_TEXT = {
+    "S3": """group S3 6
+             classes 1 3 2
+             irrep 1 1 1 1
+             irrep 1 1 -1 1
+             irrep 2 2 0 -1""",
+    "Q8": """group Q8 8
+             classes 1 1 2 2 2
+             irrep 1 1 1 1 1 1
+             irrep 1 1 1 1 -1 -1
+             irrep 1 1 1 -1 1 -1
+             irrep 1 1 1 -1 -1 1
+             irrep 2 2 -2 0 0 0""",
+}
+
+
+class _BuiltinTables(Mapping):
+    """Name -> CharacterTable of the built-in tables; each is parsed and
+    checked when first looked up, and kept."""
+
+    def __init__(self, texts: dict):
+        self._texts, self._built = texts, {}
+
+    def __getitem__(self, name: str) -> CharacterTable:
+        table = self._built.get(name)
+        if table is None:
+            table = self._built[name] = parse_table(self._texts[name])
+        return table
+
+    def __contains__(self, name) -> bool:
+        return name in self._texts
+
+    def __iter__(self):
+        return iter(self._texts)
+
+    def __len__(self) -> int:
+        return len(self._texts)
+
+
+BUILTIN_TABLES = _BuiltinTables(_BUILTIN_TEXT)
+
+
+def __getattr__(name: str):
+    """``witten_core.S3`` and ``witten_core.Q8``, built on first use."""
+    if name in BUILTIN_TABLES:
+        return BUILTIN_TABLES[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

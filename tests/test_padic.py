@@ -187,15 +187,18 @@ class TestAbsoluteLimits:
 
 
 class TestBounds:
-    # each bound at the largest admissible (m, s) and one step past it
+    # each bound at the largest admissible (m, s) and one step past it;
+    # the bound is the form's: MAX_DEGREE for the dimension list of sl2zp,
+    # LaurentForm.max_degree for the congruence families
     @pytest.mark.parametrize("family,at,past", [
         ("sl2zp", (0, 27), (0, 28)), ("sl2zp", (0, -26), (0, -27)),
-        ("sl2cong", (1, 106), (1, 107)), ("sl2cong", (35, 2), (36, 2)),
-        ("sl3cong", (1, -21), (1, -22)), ("su3cong", (12, 2), (13, 2)),
+        ("sl2cong", (1, 1196), (1, 1197)), ("sl2cong", (399, 2), (400, 2)),
+        ("sl3cong", (1, -239), (1, -240)), ("su3cong", (149, 2), (150, 2)),
     ])
     def test_symbolic_degree(self, family, at, past):
+        bound = FAMILIES[family].form.max_degree
         assert eval_at_int_s(family, *at) is not None
-        with pytest.raises(DomainError, match=f"limit is {MAX_DEGREE}$"):
+        with pytest.raises(DomainError, match=f"limit is {bound}$"):
             eval_at_int_s(family, *past)
 
     @pytest.mark.parametrize("family,p,at,past", [
