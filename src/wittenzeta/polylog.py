@@ -34,7 +34,7 @@ from .exact import Polynomial, RationalFunction
 from .numerics import (DEFAULT_BUDGET, MAX_TERMS, PrecisionBudget,
                        _em_corrections, _expm1, _hurwitz_em, gamma_two_pi,
                        half_pi_trig, hurwitz_even, hurwitz_pair, log_gamma,
-                       riemann_zeta)
+                       riemann_zeta, sin_half_pi)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -292,7 +292,7 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget):
         else:
             if ratio is None:
                 pref = 2.0 * exp(s * _LOG_TWO_PI) \
-                    * num(half_pi_trig(complex(sigma - parity))[1])
+                    * num(sin_half_pi(complex(sigma - parity)))
                 ratio = exp(num(log_gamma(1.0 - u)) - math.lgamma(k + 1.0)
                             - k * _LOG_TWO_PI)
             else:

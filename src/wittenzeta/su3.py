@@ -207,7 +207,7 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
     line of strip ``params.n`` below it, exactly at s = 0, -1, -2, ...
 
     The poles s = 2/3 and 1/2 - j raise PoleError. Outside -n - 1/4 < Re s
-    <= 1000, |Im s| <= 250 (the even line takes 0.06 s at s = 1000, 0.7 s
+    <= 1000, |Im s| <= 250 (the even line takes 2 ms at s = 1000, 0.5 s
     at 1 + 250i, on one Xeon core) and where a sine overflows (left of
     Re s = 3/4 from |Im s| = 111 on) DomainError is raised. Above Re s = 30
     the gamma logs, of size s log s, round to 1e-13 (1e-12 at 1000).

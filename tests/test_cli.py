@@ -618,3 +618,14 @@ class TestTermCap:
         proc = run_python("import sys\nfrom wittenzeta import cli\n"
                           f"sys.exit(cli.main({argv.split()!r}))", timeout=20)
         assert proc.returncode == 3 and _one_line(proc.stderr)
+
+    @pytest.mark.parametrize("argv", [
+        "polylog eval --s 20000 --theta 0",
+        "su2 eval --s 20000 --theta 0",
+    ])
+    def test_large_real_order_is_one(self, argv):
+        # from Re s = 16 on the first Euler-Maclaurin split follows |Im s|,
+        # not |s|, so a large real order stays under the cap
+        proc = run_python("import sys\nfrom wittenzeta import cli\n"
+                          f"sys.exit(cli.main({argv.split()!r}))", timeout=20)
+        assert proc.returncode == 0 and "= 1  [" in proc.stdout

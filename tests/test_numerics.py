@@ -1,6 +1,8 @@
 """Numeric kernels against mpmath as an independent oracle."""
 
+import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +18,19 @@ mpmath.mp.dps = 30
 
 def _mpc(z):
     return complex(z)
+
+
+def _seeded(seed, re_lo, re_hi, im_max, n=200):
+    rng = random.Random(seed)
+    return [complex(rng.uniform(re_lo, re_hi), rng.uniform(-im_max, im_max))
+            for _ in range(n)]
+
+
+# -n +- 10^-k, n = 1 .. 40, k = 3 .. 12: the sines of both reflections are
+# reduced by exact quarter turns, so the kernels keep their accuracy
+# relative to the value next to the poles of Gamma and the trivial zeros
+_NEAR_INTEGERS = [-n + sign * 10.0 ** -k for n in range(1, 41)
+                  for k in range(3, 13) for sign in (1, -1)]
 
 
 class TestPrecisionBudget:
@@ -68,6 +83,31 @@ class TestLogGamma:
         with pytest.raises(PoleError):
             log_gamma(complex(z))
 
+    def test_next_to_the_poles(self):
+        # relative to the value; 2.6e-14 at worst (-31 + 1e-11)
+        with mpmath.workdps(50):
+            for z in _NEAR_INTEGERS:
+                want = _mpc(mpmath.gamma(mpmath.mpf(z)))
+                got = cmath.exp(log_gamma(z))
+                assert abs(got - want) <= 1e-13 * abs(want), z
+
+    def test_right_half_against_loggamma(self):
+        # the log itself, not its exp, so that a branch slip of the shift
+        # (2 pi i) fails; 1.7e-15 at worst
+        with mpmath.workdps(40):
+            for z in _seeded(20261020, 0.5, 30.0, 50.0):
+                want = _mpc(mpmath.loggamma(z))
+                got = log_gamma(z)
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), z
+
+    def test_left_half_through_exp(self):
+        # the reflection; relative, 1.9e-14 at worst
+        with mpmath.workdps(40):
+            for z in _seeded(20261021, -20.0, 0.5, 20.0):
+                want = _mpc(mpmath.gamma(z))
+                got = cmath.exp(log_gamma(z))
+                assert abs(got - want) <= 1e-13 * abs(want), z
+
 
 class TestGammaRatioAtNeg:
     def test_exact_formula(self):
@@ -108,6 +148,44 @@ class TestRiemannZeta:
         assert riemann_zeta(0.0) == -0.5
         assert abs(riemann_zeta(-2.0)) <= 1e-12
         assert abs(riemann_zeta(2.0) - math.pi ** 2 / 6.0) <= 1e-12
+
+    def test_next_to_the_integers(self):
+        # relative to the value, at the trivial zeros too; 3.1e-14 at worst
+        # (-31 + 1e-11), where an unreduced sin(pi s/2) gave 3.0e-8 at
+        # -2 + 1e-9
+        budget = PrecisionBudget(1e-13)
+        with mpmath.workdps(50):
+            for s in _NEAR_INTEGERS:
+                want = _mpc(mpmath.zeta(mpmath.mpf(s)))
+                got = riemann_zeta(s, budget)
+                assert abs(got - want) <= 1e-13 * abs(want), s
+
+    def test_trivial_zeros_are_positive_zero(self):
+        # the reduced sine is exactly +-0 there; the product comes out +0
+        for n in range(2, 402, 2):
+            got = riemann_zeta(float(-n))
+            assert got == 0, n
+            assert math.copysign(1.0, got.real) == 1.0, n
+            assert math.copysign(1.0, got.imag) == 1.0, n
+
+    def test_meets_claim_against_mpmath(self):
+        # 200 seeded points, Re s in [-20, 20], |Im s| <= 40, at 1e-13;
+        # the worst is 0.39 of the claim
+        budget = PrecisionBudget(1e-13)
+        with mpmath.workdps(40):
+            for s in _seeded(20261019, -20.0, 20.0, 40.0):
+                want = _mpc(mpmath.zeta(s))
+                got = riemann_zeta(s, budget)
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), s
+
+    @pytest.mark.parametrize("s", [20000.0, 1500.0 + 3.0j, 100.5, 21.0 + 7.0j])
+    def test_large_real_part(self, s):
+        # from Re s = 16 on the first split is max(16, |Im s| + 8), not
+        # |s| + 8; 2.2e-16 at worst
+        with mpmath.workdps(40):
+            want = _mpc(mpmath.zeta(s))
+        got = riemann_zeta(complex(s), PrecisionBudget(1e-13))
+        assert abs(got - want) <= 1e-15 * abs(want)
 
     def test_gamma_overflow_is_domain_error(self):
         # Gamma(1 - s) in the functional equation overflows left of -169
