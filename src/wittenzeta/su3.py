@@ -14,27 +14,40 @@ continuation is the Mellin-Barnes identity
 
 whose first two lines are the residues at z = s-1 and z = 0 .. m-1 right
 of the line. The integrand decays like e^{-pi |Im z|}: the trapezoid rule
-converges geometrically as its step is halved (Trefethen and Weideman,
-SIAM Rev. 56, 2014). For real s it runs in tau, Im z = sinh tau, where the
-decay is double exponential (Takahasi and Mori, Publ. RIMS 9, 1974), from
-step 1/2 down to the target itself; complex s keep steps of 1 in Im z and
-a 1e-9 floor on the stop. For Re s >= 5/6 the line is z = -s/2 + iu with no
-residues: z <-> -s-z swaps the gammas and the zetas, so the integrand is
-even in u for every s, no terms cancel, and the poles are at least
+converges geometrically as its step is halved, each halving about squaring
+the error (Trefethen and Weideman, SIAM Rev. 56, 2014). It stops when two
+levels agree to the target, or, once three levels exist and their two
+differences D2 > D1 shrink, when the quadratic estimate D1^2/D2 of the last
+level's own error is within a tenth of the target; the last halving, about
+half of the nodes, is then not needed to confirm the level before it. For
+real s it runs in tau, Im z = sinh tau, where the decay is double
+exponential (Takahasi and Mori, Publ. RIMS 9, 1974), from step 1/2 down to
+the target itself; complex s keep steps of 1 in Im z and a 1e-9 floor on
+the agreement of two levels, but not on the estimate. On the residue line
+log Gamma(-z) does not depend on s and is kept for the last 4096 nodes.
+For Re s >= 5/6 the line is z = -s/2 + iu with no residues: z <-> -s-z
+swaps the gammas and the zetas, so the integrand is even in u for every
+s, no terms cancel, and the poles are at least
 min(Re s/2, 3 Re s/2 - 1) >= 1/4 away; for real s it is 2^s/Gamma(s)
 |Gamma(s/2+iu) zeta(3s/2+iu)|^2, one gamma and one zeta per node. Below
 5/6, m = 2n+2 and c halves the pole-free gap (max(m-1, 1-2 Re s), m), at
 least 1/2 wide for Re s > -n - 1/4. At s = 0, -1, -2, ... the value is the
 exact limit ``special_value_su3``: 1/3 at 0, zero below (for even n by
-``bernoulli_convolution_check``). Next to 0 the rounding of 1 + 2s in
-zeta(2s+1) costs about 1e-17/|s|, 1e-9 at |s| = 1e-9. The direct series
-``mt_series`` (square sums, each one FFT self-convolution, extrapolated in
-N) stays an independent check for Re s > 1.
+``bernoulli_convolution_check``). Next to 0 the rounding of 1 + 2s and
+2s - 1 in zeta(2s+1) and Gamma(2s-1) costs up to 4e-18/|s| (at most
+2.3e-18/|s| against mpmath at s = +-10^-k, k = 2 .. 13, and at 40 random s
+between 1e-13 and 1e-5 in size), and ConvergenceError is raised, the
+value as ``achieved``, where that exceeds the target: below |s| = 4e-5 at
+1e-13, 4e-8 at 1e-10 and 4e-12 at 1e-6. The direct series
+``mt_series`` (square sums from one table of powers, each one FFT
+self-convolution, extrapolated in N) stays an independent check for
+Re s > 1.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 from math import factorial
@@ -48,6 +61,8 @@ _POLE_TOL = 1e-6  # the genuine poles s = 2/3 and s = 1/2 - j
 _EVEN_LINE = 5.0 / 6.0  # the even line's strip is >= 1/4 wide from here on
 _MAX_RE_S, _MAX_IM_S = 1000.0, 250.0  # each call then takes under 0.7 s
 _MAX_HALVINGS = 8  # trapezoid steps 1/2 .. 1/256 in t, 1/4 .. 1/512 in tau
+_ZERO_ROUNDING = 4e-18  # next to s = 0 the error is up to this over |s|
+_ESTIMATE_SHARE = 0.1  # of the target, for the trapezoid's error estimate
 _MT_BASE = 1500  # N of mt_series' square sums at N, 2N, 4N
 _MT_MAX_RE = 512.0  # from here on 2.0 ** (2 Re s) overflows
 
@@ -56,21 +71,26 @@ _MT_MAX_RE = 512.0  # from here on 2.0 ** (2 Re s) overflows
 # Direct double series
 # ---------------------------------------------------------------------------
 
-def _square_sum(s: complex, n_max: int) -> complex:
-    """sum over 1 <= m, n <= n_max of (m n (m+n))^{-s}.
+def _powers(s: complex, count: int):
+    """n^{-s} for n = 1 .. count, as a numpy array: real for real s."""
+    import numpy as np  # lazily: the rest of the package does not need it
+    n = np.arange(1, count + 1, dtype=np.float64)
+    return n ** (-s.real) if s.imag == 0.0 else np.exp(-s * np.log(n))
+
+
+def _square_sum(pw, n_max: int) -> complex:
+    """sum over 1 <= m, n <= n_max of (m n (m+n))^{-s}, from the powers
+    pw = ``_powers(s, count)``, count >= 2 n_max.
 
     That is sum_k k^{-s} c_k, c_k = sum_{m+n=k} m^{-s} n^{-s}, and one FFT
     self-convolution of the N powers, padded to 2N, gives every c_k. It is
     the plain finite double sum, sharing nothing with the Mellin-Barnes route.
     """
-    import numpy as np  # lazily: the rest of the package does not need it
-    n = np.arange(1, 2 * n_max + 1, dtype=np.float64)
-    if s.imag == 0.0:
-        pw, fft, ifft = n ** (-s.real), np.fft.rfft, np.fft.irfft
-    else:
-        pw, fft, ifft = np.exp(-s * np.log(n)), np.fft.fft, np.fft.ifft
+    import numpy as np
+    fft, ifft = (np.fft.fft, np.fft.ifft) if np.iscomplexobj(pw) \
+        else (np.fft.rfft, np.fft.irfft)
     c = ifft(fft(pw[:n_max], 2 * n_max) ** 2, 2 * n_max)  # c[k-2] = c_k
-    return complex(np.dot(pw[1:], c[:-1]))
+    return complex(np.dot(pw[1:2 * n_max], c[:-1]))
 
 
 def mt_series(s: complex,
@@ -86,7 +106,8 @@ def mt_series(s: complex,
     if not 1.0 < s.real < _MT_MAX_RE:
         raise DomainError(f"mt_series requires 1 < Re s < {_MT_MAX_RE:g}")
     pref = 2.0 ** s if s.imag == 0.0 else cmath.exp(s * cmath.log(2.0))
-    s1, s2, s4 = (_square_sum(s, k * _MT_BASE) for k in (1, 2, 4))
+    pw = _powers(s, 8 * _MT_BASE)  # one table for all three
+    s1, s2, s4 = (_square_sum(pw, k * _MT_BASE) for k in (1, 2, 4))
     q = 4.0 ** s  # each doubling of N divides the tail by 2^{2s-1} = q/2
     r1 = s2 + (s2 - s1) / (q / 2.0 - 1.0)
     r2 = s4 + (s4 - s2) / (q / 2.0 - 1.0)
@@ -120,6 +141,14 @@ class MBParams:
         return 2 * self.n + 2
 
 
+@functools.lru_cache(maxsize=4096)
+def _log_gamma_neg(c: float, t: float) -> complex:
+    """log Gamma(-z) at z = c + it on the residue line. It does not depend
+    on s, and the nodes t repeat from call to call: the rule's are dyadic
+    steps, or sinh of them."""
+    return log_gamma(complex(-c, -t))
+
+
 def _mb_direct(s: complex, m: int, budget: PrecisionBudget) -> complex:
     """The Mellin-Barnes formula with m residues of Gamma(-z): m = 0 is the
     even line, m >= 1 the residue line (Re s < m)."""
@@ -144,7 +173,8 @@ def _mb_direct(s: complex, m: int, budget: PrecisionBudget) -> complex:
         lg, zt = log_gamma(s + z), riemann_zeta(2.0 * s + z, budget)
         if real and m == 0:  # s + z = conj(-z), 2s + z = conj(s - z)
             return math.exp((log_pref + 2.0 * lg.real).real) * abs(zt) ** 2
-        v = cmath.exp(log_pref + lg + log_gamma(-z)) * zt \
+        lg_neg = _log_gamma_neg(centre.real, t) if m else log_gamma(-z)
+        v = cmath.exp(log_pref + lg + lg_neg) * zt \
             * riemann_zeta(s - z, budget)
         return v.real if real else v  # for real s, f(-t) = conj f(t)
 
@@ -163,15 +193,20 @@ def _trapezoid(f, target: float, folded: bool = False,
 
     The nodes run out from t = 0 in steps of 1 until two in a row fall below
     target/1000; the step is then halved, each level adding only the odd
-    nodes, until two levels agree to max(target, 1e-9). For f analytic in a
-    strip about the line and decaying exponentially the error falls
-    geometrically with the step. With ``folded`` f is even about t = 0 (an
-    even f about another point would repeat its nodes at step 1/2 and stop
-    the halving early): each node t > 0 counts twice, and -t is not run.
-    With ``mapped`` the rule integrates g(tau) = f(sinh tau) cosh tau, whose
-    decay the map makes double exponential (Takahasi and Mori, Publ. RIMS
-    9, 1974): its nodes run out from tau = 0 in steps of 1/2, and the levels
-    must agree to the target itself.
+    nodes. For f analytic in a strip about the line and decaying
+    exponentially the error falls geometrically with the step, and each
+    halving about squares it. Level T_L is returned when it agrees with
+    T_{L-1} to max(target, 1e-9), or, from the second halving on, when the
+    differences shrink, D1 = |T_L - T_{L-1}| < D2 = |T_{L-1} - T_{L-2}|,
+    and the quadratic estimate of T_L's own error, D1^2/D2, is at most
+    _ESTIMATE_SHARE of the target itself (no 1e-9 floor there). With
+    ``folded`` f is even about t = 0 (an even f about another point would
+    repeat its nodes at step 1/2 and stop the halving early): each node
+    t > 0 counts twice, and -t is not run. With ``mapped`` the rule
+    integrates g(tau) = f(sinh tau) cosh tau, whose decay the map makes
+    double exponential (Takahasi and Mori, Publ. RIMS 9, 1974): its nodes
+    run out from tau = 0 in steps of 1/2, and the agreement of two levels
+    is taken to the target itself.
     """
     g = (lambda u: f(math.sinh(u)) * math.cosh(u)) if mapped else f
     h, tol = (0.5, target) if mapped else (1.0, max(target, 1e-9))
@@ -186,16 +221,29 @@ def _trapezoid(f, target: float, folded: bool = False,
             quiet = quiet + 1 if abs(v) < 1e-3 * target else 0
         ends[i] = k * h
     (hi, lo), total = ends, total * h
+    last = 0.0  # D2; 0 until two levels exist, so the estimate waits
     for _ in range(_MAX_HALVINGS):
         odd = weight * sum(g(lo + (j + 0.5) * h)
                            for j in range(round((hi - lo) / h)))
         refined = 0.5 * (total + h * odd)
-        if abs(refined - total) <= tol * (1.0 + abs(refined)):
+        diff = abs(refined - total)
+        if _settled(diff, last, tol, target, 1.0 + abs(refined)):
             return refined
-        total = refined
+        total, last = refined, diff
         h *= 0.5
     raise ConvergenceError("contour quadrature did not converge",
                            achieved=total)
+
+
+def _settled(d1: float, d2: float, tol: float, target: float,
+             scale: float) -> bool:
+    """Whether the trapezoid rule stops at level T_L, where D1 = |T_L -
+    T_{L-1}| and D2 = |T_{L-1} - T_{L-2}| (0 at the first halving, where no
+    estimate is made): the two levels agree to tol, or the differences
+    shrink and the quadratic estimate D1^2/D2 of T_L's own error is within
+    _ESTIMATE_SHARE of the target. Both relative to scale = 1 + |T_L|."""
+    return d1 <= tol * scale or (
+        d1 < d2 and d1 * d1 <= _ESTIMATE_SHARE * target * scale * d2)
 
 
 _panel_quad = _trapezoid  # the name bench/tracing.py wraps
@@ -211,6 +259,8 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
     at 1 + 250i, on one Xeon core) and where a sine overflows (left of
     Re s = 3/4 from |Im s| = 111 on) DomainError is raised. Above Re s = 30
     the gamma logs, of size s log s, round to 1e-13 (1e-12 at 1000).
+    ConvergenceError is raised next to s = 0, where the rounding bound
+    _ZERO_ROUNDING/|s| exceeds the target (see the module docstring).
     """
     s, lo = complex(s), -params.n - 0.25
     if not (lo < s.real <= _MAX_RE_S and abs(s.imag) <= _MAX_IM_S):
@@ -222,7 +272,13 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
         if abs(s - pole) < _POLE_TOL:
             raise PoleError(f"zeta^W_SU(3) pole near s = {pole}",
                             location=pole)
-    return _mb_direct(s, 0 if s.real >= _EVEN_LINE else params.M, budget)
+    value = _mb_direct(s, 0 if s.real >= _EVEN_LINE else params.M, budget)
+    if _ZERO_ROUNDING > budget.target * abs(s):
+        raise ConvergenceError(
+            f"next to s = 0 the rounding of 1 + 2s costs up to "
+            f"{_ZERO_ROUNDING / abs(s):.1e}, above the target "
+            f"{budget.target:g}", achieved=value)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ witten_L_su2 at regular theta and multi_L with r >= 1, in the domain of the
 zeta(s - k) expansion (Re s > 0.2, Re(s + r) > 1.2) and left of it, where
 the parts come from the Hurwitz formula. SU(3): mt_series on the mt rows
 and witten_su3_continued on the real rows, with Re s >= 5/6 (the even line)
-and below it (the residue line).
+and below it (the residue line), and on the complex rows.
 Every row meets its claim but those skipped below."""
 
 import itertools
@@ -155,3 +155,48 @@ SU3_LEFT = [(complex(*r[:2]), "su3", complex(*r[2:4]))
 def test_su3_rows_left_of_the_line(target):
     assert len(SU3_LEFT) == 105
     assert _misses(_su3_value, SU3_LEFT, target) == []
+
+
+# the complex rows, |Im s| <= 10, on both lines of strip n = 1
+SU3_COMPLEX = [(complex(*r[:2]), "su3", complex(*r[2:4]))
+               for k in range(5) for r in json.loads(
+                   (ORACLE / "su3.json").read_text())["pools"][f"complex{k}"]]
+# Skipped at 1e-13: the residue line's terms cancel for |Im s| of 6 to 10,
+# which its rule cannot see (ROADMAP item 4); these 18 rows miss 1e-13 by
+# 1.04x to 48x, and baseline.json lists each as a known failure
+_SU3_COMPLEX_MISSES = frozenset([
+    (-1.1166660914506126, 9.05327144438211),
+    (-1.0088861127038633, 9.036729621042095),
+    (-0.8499232578410072, 8.759016495251549),
+    (-0.7653401848871046, -8.960064025174313),
+    (-0.7306682459319265, 8.775357902448468),
+    (-0.6278692361975332, -9.04552335650941),
+    (-0.36547592254928396, 9.701970880370482),
+    (-0.3041024410532801, -8.949690702812344),
+    (-0.2960237930265305, 9.338122941187159),
+    (-0.2003273446729572, -9.01990711096163),
+    (-0.193825125888621, -8.79424378833314),
+    (-0.17338406279771945, 8.730227528648212),
+    (-0.124282340406207, 9.087933811054066),
+    (-0.060763588327361395, -9.191996280447155),
+    (0.02784016618005758, 7.775876719646624),
+    (0.281923630352062, -8.477318119677356),
+    (0.6897341711945251, 9.625688036318515),
+    (0.7005245736513614, 6.5470408799493205)])
+
+
+def test_su3_complex_skips_are_known_failures():
+    known = json.loads((ORACLE / "baseline.json").read_text())[
+        "known_failures"]["su3-line"]
+    known = {(k[1], k[2]) for k in map(json.loads, known)
+             if k[0] == "su3" and k[4] == 1e-13}
+    rows = {(s.real, s.imag) for s, _, _ in SU3_COMPLEX}
+    assert len(SU3_COMPLEX) == 160
+    assert _SU3_COMPLEX_MISSES <= known & rows
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_su3_complex_rows(target):
+    rows = [(s, kind, ref) for s, kind, ref in SU3_COMPLEX
+            if target > 1e-13 or (s.real, s.imag) not in _SU3_COMPLEX_MISSES]
+    assert _misses(_su3_value, rows, target) == []

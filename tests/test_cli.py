@@ -201,6 +201,16 @@ class TestExitCodes:
                            "--s", "0")
         assert code == 3 and "so5" in err
 
+    def test_su3_next_to_zero(self, capsys):
+        # the rounding of 1 + 2s costs up to 4e-18/|s|: within 1e-13 at
+        # s = 0.0035, the smallest of the benchmark pool; 4e-9 at 1e-9
+        code, out, _ = run(capsys, "su3", "eval", "--s", "0.0035",
+                           "--precision", "13")
+        assert code == 0 and "0.34066182110" in out
+        code, _, err = run(capsys, "su3", "eval", "--s", "1e-9",
+                           "--precision", "10")
+        assert code == 4 and "rounding" in err
+
     def test_convergence_error(self, capsys, monkeypatch):
         def boom(args, budget):
             raise ConvergenceError("did not converge", achieved=None)

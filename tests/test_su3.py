@@ -84,7 +84,18 @@ class TestSeries:
     def test_square_sum_is_the_double_sum(self, s):
         want = sum((m * n * (m + n)) ** -s
                    for m in range(1, 41) for n in range(1, 41))
-        assert abs(su3._square_sum(complex(s), 40) - want) <= 1e-14 * abs(want)
+        got = su3._square_sum(su3._powers(complex(s), 80), 40)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("s", [2.43, 1.9 + 0.7j, 3.2 - 1.3j])
+    def test_square_sums_share_one_table(self, s):
+        # mt_series slices one table of n^{-s}, n <= 8N, for N, 2N and 4N:
+        # each sum is bit for bit the one from a table of its own length
+        pw = su3._powers(complex(s), 8 * su3._MT_BASE)
+        for k in (1, 2, 4):
+            n = k * su3._MT_BASE
+            own = su3._square_sum(su3._powers(complex(s), 2 * n), n)
+            assert su3._square_sum(pw, n) == own
 
     @pytest.mark.parametrize("s", [1.05, 2.4, 30.5, 2.0 + 9.0j])
     def test_square_sum_at_the_ends_of_sigma(self, s):
@@ -94,7 +105,7 @@ class TestSeries:
                  for m in range(1, 301) for n in range(1, 301)]
         want = complex(math.fsum(v.real for v in terms),
                        math.fsum(v.imag for v in terms))
-        got = su3._square_sum(complex(s), 300)
+        got = su3._square_sum(su3._powers(complex(s), 600), 300)
         assert abs(got - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("s", [1.8140293086310137 + 1.507516358503234j,
@@ -184,9 +195,13 @@ class TestContinuation:
         monkeypatch.setattr(su3, "riemann_zeta",
                             counter("riemann_zeta", riemann_zeta))
         monkeypatch.setattr(su3, "log_gamma", counter("log_gamma", log_gamma))
+        # log Gamma(-z) is kept from call to call: empty it, so that each
+        # run counts a gamma at every one of its nodes
+        su3._log_gamma_neg.cache_clear()
         real = witten_su3_continued(s)
         real_calls = dict(calls)
         calls.update(riemann_zeta=0, log_gamma=0)
+        su3._log_gamma_neg.cache_clear()
         cplx = witten_su3_continued(s + 1e-12j)
         # Im of the complex value is 1e-12 f'(s); Re differs by O(1e-24)
         assert abs(real - cplx.real) <= 1e-12 * abs(real)
@@ -221,7 +236,8 @@ class TestContinuation:
         folded = su3._trapezoid(lambda t: math.exp(-t * t), 1e-12, folded=True)
         assert abs(folded - math.sqrt(math.pi)) <= 1e-12
         # poles at t = +-0.001i: the step would have to fall far below the
-        # last one allowed, 1/256, so the rule gives up
+        # last one allowed, 1/256, so the rule gives up; the levels never
+        # settle, and the error estimate does not accept them either
         with pytest.raises(ConvergenceError):
             su3._trapezoid(lambda t: math.exp(-t * t) / (t * t + 1e-6), 1e-10)
 
@@ -236,16 +252,85 @@ class TestContinuation:
                               True)
         assert abs(sech - math.pi) <= 1e-13 * math.pi
 
+    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("folded", [False, True])
+    @pytest.mark.parametrize("name", ["gauss", "sech"])
+    def test_error_estimate_saves_calls(self, name, folded, mapped,
+                                        monkeypatch):
+        # exp(-(t/a)^2) and sech(t/a), integrals a sqrt(pi) and a pi, at five
+        # scales and three targets. With _ESTIMATE_SHARE = 0 the estimate
+        # accepts only D1 = 0, which the agreement of two levels accepts as
+        # well: that is the rule without the estimate. With it every value
+        # meets its target, no call takes more nodes, and the grid fewer.
+        # Where the levels fall from about 1e-8 to rounding in one halving
+        # (a = 1 at 1e-13) there is nothing to save, and the plain rule's
+        # 1e-9 floor on the agreement leaves the estimate little at 1e-13.
+        def run(f, target, share):
+            calls = [0]
+
+            def g(t):
+                calls[0] += 1
+                return f(t)
+            monkeypatch.setattr(su3, "_ESTIMATE_SHARE", share)
+            return su3._trapezoid(g, target, folded, mapped), calls[0]
+        totals = [0, 0]
+        for a in (0.5, 0.7, 1.0, 2.0, 3.0):
+            if name == "gauss":
+                f, want = (lambda t: math.exp(-(t / a) ** 2)), \
+                    a * math.sqrt(math.pi)
+            else:
+                f, want = (lambda t: 1.0 / math.cosh(t / a)), a * math.pi
+            for target in (1e-6, 1e-10, 1e-13):
+                got, new = run(f, target, 0.1)
+                _, old = run(f, target, 0.0)
+                assert abs(got - want) <= target * max(1.0, want)
+                assert new <= old
+                totals[0] += new
+                totals[1] += old
+        assert totals[0] < totals[1]
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("folded", [False, True])
+    def test_error_estimate_waits(self, folded, mapped, monkeypatch):
+        # the estimate needs three levels and shrinking differences: at the
+        # first halving (D2 passed as 0) and wherever D1 >= D2 a level is
+        # accepted only when it agrees with the one before
+        seen = []
+        settled = su3._settled
+
+        def spy(d1, d2, tol, target, scale):
+            ok = settled(d1, d2, tol, target, scale)
+            seen.append((d1, d2, ok, d1 <= tol * scale))
+            return ok
+        monkeypatch.setattr(su3, "_settled", spy)
+        for f in (lambda t: math.exp(-t * t), lambda t: 1.0 / math.cosh(t),
+                  lambda t: math.exp(-t * t) / (t * t + 1e-6)):
+            for target in (1e-6, 1e-10, 1e-13):
+                seen.clear()
+                try:
+                    su3._trapezoid(f, target, folded, mapped)
+                except ConvergenceError:
+                    pass
+                assert seen[0][1] == 0.0 and seen[0][2] == seen[0][3]
+                for d1, d2, ok, agree in seen:
+                    if d1 >= d2:
+                        assert ok == agree
+        args = (1e-9, 1e-13, 1.0)  # tol, target, scale
+        # D1 = 1e-8 misses the agreement; D1^2/D2 = 1e-15 is in a tenth of
+        # the target, 1e-17 is not
+        assert su3._settled(1e-8, 0.1, *args)
+        assert not su3._settled(1e-8, 1e-3, *args)
+        for d2 in (0.0, 1e-8, 5e-9):
+            assert not su3._settled(1e-8, d2, *args)
+
     @pytest.mark.parametrize("s,want", NEAR_INTEGERS[:2])
     def test_next_to_minus_one_at_1e13(self, s, want):
         # the plain rule's 1e-9 stop floor left these 1.8x their claim
         got = witten_su3_continued(s, budget=PrecisionBudget(1e-13))
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
-    @pytest.mark.parametrize("s", [1.5, -0.4, 0.3])
-    def test_real_s_contour_work(self, s, monkeypatch):
-        # real s takes the sinh-mapped rule on both lines: 65 integrand
-        # calls here at 1e-13, where the plain rule took 209 to 225
+    @staticmethod
+    def _contour_calls(s, target, monkeypatch):
         calls = [0]
         plain = su3._trapezoid
 
@@ -255,8 +340,45 @@ class TestContinuation:
                 return f(t)
             return plain(g, *args, **kwargs)
         monkeypatch.setattr(su3, "_trapezoid", counted)
-        witten_su3_continued(s, budget=PrecisionBudget(1e-13))
-        assert 0 < calls[0] <= 80
+        witten_su3_continued(s, budget=PrecisionBudget(target))
+        return calls[0]
+
+    @pytest.mark.parametrize("s", [1.5, -0.4, 0.3, 0.755])
+    def test_real_s_contour_work(self, s, monkeypatch):
+        # real s takes the sinh-mapped rule on both lines: 65 integrand
+        # calls here at 1e-13, where the plain rule took 209 to 225; at
+        # 0.755 the agreement of two levels took 129, the error estimate
+        # stops a halving earlier
+        assert 0 < self._contour_calls(s, 1e-13, monkeypatch) <= 80
+
+    def test_complex_s_contour_work(self, monkeypatch):
+        # the plain two-sided rule: 417 calls on the agreement of two
+        # levels, 209 with the error estimate
+        assert 0 < self._contour_calls(0.69 + 9.626j, 1e-6,
+                                       monkeypatch) <= 220
+
+    # zeta^W_SU(3)(s) next to 0 from mpmath at 45 digits, as NEAR_INTEGERS
+    # (M = 6 residues on Re z = 5.5, trapezoid step 1/14)
+    NEAR_ZERO = {1e-4: 0.33354029652089021619, -1e-4: 0.33312651125786093517,
+                 1e-7: 0.33333354022601654899, 1e-11: 0.33333333335402259460,
+                 0.0035: 0.34066182110365374659,
+                 -0.0035: 0.32617772129244790527}
+
+    @pytest.mark.parametrize("target,inside,outside", [
+        (1e-13, 1e-4, 1e-5), (1e-13, -1e-4, -1e-5), (1e-10, 1e-7, 1e-8),
+        (1e-6, 1e-11, 1e-12), (1e-13, 0.0035, 3.9e-5),
+        (1e-13, -0.0035, -3.9e-5)])
+    def test_rounding_next_to_zero(self, target, inside, outside):
+        # the rounding of 1 + 2s costs up to 4e-18/|s| (2.3e-18/|s| at
+        # most, measured): the value is returned, and meets its claim, where
+        # that is within the target, and ConvergenceError carries it where
+        # it is not (1e-8 at 1e-10 was 1.9e-10 off, 1e-12 at 1e-6 1.8e-6)
+        budget = PrecisionBudget(target)
+        got = witten_su3_continued(inside, budget=budget)
+        assert abs(got - self.NEAR_ZERO[inside]) <= target
+        with pytest.raises(ConvergenceError) as err:
+            witten_su3_continued(outside, budget=budget)
+        assert abs(err.value.achieved - 1.0 / 3.0) <= 1e-4
 
     def test_right_of_the_strip(self):
         # Re s > M + 1/2, where the residue line would have to move the
