@@ -19,8 +19,9 @@ eta(s - k) about x = -1, one table per part), left of it DLMF 25.13.2.
 
 At non-positive integers Z(-m, x) = x A_m(x) / (1 - x)^{m+1}, with A_m the
 Eulerian polynomial (DLMF 26.14): ``polylog_closed_form`` returns it as an
-exact rational function of x, and ``polylog_eval_neg`` evaluates it on the
-circle from the integer row of Eulerian numbers. Both accept m <= MAX_CLOSED_M.
+exact rational function of x. ``polylog_eval_neg`` takes its value on the
+circle from the derivative polynomials of cot(theta/2) (Hoffman, Amer. Math.
+Monthly 102, 1995). Both accept m <= MAX_CLOSED_M.
 """
 
 from __future__ import annotations
@@ -476,21 +477,10 @@ def polylog_via_jonquiere(s: float, x,
 
 MAX_CLOSED_M = 30
 """Largest m that ``polylog_closed_form`` and ``polylog_eval_neg`` accept;
-larger m raise DomainError.
-
-The float evaluation sets it. Next to theta = pi the Eulerian cosine sum
-cancels; against mpmath at 80 digits, relative to max(1, |ref|):
-
-    m     theta = 3.1   theta = 3.14
-    10    2.9e-14       1.1e-13
-    14    1.6e-13       4.6e-12
-    20    1.9e-12       6.0e-11
-    30    9.3e-11       4.5e-9
-
-so at m = 30 the error next to pi is past the default 1e-10 target, and
-a larger bound would widen that defect. Without a bound the value at
-m = 171 overflows (DomainError) and from m = 172 the largest Eulerian
-number does (OverflowError)."""
+larger m raise DomainError. It is the range the tests cover: the integer
+rows of Q_m equal the Eulerian form exactly, and the float values are
+within 1e-13 of mpmath, next to theta = pi too. The float route does not
+set it: its terms are all positive, so its error grows only like m ulps."""
 
 
 def _check_m(m: int) -> None:
@@ -522,42 +512,46 @@ def polylog_closed_form(m: int) -> RationalFunction:
     return RationalFunction.coprime(num, den)
 
 
-def polylog_eval_neg(m: int, x) -> complex:
-    """Float evaluation of the exact closed form Z(-m, x) at x = e^{i theta}.
+@functools.lru_cache(maxsize=None)
+def _cot_poly(m: int) -> tuple:
+    """Integer coefficients of Q_m, ascending: Q_0 = c, Q_{m+1} = (1 + c^2)
+    Q_m', so c^k in Q_{m+1} has (k+1) a_{k+1} + (k-1) a_{k-1} from the a_j
+    of Q_m. Q_m has the parity of m + 1 and nonnegative coefficients, and
+    Q_{2k-1}(0) are the tangent numbers 1, 2, 16, 272, ...."""
+    if m == 0:
+        return (0, 1)
+    a = (0,) + _cot_poly(m - 1) + (0, 0)  # a[k] is a_{k-1}
+    return tuple((k + 1) * a[k + 2] + (k - 1) * a[k] for k in range(m + 2))
 
-    Uses the factorization Z(-m, x) = x A(x) / (1 - x)^{m+1} with A the
-    palindromic Eulerian polynomial: on the circle this collapses to a real
-    cosine sum over (-2i sin(theta/2))^{m+1}, so the value is exactly real
-    for odd m and exactly imaginary for even m >= 2, as the parity identity
-    Z(-m, x) + (-1)^m Z(-m, 1/x) = 0 demands.
+
+def polylog_eval_neg(m: int, x) -> complex:
+    """Float evaluation of Z(-m, x) at x = e^{i theta}, with c = cot(theta/2):
+
+        Z(-m, x) = -[m = 0]/2 + (i/2)^{m+1} Q_m(c),
+
+    as x/(1 - x) = -1/2 + (i/2) c and x d/dx = (i/2)(1 + c^2) d/dc (Hoffman,
+    Amer. Math. Monthly 102, 1995). On the angle reduced to (0, pi], c >= 0,
+    so Horner's rule in c^2 over the rows of ``_cot_poly`` adds only
+    positive terms and nothing cancels. The value is exactly real for odd m
+    and exactly imaginary for even m >= 2, as the parity identity
+    Z(-m, x) + (-1)^m Z(-m, 1/x) = 0 demands. An overflow raises DomainError.
     """
     _check_m(m)
-    if isinstance(x, UnitCirclePoint):
-        th = x.theta
-    else:
-        th = math.fmod(_finite(float(x)), _TWO_PI)  # fmod is exact
+    th = math.remainder(x.theta if isinstance(x, UnitCirclePoint)
+                        else _finite(float(x)), _TWO_PI)  # exact
     if th == 0.0:
         raise DomainError("Z(-m, x) closed form requires x != 1")
     if th < 0.0:
-        # Z(-m, conj x) = conj Z(-m, x); negation is exact, so reciprocal
-        # angle pairs produce bit-exact conjugates and the parity identity
-        # holds to the last ulp
+        # Z(-m, conj x) = conj Z(-m, x); negation is exact, so the parity
+        # identity holds to the last ulp
         return polylog_eval_neg(m, -th).conjugate()
-    if th > math.pi:
-        return polylog_eval_neg(m, th - _TWO_PI)
-    try:
-        if m == 0:
-            # x/(1-x) = -1/2 + (i/2) cot(theta/2)
-            value = complex(-0.5,
-                            0.5 * math.cos(th / 2.0) / math.sin(th / 2.0))
-        elif m == 1:
-            half = math.sin(th / 2.0)
-            value = complex(-0.25 / (half * half), 0.0)
-        else:
-            center = (m - 1) / 2.0
-            cosine = sum(c * math.cos((j - center) * th)
-                         for j, c in enumerate(_eulerian_row(m)))
-            value = cosine / (-2j * math.sin(th / 2.0)) ** (m + 1)
-    except ZeroDivisionError:  # sin(theta/2)^(m+1) underflows to 0
-        value = math.inf
+    half = th / 2.0  # 0 only for the least subnormal theta
+    c = 1.0 / math.tan(half) if half else math.inf
+    row = _cot_poly(m)[(m + 1) % 2::2]
+    c2, q = c * c, float(row[-1])  # from the top: no 0 * inf
+    for a in row[-2::-1]:
+        q = q * c2 + a
+    # times c for even m, and (i/2)^{m+1} = (+-1 or +-i) / 2^{m+1}
+    q = math.ldexp(q if m % 2 else q * c, -m - 1) * (-1) ** ((m + 1) // 2)
+    value = complex(q, 0.0) if m % 2 else complex(-0.5 if m == 0 else 0.0, q)
     return _finite_value(value, th, "Z(-{}, x)", m)

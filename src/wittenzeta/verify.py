@@ -209,6 +209,11 @@ def suite_su3() -> list:
                                - su3.mt_series(s)))
     _check(out, "continuation vs double series at s=2, 3, 1.5",
            worst <= 1e-6, f"max {worst:.2e}", "0", "1e-6")
+    zeta3 = 1.2020569031595942854  # Tornheim 1950; Mordell 1958
+    worst = max(abs(su3.witten_su3_continued(s).real / v - 1.0) for s, v in
+                ((1.0, 4.0 * zeta3), (2.0, 4.0 * _PI ** 6 / 2835.0)))
+    _check(out, "zeta^W_SU(3)(1) = 4 zeta(3), zeta^W_SU(3)(2) = 4 pi^6/2835",
+           worst <= 1e-10, f"max relative {worst:.2e}", "0", "1e-10")
     worst = 0.0  # strip n = 2's residue line, a contour n = 1 does not use
     for s in (1.5, -0.4):
         b = su3._mb_direct(complex(s), su3.MBParams(n=2).M, DEFAULT_BUDGET)

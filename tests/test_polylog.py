@@ -291,9 +291,26 @@ def _series_numerator(m):
     return out
 
 
+def _gaussian_horner(coeffs, x):
+    """The polynomial with rational coefficients (ascending) at the Gaussian
+    rational x = (re, im), as (re, im)."""
+    re, im = F(0), F(0)
+    for a in reversed(coeffs):
+        re, im = re * x[0] - im * x[1] + a, re * x[1] + im * x[0]
+    return re, im
+
+
+def _gaussian_div(u, v):
+    norm = v[0] * v[0] + v[1] * v[1]
+    return ((u[0] * v[0] + u[1] * v[1]) / norm,
+            (u[1] * v[0] - u[0] * v[1]) / norm)
+
+
 class TestClosedFormOracle:
     """Closed forms against the power-sum series, without the Eulerian
-    recurrence, and the float evaluation against mpmath at large m."""
+    recurrence; the cot(theta/2) rows against the Eulerian closed form in
+    Gaussian rationals; and the float evaluation against mpmath at large
+    m."""
 
     @pytest.mark.parametrize("m", range(MAX_CLOSED_M + 1))
     def test_against_power_sums(self, m):
@@ -312,12 +329,30 @@ class TestClosedFormOracle:
         assert (reduced.num.coeffs, reduced.den.coeffs) \
             == (rf.num.coeffs, rf.den.coeffs)
 
-    @pytest.mark.parametrize("m", [20, 30])
-    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("m", [10, 14, 20, 30])
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5, 3.1, 3.14,
+                                       math.pi - 1e-6, math.pi - 1e-9, 1e-3,
+                                       -3.14, 2.0 * math.pi - 3.1])
     def test_eval_neg_large_m_matches_mpmath(self, m, theta):
         got = polylog_eval_neg(m, theta)
-        want = _oracle(-m, theta)
-        assert abs(got - want) <= 1e-13 * abs(want)
+        with mpmath.workdps(80):
+            want = _oracle(-m, theta)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("m", range(MAX_CLOSED_M + 1))
+    def test_cot_rows_against_eulerian_form(self, m):
+        # x = (c + i)/(c - i) is e^{i theta} for c = cot(theta/2): the
+        # Eulerian closed form there equals -[m = 0]/2 + (i/2)^{m+1} Q_m(c)
+        rf = polylog_closed_form(m)
+        poly = polylog._cot_poly(m)
+        i_power = [(1, 0), (0, 1), (-1, 0), (0, -1)][(m + 1) % 4]
+        for c in (F(0), F(1, 3), F(7, 2), F(-5, 4)):
+            x = (F(c * c - 1, c * c + 1), F(2 * c, c * c + 1))
+            got = _gaussian_div(_gaussian_horner(rf.num.coeffs, x),
+                                _gaussian_horner(rf.den.coeffs, x))
+            q = sum(a * c ** k for k, a in enumerate(poly)) / 2 ** (m + 1)
+            want = (i_power[0] * q - F(int(m == 0), 2), i_power[1] * q)
+            assert got == want
 
     def test_maximum_m(self):
         assert polylog_eval_neg(MAX_CLOSED_M, 1.0) != 0

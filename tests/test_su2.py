@@ -126,6 +126,18 @@ class TestSpecialValues:
             half = math.sin(theta / 2.0)
             assert float(want) == pytest.approx(1.0 / (4.0 * half * half))
 
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])
+    @pytest.mark.parametrize("theta", [1e-3, 0.01, 0.3, 1.0, 2.0, 2.5, 3.0,
+                                       PI - 1e-2])
+    def test_odd_negative_closed_form(self, k, theta):
+        # (Z(1-k, x) - Z(1-k, 1/x)) / (2i sin theta), where for odd k the
+        # imaginary part of Z(1-k, x) is (i/2)^k Q_{k-1}(c), c = cot(theta/2)
+        c = 1.0 / math.tan(theta / 2.0)
+        q = sum(a * c ** j for j, a in enumerate(polylog._cot_poly(k - 1)))
+        want = (0.5j) ** k * q / (1j * math.sin(min(theta, PI - theta)))
+        got = witten_L_su2(-k, theta, PrecisionBudget(1e-13))
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("theta", [0.0, PI / 5, PI / 2, PI])
     def test_even_negative_zeros(self, m, theta):
