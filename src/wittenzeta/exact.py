@@ -213,12 +213,6 @@ class Polynomial:
                 rem.pop()
         return Polynomial(quot, var), Polynomial(rem, var)
 
-    def div_exact(self, other: "Polynomial") -> "Polynomial":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("div_exact: non-zero remainder")
-        return q
-
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Monic gcd, by a primitive remainder sequence over the integers:
         the gcd Euclid gives over the rationals, without its Fractions."""
@@ -278,8 +272,8 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         g = num.gcd(den)
         if g.degree > 0:
-            num = num.div_exact(g)
-            den = den.div_exact(g)
+            num = num.divmod(g)[0]
+            den = den.divmod(g)[0]
         self._store(num, den)
 
     def _store(self, num: Polynomial, den: Polynomial) -> None:

@@ -1,32 +1,30 @@
-"""Exact symbolic Witten zeta functions for p-adic group families.
+"""Exact symbolic Witten zeta functions for p-adic group families:
 
-Four families are cataloged:
-
-* ``sl2zp``   -- SL_2(Z_p), p odd, as a dimension list (finite part Z_0 plus
-                 a geometric infinite part Z_inf with prefactor 1/(1-p^{1-s}));
-* ``sl2cong`` -- the level-p^m congruence subgroup of SL_2(Z_p), p odd:
-                 p^{3m+2} (1 - p^{-2-s}) / (1 - p^{1-s});
+* ``sl2zp``   -- SL_2(Z_p), p odd, from its dimension list: a finite part
+                 plus a geometric part with prefactor 1/(1-p^{1-s});
+* ``sl2cong`` -- the level-p^m congruence subgroup of SL_2(Z_p), p odd;
 * ``sl3cong`` -- congruence subgroups of SL_3(Z_p), p != 3;
-* ``su3cong`` -- congruence subgroups of SU_3 over Z_p, p != 3;
+* ``su3cong`` -- congruence subgroups of SU_3 over Z_p, p != 3.
 
-the last two p^{8m} times products of (1 -+ p^E) and short brackets, over
-(1 - p^{1-2s})(1 - p^{2-3s}). The three congruence families are each one
-LaurentForm p^{a+bm} N / D, with N and D Laurent polynomials in
-(P, U) = (p, p^{-s}), kept as {(i, j): c} term maps with int coefficients
-and multiplied out once, at import, from those factors.
+Each is one LaurentForm p^{a+bm} N / D. N is a term map, the sum of
+c p^i d^{-s} over dimensions d = 2^{-h} p^j (p-1)^k (p+1)^l (only sl2zp
+has dimensions other than powers of p), multiplied out at import from the
+cataloged factors. D is kept as its factors 1 - p^{i-js}.
 
 Everything here is exact: integer s with numeric p gives a Fraction, with
-symbolic p a reduced RationalFunction in p (one gcd per value, after the
-substitution U = p^{-s}). A value is refused with DomainError before it is
-built when it is too large: a symbolic value past the degree in p that its
-form admits (``max_degree``, set by the cost of its gcd), a numeric one
-past MAX_DIGITS digits. The "absolute limit" p -> 1 is the
-ratio of the leading coefficients of N and D in u = log p, a
-RationalFunction in s.
+symbolic p a reduced RationalFunction in p. N and D are expanded over the
+integers and reduced without a gcd: at integer s the only irreducible
+factors of D are p, p -+ 1 and the cyclotomic Phi_d for d dividing some
+|i - js|, and exact division by each finds what N and D share. A value past
+MAX_DEGREE in p (symbolic p) or MAX_DIGITS digits (numeric p) is refused
+with DomainError before it is built. The "absolute limit" p -> 1, a
+RationalFunction in s, is the ratio of the leading coefficients of N and D
+in u = log p.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -34,10 +32,10 @@ from .errors import ConstraintError, DegenerateLimitError, DomainError, PoleErro
 from .exact import Polynomial, RationalFunction
 
 SYMBOLIC = "sym"
-# symbolic p: sl2zp at s = 27, degree 107, takes 0.45-0.6 s on one Xeon
-# core, in the gcd of its coprime parts; the bound of DimensionListForm and
-# of the q-integer values
-MAX_DEGREE = 110
+# symbolic p, every family: the costliest values, sl2zp at s = -599 and
+# sl3cong and su3cong at |s| = 239, take 50-100 ms on one Xeon core, most of
+# it in the trial divisions of _reduced
+MAX_DEGREE = 1200
 MAX_DIGITS = 4000  # numeric p: str() of an int stops at 4300 digits
 
 
@@ -45,12 +43,12 @@ def _is_symbolic(p) -> bool:
     return p is None or p == SYMBOLIC
 
 
-def _check_size(degree: int, p, max_degree: int = MAX_DEGREE):
+def _check_size(degree: int, p):
     """DomainError before a value of this degree in p is built: past
-    max_degree for symbolic p; for numeric p, past MAX_DIGITS digits, where
+    MAX_DEGREE for symbolic p; for numeric p, past MAX_DIGITS digits, where
     each factor p^e is below (numerator + denominator of p)^e."""
     if _is_symbolic(p):
-        size, limit, what = degree, max_degree, f"degree {degree} in p"
+        size, limit, what = degree, MAX_DEGREE, f"degree {degree} in p"
     else:
         q = Fraction(p)
         size = degree * math.log10(abs(q.numerator) + q.denominator)
@@ -68,16 +66,78 @@ def _collect(pairs) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def _at_s(poly: dict, s: int) -> dict:
-    """Substitute U = p^{-s}: term (i, j) becomes p^{i - j s}; returns the
-    non-zero coefficients by exponent of p."""
-    return _collect((i - j * s, c) for (i, j), c in poly.items())
+def _at_s(terms: dict, s: int, shift: int = 0) -> dict:
+    """Substitute s: term (i, j, k, l, h) becomes its coefficient times
+    p^{shift + i - js} (p-1)^{-ks} (p+1)^{-ls} 2^{hs}, keyed by those four
+    exponents."""
+    return _collect(((shift + i - j * s, -k * s, -l * s, h * s), c)
+                    for (i, j, k, l, h), c in terms.items())
 
 
-def _p_poly(coeffs: dict, shift: int) -> Polynomial:
-    """sum c p^{e - shift} over the exponent -> coefficient map."""
-    top = max(coeffs, default=shift) - shift
-    return Polynomial([coeffs.get(k + shift, 0) for k in range(top + 1)], "p")
+def _row(b: int, c: int) -> list:
+    """(p - 1)^b (p + 1)^c = (p^2 - 1)^n (p -+ 1)^r, ascending integers."""
+    n, r, sign = min(b, c), abs(b - c), -1 if b > c else 1
+    out = [0] * (2 * n + r + 1)
+    for t in range(r + 1):
+        x = math.comb(r, t) * sign ** (r - t)
+        for u in range(n + 1):
+            out[t + 2 * u] += x * math.comb(n, u) * (-1) ** (n - u)
+    return out
+
+
+def _expand(terms: list, degree: int) -> list:
+    """The terms (v, a, b, c), each v p^a (p-1)^b (p+1)^c, as an integer
+    list in p, ascending."""
+    out, rows = [0] * (degree + 1), {}
+    for v, a, b, c in terms:
+        if (b, c) not in rows:
+            rows[b, c] = _row(b, c)
+        for t, x in enumerate(rows[b, c], a):
+            out[t] += v * x
+    return out
+
+
+def _divisors(n: int) -> list:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _div_monic(a: list, b: tuple):
+    """a / b for integer lists, ascending, b monic: the quotient, or None
+    when b does not divide a."""
+    n = len(b) - 1
+    terms = [(t, c) for t, c in enumerate(b[:n]) if c]
+    r, quot = list(a), [0] * max(len(a) - n, 0)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = r[k + n]
+        if c:
+            for t, x in terms:
+                r[k + t] -= c * x
+    return None if any(r[:n]) else quot
+
+
+@functools.lru_cache(maxsize=None)  # d <= MAX_DEGREE
+def _cyclotomic(d: int) -> tuple:
+    """Phi_d = (p^d - 1) / prod of Phi_k over k | d, k < d, ascending."""
+    out = [-1, *[0] * (d - 1), 1]
+    for k in _divisors(d)[:-1]:
+        out = _div_monic(out, _cyclotomic(k))
+    return tuple(out)
+
+
+def _reduced(num: list, den: list, exponents) -> RationalFunction:
+    """num / den, integer lists in p, ascending, for den p^x (p-1)^y (p+1)^z
+    times the p^|e| - 1, e in exponents: each factor they share divided out."""
+    if not any(num):
+        return RationalFunction.coprime(Polynomial([], "p"),
+                                        Polynomial([1], "p"))
+    low = min(next(t for t, c in enumerate(x) if c) for x in (num, den))
+    num, den = num[low:], den[low:]
+    orders = {1, 2}.union(*(_divisors(abs(e)) for e in exponents))
+    for phi in map(_cyclotomic, sorted(orders)):
+        while (q := _div_monic(num, phi)) is not None \
+                and (r := _div_monic(den, phi)) is not None:
+            num, den = q, r
+    return RationalFunction.coprime(Polynomial(num, "p"), Polynomial(den, "p"))
 
 
 def _leading_moment(poly: dict):
@@ -89,7 +149,7 @@ def _leading_moment(poly: dict):
     for k in range(len(poly)):
         # (i - j s)^k = sum_t C(k, t) i^{k-t} (-j)^t s^t
         moment = Polynomial([math.comb(k, t) * sum(
-            c * (i ** (k - t) * (-j) ** t) for (i, j), c in poly.items())
+            c * (i ** (k - t) * (-j) ** t) for (i, j, *_), c in poly.items())
             for t in range(k + 1)], "s")
         if not moment.is_zero():
             return k, moment
@@ -97,39 +157,47 @@ def _leading_moment(poly: dict):
 
 
 class LaurentForm:
-    """p^{a + b m} N / D, with N and D Laurent polynomials in
-    (P, U) = (p, p^{-s}) multiplied out from the cataloged factors."""
+    """p^{a + b m} N / D: N the sum of the terms c p^i d^{-s}, with
+    d = 2^{-h} p^j (p-1)^k (p+1)^l, kept as {(i, j, k, l, h): c}; D the
+    product of the factors 1 - p^{i - j s}, kept as their (i, j)."""
 
-    __slots__ = ("a", "b", "num", "den")
+    __slots__ = ("a", "b", "num", "factors", "den")
 
-    # symbolic p: the largest values, sl3cong and su3cong at |s| = 239,
-    # take 0.28-0.39 s (the gcd of two dense polynomials), below sl2zp at
-    # MAX_DEGREE
-    max_degree = 1200
-
-    def __init__(self, a: int, b: int, num: dict, den: dict):
-        self.a, self.b = a, b
-        self.num, self.den = num, den  # {(i, j): c}, the term c P^i U^j
+    def __init__(self, a: int, b: int, num: dict, factors: tuple):
+        self.a, self.b, self.num, self.factors = a, b, num, factors
+        self.den = _product(*(_one_minus(i, j) for i, j in factors))
 
     def eval(self, m: int, s: int, p):
-        num, den = _at_s(self.num, s), _at_s(self.den, s)
+        num = _at_s(self.num, s, self.a + self.b * m)
+        den = _at_s(self.den, s)
         if not den:
             raise PoleError(f"the denominator vanishes at s={s}", location=s)
-        pre = self.a + self.b * m
-        exponents = [*(pre + e for e in num), *den]
-        shift = min(exponents)
-        _check_size(max(exponents) - shift, p, self.max_degree)
+        keys = (*num, *den)
+        low = [min(key[t] for key in keys) for t in range(4)]
+        degree = max(a + b + c for a, b, c, _ in keys) - sum(low[:3])
+        _check_size(degree, p)
+        # integer terms: the parts over p^x (p-1)^y (p+1)^z 2^w / scale
+        scale = math.lcm(*(c.denominator for c in self.num.values()))
+        num, den = ([(int(coef * scale) << (g - low[3]), a - low[0],
+                      b - low[1], c - low[2])
+                     for (a, b, c, g), coef in x.items()] for x in (num, den))
         if _is_symbolic(p):
-            num = _p_poly({pre + e: c for e, c in num.items()}, shift)
-            return RationalFunction(num, _p_poly(den, shift), "p")
-        q = Fraction(p)
-        return q ** pre * sum(c * q ** e for e, c in num.items()) \
-            / sum(c * q ** e for e, c in den.items())
+            return _reduced(_expand(num, degree), _expand(den, degree),
+                            [i - j * s for i, j in self.factors])
+        n, d = Fraction(p).as_integer_ratio()
+        # each part at p = n / d, times d^degree
+        num, den = (sum(v * n ** a * (n - d) ** b * (n + d) ** c
+                        * d ** (degree - a - b - c) for v, a, b, c in x)
+                    for x in (num, den))
+        return Fraction(num, den)
 
     def absolute_limit(self) -> RationalFunction:
         """Formal limit p -> 1: the ratio of the leading coefficients of N
-        and D in u = log p (the prefactor tends to 1). N and D must vanish
-        to the same order."""
+        and D in u = log p (the prefactor tends to 1). Every dimension must
+        be a power of p, and N and D must vanish to the same order."""
+        if any(key[2:] != (0, 0, 0) for key in self.num):
+            raise DomainError("absolute limit needs every dimension a "
+                              "power of p, not p -+ 1 or 1/2 times one")
         kn, cn = _leading_moment(self.num)
         kd, cd = _leading_moment(self.den)
         if kn != kd:
@@ -139,106 +207,29 @@ class LaurentForm:
         return RationalFunction(cn, cd, "s")
 
 
-class DimensionListForm:
-    """Finite list of (multiplicity, dimension) pairs, each a Polynomial in
-    p, plus a geometric infinite part prefixed by 1/(1 - p^{1-s}). A value
-    is summed over the denominator common^s and reduced once."""
-
-    __slots__ = ("finite_terms", "infinite_terms", "common")
-
-    max_degree = MAX_DEGREE
-
-    def __init__(self, finite_terms: tuple, infinite_terms: tuple,
-                 common: Polynomial):
-        # (multiplicity, dimension) Polynomials in p, and a common multiple
-        # of the dimensions
-        self.finite_terms, self.infinite_terms = finite_terms, infinite_terms
-        self.common = common
-
-    def _sum(self, terms, s: int, p):
-        """(num, den), unreduced, with sum mult dim^{-s} = num / den and den
-        = common^s (1 for s <= 0): Fractions for numeric p, Polynomials in
-        p for symbolic p."""
-        # common^|s| times the geometric factor, and the multiplicities
-        _check_size(self.common.degree * abs(s) + abs(s - 1) + 2, p,
-                    self.max_degree)
-        pairs = [(mult, dim if s <= 0 else self.common.div_exact(dim))
-                 for mult, dim in terms]
-        den = self.common if s > 0 else Polynomial([1], "p")
-        if not _is_symbolic(p):
-            q = Fraction(p)
-            pairs, den = [(m(q), b(q)) for m, b in pairs], den(q)
-        return sum(m * b ** abs(s) for m, b in pairs), den ** abs(s)
-
-    @staticmethod
-    def _geometric(s: int, p):
-        """(num, den) of 1/(1 - p^{1-s})."""
-        if s == 1:
-            raise PoleError("geometric factor 1/(1 - p^{1-s}) at s = 1",
-                            location=1)
-        q = Polynomial([0, 1], "p") if _is_symbolic(p) else Fraction(p)
-        if s <= 0:
-            return 1, 1 - q ** (1 - s)
-        return q ** (s - 1), q ** (s - 1) - 1
-
-    @staticmethod
-    def _value(num, den, p):
-        if _is_symbolic(p):
-            return RationalFunction(num, den, "p")
-        return num / den
-
-    def eval_finite(self, s: int, p):
-        return self._value(*self._sum(self.finite_terms, s, p), p)
-
-    def eval(self, m: int, s: int, p):
-        (fin, den), (inf, _) = self._sum(self.finite_terms, s, p), \
-            self._sum(self.infinite_terms, s, p)
-        gn, gd = self._geometric(s, p)
-        return self._value(fin * gd + inf * gn, den * gd, p)
-
-
 class GroupFamily:
     __slots__ = ("key", "identifier", "excluded_p", "uses_m", "form")
 
     def __init__(self, key: str, identifier: str, excluded_p: frozenset,
-                 uses_m: bool, form):
+                 uses_m: bool, form: LaurentForm):
         self.key, self.identifier = key, identifier
         self.excluded_p, self.uses_m = excluded_p, uses_m
-        self.form = form  # LaurentForm or DimensionListForm
-
-
-def _build_sl2zp() -> DimensionListForm:
-    one, p = Polynomial([1], "p"), Polynomial([0, 1], "p")
-    half = Fraction(1, 2)
-    finite = (
-        (one, one),
-        (2 * one, (p - 1) * half),
-        (2 * one, (p + 1) * half),
-        ((p - 1) * half, p - 1),
-        (one, p),
-        ((p - 3) * half, p + 1),
-    )
-    infinite = (
-        (4 * p, (p * p - 1) * half),
-        ((p * p - 1) * half, p * p - p),
-        ((p - 1) * (p - 1) * half, p * p + p),
-    )
-    return DimensionListForm(finite_terms=finite, infinite_terms=infinite,
-                             common=p * p * p - p)
+        self.form = form
 
 
 def _laurent(*terms) -> dict:
-    """sum c P^i U^j over the (c, i, j) triples, that is c p^{i - j s}, as
-    the {(i, j): c} map of its non-zero coefficients."""
-    return _collect(((i, j), c) for c, i, j in terms)
+    """sum c p^i d^{-s} over the terms (c, i, j, k, l, h), with
+    d = 2^{-h} p^j (p-1)^k (p+1)^l and k, l, h 0 where left out, as the
+    {(i, j, k, l, h): c} map of its non-zero coefficients."""
+    return _collect(((*key, 0, 0, 0)[:5], c) for c, *key in terms)
 
 
 def _product(*factors) -> dict:
     """The product of the term maps."""
-    out = {(0, 0): 1}
+    out = {(0, 0, 0, 0, 0): 1}
     for f in factors:
-        out = _collect(((i + k, j + l), c * d) for (i, j), c in out.items()
-                       for (k, l), d in f.items())
+        out = _collect((tuple(u + v for u, v in zip(x, y)), c * d)
+                       for x, c in out.items() for y, d in f.items())
     return out
 
 
@@ -247,23 +238,42 @@ def _one_minus(i: int, j: int) -> dict:
     return _laurent((1, 0, 0), (-1, i, j))
 
 
-# p^{3m+2} (1 - p^{-2-s}) / (1 - p^{1-s})
-_SL2_CONG = LaurentForm(a=2, b=3, num=_one_minus(-2, 1),
-                        den=_one_minus(1, 1))
+# sl2zp: multiplicity x dimension over its finite list, then its infinite
+_HALF = Fraction(1, 2)
+_SL2ZP_FINITE = _laurent(
+    (1, 0, 0),                                          # 1 x 1
+    (2, 0, 0, 1, 0, 1), (2, 0, 0, 0, 1, 1),             # 2 x (p -+ 1)/2
+    (_HALF, 1, 0, 1), (-_HALF, 0, 0, 1),                # (p-1)/2 x (p-1)
+    (1, 0, 1),                                          # 1 x p
+    (_HALF, 1, 0, 0, 1), (-3 * _HALF, 0, 0, 0, 1))      # (p-3)/2 x (p+1)
+_SL2ZP_INFINITE = _laurent(
+    (4, 1, 0, 1, 1, 1),                                 # 4p x (p^2-1)/2
+    (_HALF, 2, 1, 1), (-_HALF, 0, 1, 1),                # (p^2-1)/2 x (p^2-p)
+    (_HALF, 2, 1, 0, 1), (-1, 1, 1, 0, 1),              # (p-1)^2/2 x (p^2+p)
+    (_HALF, 0, 1, 0, 1))
+_SL2ZP_Z0 = LaurentForm(a=0, b=0, num=_SL2ZP_FINITE, factors=())
 
-# (1 - p^{1-2s}) (1 - p^{2-3s})
-_COMMON_DEN = _product(_one_minus(1, 2), _one_minus(2, 3))
+# F + I / (1 - p^{1-s}), over the finite and infinite lists F and I
+_SL2ZP = LaurentForm(a=0, b=0, factors=((1, 1),), num=_collect((
+    *_product(_SL2ZP_FINITE, _one_minus(1, 1)).items(),
+    *_SL2ZP_INFINITE.items())))
+
+# p^{3m+2} (1 - p^{-2-s}) / (1 - p^{1-s})
+_SL2_CONG = LaurentForm(a=2, b=3, num=_one_minus(-2, 1), factors=((1, 1),))
+
+# over (1 - p^{1-2s}) (1 - p^{2-3s})
+_COMMON_FACTORS = ((1, 2), (2, 3))
 
 # p^{8m} (1 - p^{-2-s}) (1 - p^{-1-s})
 #   [1 + p^{-1-s} + p^{-2-s} + p^{-2s} + p^{-1-2s} + p^{-2-3s}] / common den
-_SL3_CONG = LaurentForm(a=0, b=8, den=_COMMON_DEN, num=_product(
+_SL3_CONG = LaurentForm(a=0, b=8, factors=_COMMON_FACTORS, num=_product(
     _one_minus(-2, 1), _one_minus(-1, 1),
     _laurent((1, 0, 0), (1, -1, 1), (1, -2, 1), (1, 0, 2), (1, -1, 2),
              (1, -2, 3))))
 
 # p^{8m} (1 - p^{-2-s}) (1 - p^{-s}) (1 + p^{-1-s})
 #   [1 + p^{-s} - p^{-1-s} + p^{-2-s} + p^{-2-2s}] / common den
-_SU3_CONG = LaurentForm(a=0, b=8, den=_COMMON_DEN, num=_product(
+_SU3_CONG = LaurentForm(a=0, b=8, factors=_COMMON_FACTORS, num=_product(
     _one_minus(-2, 1), _one_minus(0, 1), _laurent((1, 0, 0), (1, -1, 1)),
     _laurent((1, 0, 0), (1, 0, 1), (-1, -1, 1), (1, -2, 1), (1, -2, 2))))
 
@@ -275,8 +285,7 @@ U_POLY = {
 }
 
 FAMILIES = {
-    "sl2zp": GroupFamily("sl2zp", "SL2_ZP", frozenset({2}), False,
-                         _build_sl2zp()),
+    "sl2zp": GroupFamily("sl2zp", "SL2_ZP", frozenset({2}), False, _SL2ZP),
     "sl2cong": GroupFamily("sl2cong", "SL2_CONG", frozenset({2}), True,
                            _SL2_CONG),
     "sl3cong": GroupFamily("sl3cong", "SL3_CONG", frozenset({3}), True,
@@ -316,10 +325,11 @@ def eval_at_int_s(family, m: int, s: int, p=SYMBOLIC):
     RationalFunction in p for symbolic p."""
     fam = _family(family)
     _check_m(fam, m)
-    if s != int(s.real):
+    real = s.real
+    if real != real or abs(real) == math.inf or s != int(real):
         raise DomainError("eval_at_int_s requires integer s")
     _check_p(fam, p)
-    return fam.form.eval(int(m) if fam.uses_m else 0, int(s.real), p)
+    return fam.form.eval(int(m) if fam.uses_m else 0, int(real), p)
 
 
 def verify_zero(family, m: int, s: int):
@@ -331,14 +341,10 @@ def verify_zero(family, m: int, s: int):
 
 def absolute_limit(family, m: int = 1) -> RationalFunction:
     """The formal p -> 1 limit as a rational function of s (level m drops
-    out, but must still be a level, m >= 1). Only LaurentForm families
-    support it."""
+    out, but must still be a level, m >= 1). sl2zp, with dimensions p -+ 1,
+    has none."""
     fam = _family(family)
     _check_m(fam, m)
-    if not isinstance(fam.form, LaurentForm):
-        raise DomainError(
-            f"absolute limit needs a factored representation; "
-            f"{fam.identifier} is stored as a dimension list")
     return fam.form.absolute_limit()
 
 
@@ -353,7 +359,7 @@ def factorization_check(family):
     diff = _laurent((1, 0, 0), (1, -5, 5),
                     *((c, e - 3, 2) for e, c in umap.items()),
                     *((c, -e - 2, 3) for e, c in umap.items()),
-                    *((-c, i, j) for (i, j), c in fam.form.num.items()))
+                    *((-c, *key) for key, c in fam.form.num.items()))
     return not diff, diff
 
 
@@ -388,4 +394,4 @@ def su3_cong_minus1_limit() -> Fraction:
 
 def sl2zp_z0(s: int, p=SYMBOLIC):
     """Finite part Z_0 of the sl2zp dimension list at integer s."""
-    return FAMILIES["sl2zp"].form.eval_finite(int(s), p)
+    return _SL2ZP_Z0.eval(0, int(s), p)

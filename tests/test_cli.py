@@ -353,8 +353,8 @@ class TestPadicCli:
         ("eval", "--family", "sl2cong", "--m", "2000", "--s", "2", "--p", "7"),
         ("eval", "--family", "sl2zp", "--s", "20000", "--p", "3"),
         # symbolic p: these ran for seconds to minutes
-        ("eval", "--family", "sl2zp", "--s", "30"),
-        ("eval", "--family", "sl2zp", "--s=-60"),
+        ("eval", "--family", "sl2zp", "--s", "301"),
+        ("eval", "--family", "sl2zp", "--s=-600"),
         ("eval", "--family", "sl3cong", "--s", "500"),
         ("eval", "--family", "sl3cong", "--m", "20000", "--s", "2"),
         ("zero", "--family", "su3cong", "--s", "500"),
