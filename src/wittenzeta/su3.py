@@ -14,31 +14,38 @@ continuation is the Mellin-Barnes identity
 
 whose first two lines are the residues at z = s-1 and z = 0 .. m-1 right
 of the line. The integrand decays like e^{-pi |Im z|}: the trapezoid rule
-converges geometrically as its step is halved, each halving about squaring
-the error (Trefethen and Weideman, SIAM Rev. 56, 2014). It stops when two
-levels agree to the target, or, once three levels exist and their two
-differences D2 > D1 shrink, when the quadratic estimate D1^2/D2 of the last
-level's own error is within a tenth of the target; the last halving, about
-half of the nodes, is then not needed to confirm the level before it. For
-real s it runs in tau, Im z = sinh tau, where the decay is double
-exponential (Takahasi and Mori, Publ. RIMS 9, 1974), from step 1/2 down to
-the target itself; complex s keep steps of 1 in Im z and a 1e-9 floor on
-the agreement of two levels, but not on the estimate. On the residue line
-log Gamma(-z) does not depend on s and is kept for the last 4096 nodes.
-For Re s >= 5/6 the line is z = -s/2 + iu with no residues: z <-> -s-z
-swaps the gammas and the zetas, so the integrand is even in u for every
-s, no terms cancel, and the poles are at least
+converges like e^{-2 pi d/h} in its step h, d the distance of the nearest
+pole, each halving about squaring the error (Trefethen and Weideman, SIAM
+Rev. 56, 2014). It stops when two levels agree to the target, or, once
+three levels exist and their two differences D2 > D1 shrink, when the
+quadratic estimate D1^2/D2 of the last level's own error is within a tenth
+of the target; the last halving, about half of the nodes, is then not
+needed to confirm the level before it. For real s it runs in tau, Im z =
+sinh tau, where the decay is double exponential (Takahasi and Mori, Publ.
+RIMS 9, 1974), from step 1/2 down to the target itself; complex s keep
+steps of 1 in Im z and a 1e-9 floor on the agreement of two levels, but
+not on the estimate. On the residue line each level first subtracts the
+error of the simple poles within 2 of the line, those of Gamma(-z),
+Gamma(s+z), zeta(s-z) and zeta(2s+z), whose residues are the terms up to
+sign: the error of a simple pole has a closed form (Poisson summation),
+and the rule then converges as if the nearest pole were 2 away (pi/2 in
+tau). log Gamma(-z) there does not depend on s and is kept for the last
+4096 nodes. For Re s >= 5/6 the line is z = -s/2 + iu with no residues:
+z <-> -s-z swaps the gammas and the zetas, so the integrand is even in u
+for every s, no terms cancel, and the poles are at least
 min(Re s/2, 3 Re s/2 - 1) >= 1/4 away; for real s it is 2^s/Gamma(s)
 |Gamma(s/2+iu) zeta(3s/2+iu)|^2, one gamma and one zeta per node. Below
-5/6, m = 2n+2 and c halves the pole-free gap (max(m-1, 1-2 Re s), m), at
-least 1/2 wide for Re s > -n - 1/4. At s = 0, -1, -2, ... the value is the
-exact limit ``special_value_su3``: 1/3 at 0, zero below (for even n by
-``bernoulli_convolution_check``). Next to 0 the rounding of 1 + 2s and
-2s - 1 in zeta(2s+1) and Gamma(2s-1) costs up to 4e-18/|s| (at most
-2.3e-18/|s| against mpmath at s = +-10^-k, k = 2 .. 13, and at 40 random s
-between 1e-13 and 1e-5 in size), and ConvergenceError is raised, the
-value as ``achieved``, where that exceeds the target: below |s| = 4e-5 at
-1e-13, 4e-8 at 1e-10 and 4e-12 at 1e-6. The direct series
+5/6 complex s take m = max(1, ceil(3/2 - 2 Re s)) residues, the fewest
+whose pole-free gap (max(m-1, 1-2 Re s), m) is at least 1/2 wide, and
+real s, for which it is cheaper on the sinh map, m = 2n+2; c halves the
+gap, at least 1/2 wide for Re s > -n - 1/4 with either m. At s = 0, -1,
+-2, ... the value is the exact limit ``special_value_su3``: 1/3 at 0, zero
+below (for even n by ``bernoulli_convolution_check``). Next to 0 the
+rounding of 1 + 2s and 2s - 1 in zeta(2s+1) and Gamma(2s-1) costs up to
+4e-18/|s| (at most 2.3e-18/|s| against mpmath at s = +-10^-k, k = 2 .. 13,
+and at 40 random s between 1e-13 and 1e-5 in size), and ConvergenceError
+is raised, the value as ``achieved``, where that exceeds the target: below
+|s| = 4e-5 at 1e-13, 4e-8 at 1e-10 and 4e-12 at 1e-6. The direct series
 ``mt_series`` (square sums from one table of powers, each one FFT
 self-convolution, extrapolated in N) stays an independent check for
 Re s > 1.
@@ -59,10 +66,12 @@ from .numerics import (DEFAULT_BUDGET, PrecisionBudget, gamma_ratio_at_neg,
 
 _POLE_TOL = 1e-6  # the genuine poles s = 2/3 and s = 1/2 - j
 _EVEN_LINE = 5.0 / 6.0  # the even line's strip is >= 1/4 wide from here on
-_MAX_RE_S, _MAX_IM_S = 1000.0, 250.0  # each call then takes under 0.7 s
+_MAX_RE_S, _MAX_IM_S = 1000.0, 250.0  # each call then takes under 0.7 s:
+# at 1e-13, 0.35-0.55 s at 1+250i (even line), 0.1-0.2 s at 0.8+100i
 _MAX_HALVINGS = 8  # trapezoid steps 1/2 .. 1/256 in t, 1/4 .. 1/512 in tau
 _ZERO_ROUNDING = 4e-18  # next to s = 0 the error is up to this over |s|
 _ESTIMATE_SHARE = 0.1  # of the target, for the trapezoid's error estimate
+_POLE_REACH = 2.0  # the residue line's rule subtracts the poles this near
 _MT_BASE = 1500  # N of mt_series' square sums at N, 2N, 4N
 _MT_MAX_RE = 512.0  # from here on 2.0 ** (2 Re s) overflows
 
@@ -126,8 +135,9 @@ def mt_series(s: complex,
 # ---------------------------------------------------------------------------
 
 class MBParams:
-    """Strip selector n: the residue line takes M = 2n+2 residues of
-    Gamma(-z) and holds for Re s > -n - 1/4 (see the module docstring)."""
+    """Strip selector n: the residue line holds for Re s > -n - 1/4, where
+    real s take M = 2n+2 residues of Gamma(-z) and complex s the
+    m = max(1, ceil(3/2 - 2 Re s)) <= M of the module docstring."""
 
     __slots__ = ("n",)
 
@@ -151,20 +161,33 @@ def _log_gamma_neg(c: float, t: float) -> complex:
 
 def _mb_direct(s: complex, m: int, budget: PrecisionBudget) -> complex:
     """The Mellin-Barnes formula with m residues of Gamma(-z): m = 0 is the
-    even line, m >= 1 the residue line (Re s < m)."""
+    even line, m >= 1 the residue line (Re s < m). There the rule is handed
+    the integrand's simple poles within _POLE_REACH of the line, each
+    residue one of the terms up to sign: Gamma(-z)'s at k (minus the k-th
+    term), Gamma(s+z)'s at -s-k (the k-th term), zeta(s-z)'s at s-1 (minus
+    the gamma-ratio term) and zeta(2s+z)'s at 1-2s (that term)."""
     real, lg_s = s.imag == 0.0, log_gamma(s)
+    pow2, poles = cmath.exp(s * math.log(2.0)), []
     if m == 0:  # z = -s/2 + iu
         centre, terms = -0.5 * s, 0.0
     else:  # Re z = c, right of the residues at z = s - 1 and z = 0 .. m-1
-        centre = complex(0.5 * (max(m - 1.0, 1.0 - 2.0 * s.real) + m))
+        c = 0.5 * (max(m - 1.0, 1.0 - 2.0 * s.real) + m)
+        centre = complex(c)
         terms = riemann_zeta(3.0 * s - 1.0, budget) * cmath.exp(
             log_gamma(2.0 * s - 1.0) + log_gamma(1.0 - s) - lg_s)
+        near = [(s - 1.0, -terms), (1.0 - 2.0 * s, terms)]
         poch = 1.0 + 0.0j  # (s)_k
-        for k in range(m):
-            terms += (-1.0) ** k * poch / factorial(k) \
+        for k in range(m + 2):  # k = m, m + 1 lie right of the line
+            term = (-1.0) ** k * poch / factorial(k) \
                 * riemann_zeta(2.0 * s + k, budget) \
                 * riemann_zeta(s - k, budget)
+            if k < m:
+                terms += term
+            near += [(complex(k), -term), (-s - k, term)]
             poch *= s + k
+        # z = c + it: the pole z_j is t_j = -i(z_j - c), with residue -i R_j
+        poles = [(-1j * (z - c), -1j * pow2 * r) for z, r in near
+                 if abs(z.real - c) < _POLE_REACH]
     # 2^s/Gamma(s) inside exp: O(1) at large Re s, as _trapezoid's stop needs
     log_pref = s * math.log(2.0) - lg_s
 
@@ -179,36 +202,49 @@ def _mb_direct(s: complex, m: int, budget: PrecisionBudget) -> complex:
         return v.real if real else v  # for real s, f(-t) = conj f(t)
 
     # even in t: the even line for every s, Re f on the other for real s;
-    # the sinh map for real s only: at 1+100i, whose integrand peaks near
-    # |t| = 50, far out on the map, it did not converge
+    # the sinh map for real s only: complex s spread out to |t| of about
+    # |Im s|, far out on the map (at 1+100i it did not converge). The stop
+    # tests are relative to 2 pi times the value, which the terms
+    # can make far smaller than the integral (2.8e8 against 3.3e5 at
+    # -1.2+40i, where the integral's own scale left 1.2e-10 at 1e-10)
     integral = _trapezoid(integrand, budget.target, folded=real or m == 0,
-                          mapped=real)
-    value = cmath.exp(s * math.log(2.0)) * terms + integral / (2.0 * math.pi)
+                          mapped=real, poles=poles,
+                          shift=2.0 * math.pi * pow2 * terms)
+    value = pow2 * terms + integral / (2.0 * math.pi)
     return complex(value.real) if real else value
 
 
 def _trapezoid(f, target: float, folded: bool = False,
-               mapped: bool = False) -> complex:
+               mapped: bool = False, poles=(), shift=0.0) -> complex:
     """Integral of f over the real line by the trapezoid rule.
 
     The nodes run out from t = 0 in steps of 1 until two in a row fall below
     target/1000; the step is then halved, each level adding only the odd
     nodes. For f analytic in a strip about the line and decaying
     exponentially the error falls geometrically with the step, and each
-    halving about squares it. Level T_L is returned when it agrees with
-    T_{L-1} to max(target, 1e-9), or, from the second halving on, when the
-    differences shrink, D1 = |T_L - T_{L-1}| < D2 = |T_{L-1} - T_{L-2}|,
-    and the quadratic estimate of T_L's own error, D1^2/D2, is at most
-    _ESTIMATE_SHARE of the target itself (no 1e-9 floor there). With
-    ``folded`` f is even about t = 0 (an even f about another point would
-    repeat its nodes at step 1/2 and stop the halving early): each node
-    t > 0 counts twice, and -t is not run. With ``mapped`` the rule
+    halving about squares it. ``poles`` lists simple poles (t_j, r_j) of f
+    beside the line, with their residues: each level T_h first subtracts
+    their share of its error (``_pole_error``), so the strip the rule sees
+    reaches the nearest pole not listed. Level T_L is returned when it
+    agrees with T_{L-1} to max(target, 1e-9), or, from the second halving
+    on, when the differences shrink, D1 = |T_L - T_{L-1}| < D2 = |T_{L-1} -
+    T_{L-2}|, and the quadratic estimate of T_L's own error, D1^2/D2, is at
+    most _ESTIMATE_SHARE of the target itself (no 1e-9 floor there), both
+    relative to 1 + |shift + T_L|, ``shift`` being what the caller adds to
+    the integral. With ``folded`` f is even about t = 0 (an even f about
+    another point would repeat its nodes at step 1/2 and stop the halving
+    early): each node t > 0 counts twice, and -t is not run; f with poles
+    is then Re F for an F with F(-t) = conj F(t), the poles are F's, and
+    the real part of their error is subtracted. With ``mapped`` the rule
     integrates g(tau) = f(sinh tau) cosh tau, whose decay the map makes
-    double exponential (Takahasi and Mori, Publ. RIMS 9, 1974): its nodes
-    run out from tau = 0 in steps of 1/2, and the agreement of two levels
-    is taken to the target itself.
+    double exponential (Takahasi and Mori, Publ. RIMS 9, 1974), and a pole
+    t_j is g's at asinh(t_j), with the same residue: its nodes run out from
+    tau = 0 in steps of 1/2, and the agreement of two levels is taken to
+    the target itself.
     """
     g = (lambda u: f(math.sinh(u)) * math.cosh(u)) if mapped else f
+    if mapped:
+        poles = [(cmath.asinh(t), r) for t, r in poles]
     h, tol = (0.5, target) if mapped else (1.0, max(target, 1e-9))
     weight, sides = (2.0, (1,)) if folded else (1.0, (1, -1))
     total, ends = g(0.0), [0, 0]  # ends: hi, lo; lo stays 0 when folded
@@ -220,19 +256,34 @@ def _trapezoid(f, target: float, folded: bool = False,
             total += weight * v
             quiet = quiet + 1 if abs(v) < 1e-3 * target else 0
         ends[i] = k * h
-    (hi, lo), total = ends, total * h
+    (hi, lo), total = ends, total * h  # total: the raw sum at step h
+    level = total - _pole_error(poles, h, folded)
     last = 0.0  # D2; 0 until two levels exist, so the estimate waits
     for _ in range(_MAX_HALVINGS):
         odd = weight * sum(g(lo + (j + 0.5) * h)
                            for j in range(round((hi - lo) / h)))
-        refined = 0.5 * (total + h * odd)
-        diff = abs(refined - total)
-        if _settled(diff, last, tol, target, 1.0 + abs(refined)):
+        total, h = 0.5 * (total + h * odd), 0.5 * h
+        refined = total - _pole_error(poles, h, folded)
+        diff = abs(refined - level)
+        if _settled(diff, last, tol, target, 1.0 + abs(shift + refined)):
             return refined
-        total, last = refined, diff
-        h *= 0.5
+        level, last = refined, diff
     raise ConvergenceError("contour quadrature did not converge",
-                           achieved=total)
+                           achieved=level)
+
+
+def _pole_error(poles, h: float, real: bool = False) -> complex:
+    """The error h sum_k g(kh) - int g that simple poles (tau_j, r_j) of g
+    off the real line give (Poisson summation; the sum of r/(kh - tau) is a
+    cotangent): 2 pi i r q/(1 - q) with q = e^{2 pi i tau/h} above the line,
+    minus that with q = e^{-2 pi i tau/h} below it. With ``real`` its real
+    part, for a rule that sums Re g."""
+    err = 0.0
+    for tau, r in poles:
+        side = 1.0 if tau.imag > 0.0 else -1.0
+        q = cmath.exp(side * 2j * math.pi * tau / h)
+        err += side * 2j * math.pi * r * q / (1.0 - q)
+    return err.real if real else err
 
 
 def _settled(d1: float, d2: float, tol: float, target: float,
@@ -241,7 +292,8 @@ def _settled(d1: float, d2: float, tol: float, target: float,
     T_{L-1}| and D2 = |T_{L-1} - T_{L-2}| (0 at the first halving, where no
     estimate is made): the two levels agree to tol, or the differences
     shrink and the quadratic estimate D1^2/D2 of T_L's own error is within
-    _ESTIMATE_SHARE of the target. Both relative to scale = 1 + |T_L|."""
+    _ESTIMATE_SHARE of the target. Both relative to scale, which
+    ``_trapezoid`` takes as 1 + |shift + T_L|."""
     return d1 <= tol * scale or (
         d1 < d2 and d1 * d1 <= _ESTIMATE_SHARE * target * scale * d2)
 
@@ -252,12 +304,15 @@ _panel_quad = _trapezoid  # the name bench/tracing.py wraps
 def witten_su3_continued(s: complex, params: MBParams = MBParams(),
                          budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
     """zeta^W_{SU(3)}(s) on the even line for Re s >= 5/6, on the residue
-    line of strip ``params.n`` below it, exactly at s = 0, -1, -2, ...
+    line of strip ``params.n`` below it (M = 2n+2 residues for real s, m(s)
+    <= M for complex s), exactly at s = 0, -1, -2, ...
 
     The poles s = 2/3 and 1/2 - j raise PoleError. Outside -n - 1/4 < Re s
-    <= 1000, |Im s| <= 250 (the even line takes 2 ms at s = 1000, 0.5 s
-    at 1 + 250i, on one Xeon core) and where a sine overflows (left of
-    Re s = 3/4 from |Im s| = 111 on) DomainError is raised. Above Re s = 30
+    <= 1000, |Im s| <= 250 (the even line takes 2 ms at s = 1000 and
+    0.35-0.55 s at 1 + 250i, the residue line 0.1-0.2 s at 0.8 + 100i at
+    1e-13, on one core of a shared Xeon) and where a sine overflows (left
+    of Re s = 3/4 from |Im s| = 111 on, left of Re s = 1 from about 210,
+    the edge moving with the target) DomainError is raised. Above Re s = 30
     the gamma logs, of size s log s, round to 1e-13 (1e-12 at 1000).
     ConvergenceError is raised next to s = 0, where the rounding bound
     _ZERO_ROUNDING/|s| exceeds the target (see the module docstring).
@@ -272,7 +327,13 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
         if abs(s - pole) < _POLE_TOL:
             raise PoleError(f"zeta^W_SU(3) pole near s = {pole}",
                             location=pole)
-    value = _mb_direct(s, 0 if s.real >= _EVEN_LINE else params.M, budget)
+    if s.real >= _EVEN_LINE:
+        m = 0
+    elif s.imag == 0.0:
+        m = params.M
+    else:  # the fewest residues whose pole-free gap is 1/2 wide; <= M
+        m = max(1, math.ceil(1.5 - 2.0 * s.real))
+    value = _mb_direct(s, m, budget)
     if _ZERO_ROUNDING > budget.target * abs(s):
         raise ConvergenceError(
             f"next to s = 0 the rounding of 1 + 2s costs up to "

@@ -162,27 +162,18 @@ SU3_COMPLEX = [(complex(*r[:2]), "su3", complex(*r[2:4]))
                for k in range(5) for r in json.loads(
                    (ORACLE / "su3.json").read_text())["pools"][f"complex{k}"]]
 # Skipped at 1e-13: the residue line's terms cancel for |Im s| of 6 to 10,
-# which its rule cannot see (ROADMAP item 4); these 18 rows miss 1e-13 by
-# 1.04x to 48x, and baseline.json lists each as a known failure
+# and its rule has no estimate of their rounding (ROADMAP item 4); these 7
+# rows miss 1e-13 by 1.35x to 3.1x, and baseline.json lists each as a known
+# failure. 11 more rows of that list pass since complex s take m(s)
+# residues and the rule subtracts the poles beside the line.
 _SU3_COMPLEX_MISSES = frozenset([
     (-1.1166660914506126, 9.05327144438211),
     (-1.0088861127038633, 9.036729621042095),
     (-0.8499232578410072, 8.759016495251549),
     (-0.7653401848871046, -8.960064025174313),
-    (-0.7306682459319265, 8.775357902448468),
-    (-0.6278692361975332, -9.04552335650941),
     (-0.36547592254928396, 9.701970880370482),
     (-0.3041024410532801, -8.949690702812344),
-    (-0.2960237930265305, 9.338122941187159),
-    (-0.2003273446729572, -9.01990711096163),
-    (-0.193825125888621, -8.79424378833314),
-    (-0.17338406279771945, 8.730227528648212),
-    (-0.124282340406207, 9.087933811054066),
-    (-0.060763588327361395, -9.191996280447155),
-    (0.02784016618005758, 7.775876719646624),
-    (0.281923630352062, -8.477318119677356),
-    (0.6897341711945251, 9.625688036318515),
-    (0.7005245736513614, 6.5470408799493205)])
+    (-0.2960237930265305, 9.338122941187159)])
 
 
 def test_su3_complex_skips_are_known_failures():

@@ -1,9 +1,11 @@
 """SU(3) Witten zeta: the double series, its Mellin-Barnes continuation,
 and exact special values at negative integers."""
 
+import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from wittenzeta import su3
@@ -348,14 +350,104 @@ class TestContinuation:
         # real s takes the sinh-mapped rule on both lines: 65 integrand
         # calls here at 1e-13, where the plain rule took 209 to 225; at
         # 0.755 the agreement of two levels took 129, the error estimate
-        # stops a halving earlier
-        assert 0 < self._contour_calls(s, 1e-13, monkeypatch) <= 80
+        # 65. On the residue line the subtracted poles leave 33
+        most = 70 if s >= 5.0 / 6.0 else 40
+        assert 0 < self._contour_calls(s, 1e-13, monkeypatch) <= most
 
     def test_complex_s_contour_work(self, monkeypatch):
         # the plain two-sided rule: 417 calls on the agreement of two
-        # levels, 209 with the error estimate
+        # levels, 209 with the error estimate, 105 with m(s) = 1 residue
+        # and the poles beside the line subtracted
         assert 0 < self._contour_calls(0.69 + 9.626j, 1e-6,
-                                       monkeypatch) <= 220
+                                       monkeypatch) <= 120
+
+    @pytest.mark.parametrize("s,most", [(0.3 - 8.0j, 135),
+                                        (-0.4 + 30.0j, 250)])
+    def test_complex_s_residue_line_work(self, s, most, monkeypatch):
+        # 121 and 225 integrand calls at 1e-10, where M = 4 residues and no
+        # pole subtraction took 481 and 913
+        assert 0 < self._contour_calls(s, 1e-10, monkeypatch) <= most
+
+    @pytest.mark.parametrize("s", [0.8 + 20.0j, 0.75 + 40.0j, 0.8 + 100.0j])
+    def test_residue_line_against_even_line(self, s):
+        # right of Re s = 2/3 the even line, with no residue terms, is a
+        # second route; with M = 4 and no pole subtraction the residue line
+        # was 3.4e-9, 7.6e-8 and 1.9e-4 off it here at 1e-10, now below
+        # 1e-12
+        budget = PrecisionBudget(1e-10)
+        want = su3._mb_direct(complex(s), 0, PrecisionBudget(1e-13))
+        got = witten_su3_continued(s, budget=budget)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_terms_cancelling_the_integral(self):
+        # at -1.2+40i the integral is 2.8e8 and 2 pi times the value 3.3e5:
+        # stopped relative to the integral, the rule left 1.2e-10 at 1e-10.
+        # mpmath at 30 digits, M = 6 residues on Re z = 5.5, step 1/28
+        want = -18336.845576863787 + 49751.95175509843j
+        got = witten_su3_continued(-1.2 + 40.0j, budget=PrecisionBudget(1e-10))
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    # sech t/((t - p)(t - q)): simple poles at p and q beside the line, and
+    # sech's own at +-i pi/2. The last pair makes F(-t) = conj F(t), so
+    # Re F can be folded
+    SECH_POLES = [(0.3 + 0.25j, -0.5 - 0.35j), (0.3j, -0.4j)]
+
+    @staticmethod
+    def _sech_over_poles(p, q):
+        with mpmath.workdps(30):
+            want = complex(mpmath.quad(
+                lambda t: mpmath.sech(t) / ((t - p) * (t - q)),
+                [-mpmath.inf, -1, 0, 1, mpmath.inf]))
+        poles = [(p, 1.0 / (cmath.cosh(p) * (p - q))),
+                 (q, 1.0 / (cmath.cosh(q) * (q - p)))]
+        return (lambda t: 1.0 / (math.cosh(t) * (t - p) * (t - q))), \
+            poles, want
+
+    @pytest.mark.parametrize("p,q", SECH_POLES)
+    def test_pole_error_at_one_step(self, p, q):
+        # at step 1/4 the plain sum is 1.2e-2 and 5.4e-3 off; less the
+        # poles' share of the error, 4e-15 and 7e-15, rounding: sech's own
+        # poles at +-i pi/2 leave e^{-pi^2/h} = 7e-18
+        f, poles, want = self._sech_over_poles(p, q)
+        h = 0.25
+        raw = h * sum(f(k * h) for k in range(-240, 241))
+        assert abs(raw - want) > 1e-3
+        assert abs(raw - su3._pole_error(poles, h) - want) <= 2e-14
+
+    @pytest.mark.parametrize("pq,folded,mapped", [
+        (SECH_POLES[0], False, False), (SECH_POLES[0], False, True),
+        (SECH_POLES[1], False, False), (SECH_POLES[1], False, True),
+        (SECH_POLES[1], True, False), (SECH_POLES[1], True, True)])
+    def test_trapezoid_subtracts_poles(self, pq, folded, mapped):
+        # plain and sinh-mapped, and folded over Re F where F(-t) =
+        # conj F(t): every value meets its target, in at most a quarter of
+        # the nodes the rule takes without the poles
+        f, poles, want = self._sech_over_poles(*pq)
+        g = (lambda t: f(t).real) if folded else f
+        calls = [0]
+
+        def counted(t):
+            calls[0] += 1
+            return g(t)
+        for target in (1e-10, 1e-13):
+            calls[0] = 0
+            got = su3._trapezoid(counted, target, folded, mapped, poles)
+            with_poles, calls[0] = calls[0], 0
+            su3._trapezoid(counted, target, folded, mapped)
+            assert abs(got - want) <= target * abs(want)
+            assert with_poles <= 0.26 * calls[0]
+            # a rule that sums Re F subtracts the real part of the error
+            assert isinstance(got, float) == folded
+
+    def test_unconverged_value_is_corrected(self, monkeypatch):
+        # one halving allowed: the ConvergenceError carries the corrected
+        # level at step 1/2, 1.3e-8 off (sech's poles), not the raw sum,
+        # 0.21 off
+        f, poles, want = self._sech_over_poles(*self.SECH_POLES[0])
+        monkeypatch.setattr(su3, "_MAX_HALVINGS", 1)
+        with pytest.raises(ConvergenceError) as err:
+            su3._trapezoid(f, 1e-13, poles=poles)
+        assert abs(err.value.achieved - want) <= 1e-7
 
     # zeta^W_SU(3)(s) next to 0 from mpmath at 45 digits, as NEAR_INTEGERS
     # (M = 6 residues on Re z = 5.5, trapezoid step 1/14)
