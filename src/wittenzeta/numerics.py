@@ -77,11 +77,14 @@ def _stirling_log_gamma(w: complex) -> complex:
 
 
 def log_gamma(z: complex) -> complex:
-    """Principal-branch log Gamma via a shifted Stirling series.
+    """A log Gamma via a shifted Stirling series: exp of it is Gamma(z).
 
-    Uses the reflection formula for Re z < 0.5; the poles, the non-positive
-    integers themselves, raise PoleError. Real z >= 0.5 take math.lgamma:
-    there the shifted sum cancels to about 5e-15.
+    For Re z >= 1/2 it is the principal branch. Left of that it uses the
+    reflection formula, whose principal log of the sine can leave the value
+    a multiple of 2 pi i off the principal branch (2 pi i at -2.5 + 10i, 6 pi
+    i at -5.5 + 3i); every caller exponentiates it. The poles, the
+    non-positive integers themselves, raise PoleError. Real z >= 0.5 take
+    math.lgamma: there the shifted sum cancels to about 5e-15.
     """
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):

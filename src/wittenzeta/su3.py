@@ -24,28 +24,41 @@ needed to confirm the level before it. For real s it runs in tau, Im z =
 sinh tau, where the decay is double exponential (Takahasi and Mori, Publ.
 RIMS 9, 1974), from step 1/2 down to the target itself; complex s keep
 steps of 1 in Im z and a 1e-9 floor on the agreement of two levels, but
-not on the estimate. On the residue line each level first subtracts the
-error of the simple poles within 2 of the line, those of Gamma(-z),
-Gamma(s+z), zeta(s-z) and zeta(2s+z), whose residues are the terms up to
-sign: the error of a simple pole has a closed form (Poisson summation),
-and the rule then converges as if the nearest pole were 2 away (pi/2 in
-tau). log Gamma(-z) there does not depend on s and is kept for the last
-4096 nodes. For Re s >= 5/6 the line is z = -s/2 + iu with no residues:
-z <-> -s-z swaps the gammas and the zetas, so the integrand is even in u
-for every s, no terms cancel, and the poles are at least
-min(Re s/2, 3 Re s/2 - 1) >= 1/4 away; for real s it is 2^s/Gamma(s)
-|Gamma(s/2+iu) zeta(3s/2+iu)|^2, one gamma and one zeta per node. Below
-5/6 complex s take m = max(1, ceil(3/2 - 2 Re s)) residues, the fewest
-whose pole-free gap (max(m-1, 1-2 Re s), m) is at least 1/2 wide, and
-real s, for which it is cheaper on the sinh map, m = 2n+2; c halves the
-gap, at least 1/2 wide for Re s > -n - 1/4 with either m. At s = 0, -1,
--2, ... the value is the exact limit ``special_value_su3``: 1/3 at 0, zero
-below (for even n by ``bernoulli_convolution_check``). Next to 0 the
-rounding of 1 + 2s and 2s - 1 in zeta(2s+1) and Gamma(2s-1) costs up to
-4e-18/|s| (at most 2.3e-18/|s| against mpmath at s = +-10^-k, k = 2 .. 13,
-and at 40 random s between 1e-13 and 1e-5 in size), and ConvergenceError
-is raised, the value as ``achieved``, where that exceeds the target: below
-|s| = 4e-5 at 1e-13, 4e-8 at 1e-10 and 4e-12 at 1e-6. The direct series
+not on the estimate. Each level first subtracts the error of the simple
+poles beside the line, within 2 of the residue line and 4 of the even line,
+those of Gamma(-z), Gamma(s+z), zeta(s-z) and zeta(2s+z), whose residues are
+the terms up to sign: the error of a simple pole has a closed form (Poisson
+summation), and the rule then converges as if the nearest pole were that far
+away (pi/2 in tau on the residue line). log Gamma(-z) on the residue line
+does not depend on s and is kept for the last 4096 nodes. For Re s >= 5/6
+the line is z = -s/2 + iu with no residue terms: z <-> -s-z swaps the
+gammas and the zetas, so the integrand is even in u for every s, no terms
+cancel, and the poles are at least min(Re s/2, 3 Re s/2 - 1) >= 1/4 away;
+for real s it is 2^s/Gamma(s) |Gamma(s/2+iu) zeta(3s/2+iu)|^2, one gamma
+and one zeta per node. Next to s = 1 + k the even line's poles at k and
+s - 1, and at -s - k and 1 - 2s, merge into double poles, and their
+residues, of size 1/(s - 1 - k), carry a rounding that grows with them
+(4e-11 at 1 + 1e-7i): within _MERGE_GAP = 1e-3 of 1 + k the two pairs are
+left to the rule, which there converges as before, and s = 1, 2, 3 are
+ordinary points. Below 5/6 complex s take m = max(1, ceil(3/2 - 2 Re s))
+residues, the fewest whose pole-free gap (max(m-1, 1-2 Re s), m) is at least
+1/2 wide, and real s, for which it is cheaper on the sinh map, m = 2n+2; c
+halves the gap, at least 1/2 wide for Re s > -n - 1/4 with either m. At s =
+0, -1, -2, ... the value is the exact limit ``special_value_su3``: 1/3 at 0,
+zero below (for even n by ``bernoulli_convolution_check``).
+
+Two roundings are bounded, and ConvergenceError is raised, the value as
+``achieved``, where the bound exceeds the target. Next to 0 the rounding of
+1 + 2s and 2s - 1 in zeta(2s+1) and Gamma(2s-1) costs up to 4e-18/|s| (at
+most 2.3e-18/|s| against mpmath at s = +-10^-k, k = 2 .. 13, and at 40
+random s between 1e-13 and 1e-5 in size): below |s| = 4e-5 at 1e-13, 4e-8
+at 1e-10 and 4e-12 at 1e-6. On the even line the exponent s log 2 -
+log Gamma(s) + 2 Re log Gamma(s/2+iu) adds terms of size s log s, and its
+rounding is bounded by _EXP_ROUNDING times the sum of |s log 2|,
+|log Gamma(s)| and 2 |log Gamma(s/2)| (against 1 + 2 3^-s + 2 6^-s + 8^-s
+on real s from 35 to 1000 in steps of 0.37 the error is at most 0.92 eps
+times that sum, and 1.8e-12 at 961): right of Re s of about 42 at 1e-13
+and 252 at 1e-12, never at 1e-11 or above. The direct series
 ``mt_series`` (square sums from one table of powers, each one FFT
 self-convolution, extrapolated in N) stays an independent check for
 Re s > 1.
@@ -67,11 +80,15 @@ from .numerics import (DEFAULT_BUDGET, PrecisionBudget, gamma_ratio_at_neg,
 _POLE_TOL = 1e-6  # the genuine poles s = 2/3 and s = 1/2 - j
 _EVEN_LINE = 5.0 / 6.0  # the even line's strip is >= 1/4 wide from here on
 _MAX_RE_S, _MAX_IM_S = 1000.0, 250.0  # each call then takes under 0.7 s:
-# at 1e-13, 0.35-0.55 s at 1+250i (even line), 0.1-0.2 s at 0.8+100i
+# at 1e-13, 0.10-0.16 s at 1+250i (even line), 0.1-0.2 s at 0.8+100i and
+# 0.45 s at 0.8+205i (residue line)
 _MAX_HALVINGS = 8  # trapezoid steps 1/2 .. 1/256 in t, 1/4 .. 1/512 in tau
 _ZERO_ROUNDING = 4e-18  # next to s = 0 the error is up to this over |s|
+_EXP_ROUNDING = 4.4e-16  # the even line's, per unit of its exponent's size
 _ESTIMATE_SHARE = 0.1  # of the target, for the trapezoid's error estimate
 _POLE_REACH = 2.0  # the residue line's rule subtracts the poles this near
+_EVEN_REACH = 4.0  # and the even line's
+_MERGE_GAP = 1e-3  # the even line leaves out pairs of poles this near 1+k
 _MT_BASE = 1500  # N of mt_series' square sums at N, 2N, 4N
 _MT_MAX_RE = 512.0  # from here on 2.0 ** (2 Re s) overflows
 
@@ -161,33 +178,51 @@ def _log_gamma_neg(c: float, t: float) -> complex:
 
 def _mb_direct(s: complex, m: int, budget: PrecisionBudget) -> complex:
     """The Mellin-Barnes formula with m residues of Gamma(-z): m = 0 is the
-    even line, m >= 1 the residue line (Re s < m). There the rule is handed
-    the integrand's simple poles within _POLE_REACH of the line, each
-    residue one of the terms up to sign: Gamma(-z)'s at k (minus the k-th
-    term), Gamma(s+z)'s at -s-k (the k-th term), zeta(s-z)'s at s-1 (minus
-    the gamma-ratio term) and zeta(2s+z)'s at 1-2s (that term)."""
+    even line, m >= 1 the residue line (Re s < m). The rule is handed the
+    integrand's simple poles within _EVEN_REACH of the even line, or
+    _POLE_REACH of the residue line, each residue one of the terms up to
+    sign: Gamma(-z)'s at k (minus the k-th term), Gamma(s+z)'s at -s-k (the
+    k-th term), zeta(s-z)'s at s-1 (minus the gamma-ratio term) and
+    zeta(2s+z)'s at 1-2s (that term). A residue is formed only for a pole in
+    reach, or for a term the residue line adds. Within _MERGE_GAP of s = 1+k
+    the poles at k and s-1, and at -s-k and 1-2s, merge into double poles
+    with residues of about +-1/(s-1-k): the four are left out."""
     real, lg_s = s.imag == 0.0, log_gamma(s)
-    pow2, poles = cmath.exp(s * math.log(2.0)), []
+    pow2 = cmath.exp(s * math.log(2.0))
     if m == 0:  # z = -s/2 + iu
-        centre, terms = -0.5 * s, 0.0
+        centre, reach = -0.5 * s, _EVEN_REACH
     else:  # Re z = c, right of the residues at z = s - 1 and z = 0 .. m-1
         c = 0.5 * (max(m - 1.0, 1.0 - 2.0 * s.real) + m)
-        centre = complex(c)
-        terms = riemann_zeta(3.0 * s - 1.0, budget) * cmath.exp(
-            log_gamma(2.0 * s - 1.0) + log_gamma(1.0 - s) - lg_s)
-        near = [(s - 1.0, -terms), (1.0 - 2.0 * s, terms)]
-        poch = 1.0 + 0.0j  # (s)_k
-        for k in range(m + 2):  # k = m, m + 1 lie right of the line
+        centre, reach = complex(c), _POLE_REACH
+    c, n = centre.real, round(s.real)
+    merged = n - 1 if n >= 1 and abs(s - n) < _MERGE_GAP else -1
+    terms, near = 0.0, []
+    if m or (abs(s.real - 1.0 - c) < reach and merged < 0):
+        # Gamma(1 - s) from Re(1 - s + j) >= 1/2 on the even line: the
+        # reflection's sine overflows from |Im s| of about 222
+        j = 0 if m else math.ceil(s.real - 0.5)
+        ratio = riemann_zeta(3.0 * s - 1.0, budget) * cmath.exp(
+            log_gamma(2.0 * s - 1.0) + log_gamma(1.0 - s + j) - lg_s)
+        if j:
+            ratio /= math.prod(1.0 - s + i for i in range(j))
+        if m:
+            terms = ratio
+        near = [(s - 1.0, -ratio), (1.0 - 2.0 * s, ratio)]
+    poch = 1.0 + 0.0j  # (s)_k
+    # k < c + reach: k = m, m + 1 on the residue line lie right of it
+    for k in range(math.ceil(c + reach)):
+        if k != merged:
             term = (-1.0) ** k * poch / factorial(k) \
                 * riemann_zeta(2.0 * s + k, budget) \
                 * riemann_zeta(s - k, budget)
             if k < m:
                 terms += term
             near += [(complex(k), -term), (-s - k, term)]
-            poch *= s + k
-        # z = c + it: the pole z_j is t_j = -i(z_j - c), with residue -i R_j
-        poles = [(-1j * (z - c), -1j * pow2 * r) for z, r in near
-                 if abs(z.real - c) < _POLE_REACH]
+        poch *= s + k
+    # z = centre + it: the pole z_j is t_j = -i(z_j - centre), with residue
+    # -i R_j
+    poles = [(-1j * (z - centre), -1j * pow2 * r) for z, r in near
+             if abs(z.real - c) < reach]
     # 2^s/Gamma(s) inside exp: O(1) at large Re s, as _trapezoid's stop needs
     log_pref = s * math.log(2.0) - lg_s
 
@@ -233,9 +268,10 @@ def _trapezoid(f, target: float, folded: bool = False,
     relative to 1 + |shift + T_L|, ``shift`` being what the caller adds to
     the integral. With ``folded`` f is even about t = 0 (an even f about
     another point would repeat its nodes at step 1/2 and stop the halving
-    early): each node t > 0 counts twice, and -t is not run; f with poles
-    is then Re F for an F with F(-t) = conj F(t), the poles are F's, and
-    the real part of their error is subtracted. With ``mapped`` the rule
+    early): each node t > 0 counts twice, and -t is not run. A real-valued
+    f with poles is Re F, the poles are F's, and the real part of their
+    error is subtracted; a complex f, folded or not, has the whole error
+    subtracted. With ``mapped`` the rule
     integrates g(tau) = f(sinh tau) cosh tau, whose decay the map makes
     double exponential (Takahasi and Mori, Publ. RIMS 9, 1974), and a pole
     t_j is g's at asinh(t_j), with the same residue: its nodes run out from
@@ -248,6 +284,7 @@ def _trapezoid(f, target: float, folded: bool = False,
     h, tol = (0.5, target) if mapped else (1.0, max(target, 1e-9))
     weight, sides = (2.0, (1,)) if folded else (1.0, (1, -1))
     total, ends = g(0.0), [0, 0]  # ends: hi, lo; lo stays 0 when folded
+    real = isinstance(total, float)  # f = Re F: Re of the poles' error
     for i, step in enumerate(sides):
         k = quiet = 0
         while quiet < 2:
@@ -257,13 +294,13 @@ def _trapezoid(f, target: float, folded: bool = False,
             quiet = quiet + 1 if abs(v) < 1e-3 * target else 0
         ends[i] = k * h
     (hi, lo), total = ends, total * h  # total: the raw sum at step h
-    level = total - _pole_error(poles, h, folded)
+    level = total - _pole_error(poles, h, real)
     last = 0.0  # D2; 0 until two levels exist, so the estimate waits
     for _ in range(_MAX_HALVINGS):
         odd = weight * sum(g(lo + (j + 0.5) * h)
                            for j in range(round((hi - lo) / h)))
         total, h = 0.5 * (total + h * odd), 0.5 * h
-        refined = total - _pole_error(poles, h, folded)
+        refined = total - _pole_error(poles, h, real)
         diff = abs(refined - level)
         if _settled(diff, last, tol, target, 1.0 + abs(shift + refined)):
             return refined
@@ -308,14 +345,14 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
     <= M for complex s), exactly at s = 0, -1, -2, ...
 
     The poles s = 2/3 and 1/2 - j raise PoleError. Outside -n - 1/4 < Re s
-    <= 1000, |Im s| <= 250 (the even line takes 2 ms at s = 1000 and
-    0.35-0.55 s at 1 + 250i, the residue line 0.1-0.2 s at 0.8 + 100i at
+    <= 1000, |Im s| <= 250 (the even line takes 1-2 ms at s = 1000 and
+    0.10-0.16 s at 1 + 250i, the residue line 0.1-0.2 s at 0.8 + 100i at
     1e-13, on one core of a shared Xeon) and where a sine overflows (left
     of Re s = 3/4 from |Im s| = 111 on, left of Re s = 1 from about 210,
-    the edge moving with the target) DomainError is raised. Above Re s = 30
-    the gamma logs, of size s log s, round to 1e-13 (1e-12 at 1000).
-    ConvergenceError is raised next to s = 0, where the rounding bound
-    _ZERO_ROUNDING/|s| exceeds the target (see the module docstring).
+    the edge moving with the target) DomainError is raised.
+    ConvergenceError, the value as ``achieved``, is raised where a rounding
+    bound exceeds the target: next to s = 0 and right of Re s of about 42
+    at 1e-13, 252 at 1e-12 (see the module docstring).
     """
     s, lo = complex(s), -params.n - 0.25
     if not (lo < s.real <= _MAX_RE_S and abs(s.imag) <= _MAX_IM_S):
@@ -334,11 +371,16 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
     else:  # the fewest residues whose pole-free gap is 1/2 wide; <= M
         m = max(1, math.ceil(1.5 - 2.0 * s.real))
     value = _mb_direct(s, m, budget)
-    if _ZERO_ROUNDING > budget.target * abs(s):
+    if m:  # next to s = 0, of 1 + 2s
+        rounding = _ZERO_ROUNDING / abs(s)
+    else:  # of s log 2 - log Gamma(s) + 2 Re log Gamma(s/2 + iu)
+        x = s.real
+        rounding = _EXP_ROUNDING * (x * math.log(2.0) + abs(math.lgamma(x))
+                                    + 2.0 * abs(math.lgamma(0.5 * x)))
+    if rounding > budget.target:
         raise ConvergenceError(
-            f"next to s = 0 the rounding of 1 + 2s costs up to "
-            f"{_ZERO_ROUNDING / abs(s):.1e}, above the target "
-            f"{budget.target:g}", achieved=value)
+            f"at s={s} the rounding costs up to {rounding:.1e}, above the "
+            f"target {budget.target:g}", achieved=value)
     return value
 
 
