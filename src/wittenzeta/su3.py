@@ -20,31 +20,33 @@ Rev. 56, 2014). It stops when two levels agree to the target, or, once
 three levels exist and their two differences D2 > D1 shrink, when the
 quadratic estimate D1^2/D2 of the last level's own error is within a tenth
 of the target; the last halving, about half of the nodes, is then not
-needed to confirm the level before it. For real s it runs in tau, Im z =
-sinh tau, where the decay is double exponential (Takahasi and Mori, Publ.
-RIMS 9, 1974), from step 1/2 down to the target itself; complex s keep
-steps of 1 in Im z and a 1e-9 floor on the agreement of two levels, but
-not on the estimate. Each level first subtracts the error of the simple
-poles beside the line, within 2 of the residue line and 4 of the even line,
-those of Gamma(-z), Gamma(s+z), zeta(s-z) and zeta(2s+z), whose residues are
-the terms up to sign: the error of a simple pole has a closed form (Poisson
-summation), and the rule then converges as if the nearest pole were that far
-away (pi/2 in tau on the residue line). log Gamma(-z) on the residue line
-does not depend on s and is kept for the last 4096 nodes. For Re s >= 5/6
-the line is z = -s/2 + iu with no residue terms: z <-> -s-z swaps the
-gammas and the zetas, so the integrand is even in u for every s, no terms
-cancel, and the poles are at least min(Re s/2, 3 Re s/2 - 1) >= 1/4 away;
-for real s it is 2^s/Gamma(s) |Gamma(s/2+iu) zeta(3s/2+iu)|^2, one gamma
-and one zeta per node. Next to s = 1 + k the even line's poles at k and
-s - 1, and at -s - k and 1 - 2s, merge into double poles, and their
-residues, of size 1/(s - 1 - k), carry a rounding that grows with them
-(4e-11 at 1 + 1e-7i): within _MERGE_GAP = 1e-3 of 1 + k the two pairs are
-left to the rule, which there converges as before, and s = 1, 2, 3 are
-ordinary points. Below 5/6 complex s take m = max(1, ceil(3/2 - 2 Re s))
-residues, the fewest whose pole-free gap (max(m-1, 1-2 Re s), m) is at least
-1/2 wide, and real s, for which it is cheaper on the sinh map, m = 2n+2; c
-halves the gap, at least 1/2 wide for Re s > -n - 1/4 with either m. At s =
-0, -1, -2, ... the value is the exact limit ``special_value_su3``: 1/3 at 0,
+needed to confirm the level before it. One rule serves every s: steps
+from 1 in Im z, and a 1e-9 floor on the agreement of two levels, but not
+on the estimate. Each level first subtracts the error of the simple poles
+beside the line, those of Gamma(-z), Gamma(s+z), zeta(s-z) and zeta(2s+z),
+whose residues are the terms up to sign: the error of a simple pole has a
+closed form (Poisson summation), and the rule then converges as if the
+nearest pole were that far away. A rule folded about t = 0 (real s, and the
+even line) subtracts the poles within 4 of the line; the two-sided residue
+line of complex s those within 2, where its terms can cancel an integral
+many times the value (at -1.2+40i, with 4, the value was 1.21 times its
+1e-10 claim off mpmath, with 2 0.70 times). log Gamma(-z) on the residue
+line does not depend on s and is kept for the last 4096 nodes. For Re s
+>= 5/6 the line is z = -s/2 + iu with no residue terms: z <-> -s-z swaps
+the gammas and the zetas, so the integrand is even in u for every s, no
+terms cancel, and the poles are at least min(Re s/2, 3 Re s/2 - 1) >= 1/4
+away; for real s it is 2^s/Gamma(s) |Gamma(s/2+iu) zeta(3s/2+iu)|^2, one
+gamma and one zeta per node. From Re s = 8 on no pole is in reach and the
+integrand is about a Gaussian of width sqrt(Re s/2), whose nodes at steps
+1 and 1/2 set the cost: 243 integrand calls at s = 1000. Next to s = 1 + k
+the even line's poles at k and s - 1, and at -s - k and 1 - 2s, merge into
+double poles, and their residues, of size 1/(s - 1 - k), carry a rounding
+that grows with them (4e-11 at 1 + 1e-7i): within _MERGE_GAP = 1e-3 of
+1 + k the two pairs are left to the rule, which there converges as before,
+and s = 1, 2, 3 are ordinary points. Below 5/6 s takes m = max(1,
+ceil(3/2 - 2 Re s)) residues, the fewest whose pole-free gap (max(m-1,
+1-2 Re s), m) is at least 1/2 wide; c halves the gap. At s = 0, -1, -2,
+... the value is the exact limit ``special_value_su3``: 1/3 at 0,
 zero below (for even n by ``bernoulli_convolution_check``).
 
 Two roundings are bounded, and ConvergenceError is raised, the value as
@@ -82,12 +84,12 @@ _EVEN_LINE = 5.0 / 6.0  # the even line's strip is >= 1/4 wide from here on
 _MAX_RE_S, _MAX_IM_S = 1000.0, 250.0  # each call then takes under 0.7 s:
 # at 1e-13, 0.10-0.16 s at 1+250i (even line), 0.1-0.2 s at 0.8+100i and
 # 0.45 s at 0.8+205i (residue line)
-_MAX_HALVINGS = 8  # trapezoid steps 1/2 .. 1/256 in t, 1/4 .. 1/512 in tau
+_MAX_HALVINGS = 8  # trapezoid steps 1/2 .. 1/256
 _ZERO_ROUNDING = 4e-18  # next to s = 0 the error is up to this over |s|
 _EXP_ROUNDING = 4.4e-16  # the even line's, per unit of its exponent's size
 _ESTIMATE_SHARE = 0.1  # of the target, for the trapezoid's error estimate
-_POLE_REACH = 2.0  # the residue line's rule subtracts the poles this near
-_EVEN_REACH = 4.0  # and the even line's
+_POLE_REACH = 2.0  # the two-sided rule subtracts the poles this near
+_EVEN_REACH = 4.0  # and a folded one, on either line
 _MERGE_GAP = 1e-3  # the even line leaves out pairs of poles this near 1+k
 _MT_BASE = 1500  # N of mt_series' square sums at N, 2N, 4N
 _MT_MAX_RE = 512.0  # from here on 2.0 ** (2 Re s) overflows
@@ -152,9 +154,9 @@ def mt_series(s: complex,
 # ---------------------------------------------------------------------------
 
 class MBParams:
-    """Strip selector n: the residue line holds for Re s > -n - 1/4, where
-    real s take M = 2n+2 residues of Gamma(-z) and complex s the
-    m = max(1, ceil(3/2 - 2 Re s)) <= M of the module docstring."""
+    """Strip selector n: the domain's left edge, Re s > -n - 1/4. M = 2n+2
+    is the largest m(s) = max(1, ceil(3/2 - 2 Re s)) in the strip, the
+    residues of Gamma(-z) of a second contour for checks."""
 
     __slots__ = ("n",)
 
@@ -172,28 +174,31 @@ class MBParams:
 def _log_gamma_neg(c: float, t: float) -> complex:
     """log Gamma(-z) at z = c + it on the residue line. It does not depend
     on s, and the nodes t repeat from call to call: the rule's are dyadic
-    steps, or sinh of them."""
+    steps."""
     return log_gamma(complex(-c, -t))
 
 
 def _mb_direct(s: complex, m: int, budget: PrecisionBudget) -> complex:
     """The Mellin-Barnes formula with m residues of Gamma(-z): m = 0 is the
     even line, m >= 1 the residue line (Re s < m). The rule is handed the
-    integrand's simple poles within _EVEN_REACH of the even line, or
-    _POLE_REACH of the residue line, each residue one of the terms up to
+    integrand's simple poles within _EVEN_REACH of the line where it is
+    folded (real s, and the even line), or _POLE_REACH of the two-sided
+    residue line of complex s, each residue one of the terms up to
     sign: Gamma(-z)'s at k (minus the k-th term), Gamma(s+z)'s at -s-k (the
     k-th term), zeta(s-z)'s at s-1 (minus the gamma-ratio term) and
     zeta(2s+z)'s at 1-2s (that term). A residue is formed only for a pole in
     reach, or for a term the residue line adds. Within _MERGE_GAP of s = 1+k
     the poles at k and s-1, and at -s-k and 1-2s, merge into double poles
-    with residues of about +-1/(s-1-k): the four are left out."""
+    with residues of about +-1/(s-1-k): the four are left out. The rule's
+    ConvergenceError is passed on with its last level's value."""
     real, lg_s = s.imag == 0.0, log_gamma(s)
     pow2 = cmath.exp(s * math.log(2.0))
+    folded = real or m == 0
+    reach = _EVEN_REACH if folded else _POLE_REACH
     if m == 0:  # z = -s/2 + iu
-        centre, reach = -0.5 * s, _EVEN_REACH
+        centre = -0.5 * s
     else:  # Re z = c, right of the residues at z = s - 1 and z = 0 .. m-1
-        c = 0.5 * (max(m - 1.0, 1.0 - 2.0 * s.real) + m)
-        centre, reach = complex(c), _POLE_REACH
+        centre = complex(0.5 * (max(m - 1.0, 1.0 - 2.0 * s.real) + m))
     c, n = centre.real, round(s.real)
     merged = n - 1 if n >= 1 and abs(s - n) < _MERGE_GAP else -1
     terms, near = 0.0, []
@@ -209,7 +214,7 @@ def _mb_direct(s: complex, m: int, budget: PrecisionBudget) -> complex:
             terms = ratio
         near = [(s - 1.0, -ratio), (1.0 - 2.0 * s, ratio)]
     poch = 1.0 + 0.0j  # (s)_k
-    # k < c + reach: k = m, m + 1 on the residue line lie right of it
+    # k < c + reach: k = m, m + 1, ... on the residue line lie right of it
     for k in range(math.ceil(c + reach)):
         if k != merged:
             term = (-1.0) ** k * poch / factorial(k) \
@@ -236,21 +241,24 @@ def _mb_direct(s: complex, m: int, budget: PrecisionBudget) -> complex:
             * riemann_zeta(s - z, budget)
         return v.real if real else v  # for real s, f(-t) = conj f(t)
 
-    # even in t: the even line for every s, Re f on the other for real s;
-    # the sinh map for real s only: complex s spread out to |t| of about
-    # |Im s|, far out on the map (at 1+100i it did not converge). The stop
-    # tests are relative to 2 pi times the value, which the terms
+    def value(integral: complex) -> complex:
+        v = pow2 * terms + integral / (2.0 * math.pi)
+        return complex(v.real) if real else v
+
+    # even in t: the even line for every s, Re f on the other for real s.
+    # The stop tests are relative to 2 pi times the value, which the terms
     # can make far smaller than the integral (2.8e8 against 3.3e5 at
     # -1.2+40i, where the integral's own scale left 1.2e-10 at 1e-10)
-    integral = _trapezoid(integrand, budget.target, folded=real or m == 0,
-                          mapped=real, poles=poles,
-                          shift=2.0 * math.pi * pow2 * terms)
-    value = pow2 * terms + integral / (2.0 * math.pi)
-    return complex(value.real) if real else value
+    try:
+        return value(_trapezoid(integrand, budget.target, folded, poles,
+                                shift=2.0 * math.pi * pow2 * terms))
+    except ConvergenceError as err:  # it carries the integral
+        err.achieved = value(err.achieved)
+        raise
 
 
-def _trapezoid(f, target: float, folded: bool = False,
-               mapped: bool = False, poles=(), shift=0.0) -> complex:
+def _trapezoid(f, target: float, folded: bool = False, poles=(),
+               shift=0.0) -> complex:
     """Integral of f over the real line by the trapezoid rule.
 
     The nodes run out from t = 0 in steps of 1 until two in a row fall below
@@ -271,33 +279,25 @@ def _trapezoid(f, target: float, folded: bool = False,
     early): each node t > 0 counts twice, and -t is not run. A real-valued
     f with poles is Re F, the poles are F's, and the real part of their
     error is subtracted; a complex f, folded or not, has the whole error
-    subtracted. With ``mapped`` the rule
-    integrates g(tau) = f(sinh tau) cosh tau, whose decay the map makes
-    double exponential (Takahasi and Mori, Publ. RIMS 9, 1974), and a pole
-    t_j is g's at asinh(t_j), with the same residue: its nodes run out from
-    tau = 0 in steps of 1/2, and the agreement of two levels is taken to
-    the target itself.
+    subtracted.
     """
-    g = (lambda u: f(math.sinh(u)) * math.cosh(u)) if mapped else f
-    if mapped:
-        poles = [(cmath.asinh(t), r) for t, r in poles]
-    h, tol = (0.5, target) if mapped else (1.0, max(target, 1e-9))
+    h, tol = 1.0, max(target, 1e-9)
     weight, sides = (2.0, (1,)) if folded else (1.0, (1, -1))
-    total, ends = g(0.0), [0, 0]  # ends: hi, lo; lo stays 0 when folded
+    total, ends = f(0.0), [0, 0]  # ends: hi, lo; lo stays 0 when folded
     real = isinstance(total, float)  # f = Re F: Re of the poles' error
     for i, step in enumerate(sides):
         k = quiet = 0
         while quiet < 2:
             k += step
-            v = g(k * h)
+            v = f(float(k))
             total += weight * v
             quiet = quiet + 1 if abs(v) < 1e-3 * target else 0
-        ends[i] = k * h
-    (hi, lo), total = ends, total * h  # total: the raw sum at step h
+        ends[i] = k
+    hi, lo = ends  # total: the raw sum at step h = 1
     level = total - _pole_error(poles, h, real)
     last = 0.0  # D2; 0 until two levels exist, so the estimate waits
     for _ in range(_MAX_HALVINGS):
-        odd = weight * sum(g(lo + (j + 0.5) * h)
+        odd = weight * sum(f(lo + (j + 0.5) * h)
                            for j in range(round((hi - lo) / h)))
         total, h = 0.5 * (total + h * odd), 0.5 * h
         refined = total - _pole_error(poles, h, real)
@@ -310,15 +310,15 @@ def _trapezoid(f, target: float, folded: bool = False,
 
 
 def _pole_error(poles, h: float, real: bool = False) -> complex:
-    """The error h sum_k g(kh) - int g that simple poles (tau_j, r_j) of g
-    off the real line give (Poisson summation; the sum of r/(kh - tau) is a
-    cotangent): 2 pi i r q/(1 - q) with q = e^{2 pi i tau/h} above the line,
-    minus that with q = e^{-2 pi i tau/h} below it. With ``real`` its real
-    part, for a rule that sums Re g."""
+    """The error h sum_k f(kh) - int f that simple poles (t_j, r_j) of f
+    off the real line give (Poisson summation; the sum of r/(kh - t) is a
+    cotangent): 2 pi i r q/(1 - q) with q = e^{2 pi i t/h} above the line,
+    minus that with q = e^{-2 pi i t/h} below it. With ``real`` its real
+    part, for a rule that sums Re f."""
     err = 0.0
-    for tau, r in poles:
-        side = 1.0 if tau.imag > 0.0 else -1.0
-        q = cmath.exp(side * 2j * math.pi * tau / h)
+    for t, r in poles:
+        side = 1.0 if t.imag > 0.0 else -1.0
+        q = cmath.exp(side * 2j * math.pi * t / h)
         err += side * 2j * math.pi * r * q / (1.0 - q)
     return err.real if real else err
 
@@ -341,18 +341,18 @@ _panel_quad = _trapezoid  # the name bench/tracing.py wraps
 def witten_su3_continued(s: complex, params: MBParams = MBParams(),
                          budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
     """zeta^W_{SU(3)}(s) on the even line for Re s >= 5/6, on the residue
-    line of strip ``params.n`` below it (M = 2n+2 residues for real s, m(s)
-    <= M for complex s), exactly at s = 0, -1, -2, ...
+    line right of m(s) residues below it, exactly at s = 0, -1, -2, ...
 
     The poles s = 2/3 and 1/2 - j raise PoleError. Outside -n - 1/4 < Re s
-    <= 1000, |Im s| <= 250 (the even line takes 1-2 ms at s = 1000 and
-    0.10-0.16 s at 1 + 250i, the residue line 0.1-0.2 s at 0.8 + 100i at
-    1e-13, on one core of a shared Xeon) and where a sine overflows (left
-    of Re s = 3/4 from |Im s| = 111 on, left of Re s = 1 from about 210,
-    the edge moving with the target) DomainError is raised.
-    ConvergenceError, the value as ``achieved``, is raised where a rounding
-    bound exceeds the target: next to s = 0 and right of Re s of about 42
-    at 1e-13, 252 at 1e-12 (see the module docstring).
+    <= 1000, |Im s| <= 250 (at s = 1000 the even line takes 243 integrand
+    calls, 4.4-6.3 ms, at 1e-10, at 1 + 250i 0.10-0.16 s, and the residue
+    line 0.1-0.2 s at 0.8 + 100i at 1e-13, on one core of a shared Xeon)
+    and where a sine overflows (left of Re s = 3/4 from |Im s| = 111 on,
+    left of Re s = 1 from about 210, the edge moving with the target)
+    DomainError is raised. ConvergenceError, the value as ``achieved``, is
+    raised where a rounding bound exceeds the target: next to s = 0 and
+    right of Re s of about 42 at 1e-13, 252 at 1e-12 (see the module
+    docstring); and where the rule does not settle.
     """
     s, lo = complex(s), -params.n - 0.25
     if not (lo < s.real <= _MAX_RE_S and abs(s.imag) <= _MAX_IM_S):
@@ -364,12 +364,8 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
         if abs(s - pole) < _POLE_TOL:
             raise PoleError(f"zeta^W_SU(3) pole near s = {pole}",
                             location=pole)
-    if s.real >= _EVEN_LINE:
-        m = 0
-    elif s.imag == 0.0:
-        m = params.M
-    else:  # the fewest residues whose pole-free gap is 1/2 wide; <= M
-        m = max(1, math.ceil(1.5 - 2.0 * s.real))
+    # the fewest residues whose pole-free gap is 1/2 wide; <= params.M
+    m = 0 if s.real >= _EVEN_LINE else max(1, math.ceil(1.5 - 2.0 * s.real))
     value = _mb_direct(s, m, budget)
     if m:  # next to s = 0, of 1 + 2s
         rounding = _ZERO_ROUNDING / abs(s)

@@ -7,7 +7,7 @@ One check is expected to fail and is reported honestly: the continuation of
 the SU(3) zeta has a genuine simple pole at s = 1/2 (the residues of the
 gamma-ratio term and the k = 0 finite-sum term add up to sqrt(2) zeta(1/2)
 != 0), so the strip-independence comparison listed at s = 0.5 cannot be
-evaluated there; a residue-based strip-independence check is run instead.
+evaluated there; the residue there is compared on two contours instead.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def suite_su3() -> list:
                     "domain, so this listed check cannot pass")
     res = su3_residue_at_half()
     want = math.sqrt(2.0) * riemann_zeta(0.5).real
-    _check(out, "residue at s=1/2 equals sqrt(2) zeta(1/2), both strips",
+    _check(out, "residue at s=1/2 equals sqrt(2) zeta(1/2), two contours",
            _close(res[0], want, 1e-6) and _close(res[1], want, 1e-6),
            f"{res[0]:.8f}, {res[1]:.8f}", f"{want:.8f}", "1e-6")
     return out
@@ -242,14 +242,16 @@ def suite_su3() -> list:
 
 def su3_residue_at_half() -> tuple:
     """Residue of the continued SU(3) zeta at s = 1/2, measured numerically
-    as (s - 1/2) f(s) extrapolated from both contour strips."""
+    as (s - 1/2) f(s) extrapolated from two contours: the residue line of
+    ``witten_su3_continued``, right of m(s) = 1 residue, and the one right
+    of strip n = 2's M = 6 residues."""
+    m = su3.MBParams(n=2).M
     out = []
-    for n in (1, 2):
-        params = su3.MBParams(n=n)
+    for f in (su3.witten_su3_continued,
+              lambda s: su3._mb_direct(s, m, DEFAULT_BUDGET)):
         ests = []
         for d in (1e-3, 5e-4):
-            f1 = su3.witten_su3_continued(complex(0.5 + d), params)
-            f2 = su3.witten_su3_continued(complex(0.5 - d), params)
+            f1, f2 = f(complex(0.5 + d)), f(complex(0.5 - d))
             ests.append(0.5 * d * (f1 - f2).real)  # symmetric residue probe
         # Richardson in d^2 leading correction
         out.append((4.0 * ests[1] - ests[0]) / 3.0)

@@ -189,7 +189,7 @@ def test_criterion_10_strip_independence(s):
     strict=True,
     reason="s = 1/2 is a genuine simple pole of the continuation (residue "
            "sqrt(2) zeta(1/2) != 0, confirmed by symmetric difference "
-           "probes from both strips), so no finite value exists there to "
+           "probes on two contours), so no finite value exists there to "
            "compare across strips; both strip choices raise PoleError")
 def test_criterion_10_strip_independence_at_half():
     a = witten_su3_continued(0.5, MBParams(n=1))
@@ -198,8 +198,9 @@ def test_criterion_10_strip_independence_at_half():
 
 
 def test_criterion_10_substitute_residue_at_half():
-    # corrected check at the same point: both strips see the same simple
-    # pole with residue sqrt(2) zeta(1/2)
+    # corrected check at the same point: two contours, right of m(s) = 1
+    # and of M = 6 residues, see the same simple pole with residue
+    # sqrt(2) zeta(1/2)
     from wittenzeta.verify import su3_residue_at_half
     want = math.sqrt(2.0) * -1.4603545088095868129
     for got in su3_residue_at_half():

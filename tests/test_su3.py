@@ -398,22 +398,13 @@ class TestContinuation:
         with pytest.raises(ConvergenceError):
             su3._trapezoid(lambda t: math.exp(-t * t) / (t * t + 1e-6), 1e-10)
 
-    @pytest.mark.parametrize("folded", [False, True])
-    def test_mapped_trapezoid_rule(self, folded):
-        # t = sinh(tau): the Gaussian and sech t, which decays only like
-        # e^{-|t|}, both to the target itself, with no 1e-9 floor
-        gauss = su3._trapezoid(lambda t: math.exp(-t * t), 1e-13, folded,
-                               True)
-        assert abs(gauss - math.sqrt(math.pi)) <= 1e-13
-        sech = su3._trapezoid(lambda t: 1.0 / math.cosh(t), 1e-13, folded,
-                              True)
-        assert abs(sech - math.pi) <= 1e-13 * math.pi
-
-    @pytest.mark.parametrize("mapped", [False, True])
-    @pytest.mark.parametrize("folded", [False, True])
+    # here, in test_error_estimate_waits and in test_trapezoid_subtracts_poles
+    # each id keeps a last field, False, from the rule's former sinh-map
+    # option, so that the cases keep their names
+    @pytest.mark.parametrize("folded", [False, True],
+                             ids=["False-False", "True-False"])
     @pytest.mark.parametrize("name", ["gauss", "sech"])
-    def test_error_estimate_saves_calls(self, name, folded, mapped,
-                                        monkeypatch):
+    def test_error_estimate_saves_calls(self, name, folded, monkeypatch):
         # exp(-(t/a)^2) and sech(t/a), integrals a sqrt(pi) and a pi, at five
         # scales and three targets. With _ESTIMATE_SHARE = 0 the estimate
         # accepts only D1 = 0, which the agreement of two levels accepts as
@@ -429,7 +420,7 @@ class TestContinuation:
                 calls[0] += 1
                 return f(t)
             monkeypatch.setattr(su3, "_ESTIMATE_SHARE", share)
-            return su3._trapezoid(g, target, folded, mapped), calls[0]
+            return su3._trapezoid(g, target, folded), calls[0]
         totals = [0, 0]
         for a in (0.5, 0.7, 1.0, 2.0, 3.0):
             if name == "gauss":
@@ -446,9 +437,9 @@ class TestContinuation:
                 totals[1] += old
         assert totals[0] < totals[1]
 
-    @pytest.mark.parametrize("mapped", [False, True])
-    @pytest.mark.parametrize("folded", [False, True])
-    def test_error_estimate_waits(self, folded, mapped, monkeypatch):
+    @pytest.mark.parametrize("folded", [False, True],
+                             ids=["False-False", "True-False"])
+    def test_error_estimate_waits(self, folded, monkeypatch):
         # the estimate needs three levels and shrinking differences: at the
         # first halving (D2 passed as 0) and wherever D1 >= D2 a level is
         # accepted only when it agrees with the one before
@@ -465,7 +456,7 @@ class TestContinuation:
             for target in (1e-6, 1e-10, 1e-13):
                 seen.clear()
                 try:
-                    su3._trapezoid(f, target, folded, mapped)
+                    su3._trapezoid(f, target, folded)
                 except ConvergenceError:
                     pass
                 assert seen[0][1] == 0.0 and seen[0][2] == seen[0][3]
@@ -502,12 +493,21 @@ class TestContinuation:
 
     @pytest.mark.parametrize("s", [1.5, -0.4, 0.3, 0.755])
     def test_real_s_contour_work(self, s, monkeypatch):
-        # real s takes the sinh-mapped rule on both lines: 65 integrand
-        # calls here at 1e-13, where the plain rule took 209 to 225; at
-        # 0.755 the agreement of two levels took 129, the error estimate
-        # 65. On the residue line the subtracted poles leave 33
+        # real s fold the rule and subtract the poles within _EVEN_REACH
+        # on both lines: 29, 27, 27 and 29 integrand calls here at 1e-13,
+        # where the sinh map took 33 each and the plain rule without the
+        # poles 209 to 225
         most = 70 if s >= 5.0 / 6.0 else 40
         assert 0 < self._contour_calls(s, 1e-13, monkeypatch) <= most
+
+    @pytest.mark.parametrize("s,most", [(100.0, 90), (1000.0, 260)])
+    def test_large_real_s_contour_work(self, s, most, monkeypatch):
+        # from Re s = 8 on the even line has no pole in reach, and the
+        # integrand is about a Gaussian of width sqrt(s/2) in u: the rule
+        # stops at its first halving, which doubles the nodes at step 1, a
+        # few widths out. 83 and 243 calls at 1e-10, where the sinh map
+        # took 41 and 53
+        assert 0 < self._contour_calls(s, 1e-10, monkeypatch) <= most
 
     def test_complex_s_contour_work(self, monkeypatch):
         # the plain two-sided rule: 417 calls on the agreement of two
@@ -594,14 +594,14 @@ class TestContinuation:
         assert abs(raw - want) > 1e-3
         assert abs(raw - su3._pole_error(poles, h) - want) <= 2e-14
 
-    @pytest.mark.parametrize("pq,folded,mapped", [
-        (SECH_POLES[0], False, False), (SECH_POLES[0], False, True),
-        (SECH_POLES[1], False, False), (SECH_POLES[1], False, True),
-        (SECH_POLES[1], True, False), (SECH_POLES[1], True, True)])
-    def test_trapezoid_subtracts_poles(self, pq, folded, mapped):
-        # plain and sinh-mapped, and folded over Re F where F(-t) =
-        # conj F(t): every value meets its target, in at most a quarter of
-        # the nodes the rule takes without the poles
+    @pytest.mark.parametrize("pq,folded", [
+        (SECH_POLES[0], False), (SECH_POLES[1], False),
+        (SECH_POLES[1], True)],
+        ids=["pq0-False-False", "pq2-False-False", "pq4-True-False"])
+    def test_trapezoid_subtracts_poles(self, pq, folded):
+        # two-sided, and folded over Re F where F(-t) = conj F(t): every
+        # value meets its target, in at most a quarter of the nodes the
+        # rule takes without the poles
         f, poles, want = self._sech_over_poles(*pq)
         g = (lambda t: f(t).real) if folded else f
         calls = [0]
@@ -611,9 +611,9 @@ class TestContinuation:
             return g(t)
         for target in (1e-10, 1e-13):
             calls[0] = 0
-            got = su3._trapezoid(counted, target, folded, mapped, poles)
+            got = su3._trapezoid(counted, target, folded, poles)
             with_poles, calls[0] = calls[0], 0
-            su3._trapezoid(counted, target, folded, mapped)
+            su3._trapezoid(counted, target, folded)
             assert abs(got - want) <= target * abs(want)
             assert with_poles <= 0.26 * calls[0]
             # a rule that sums Re F subtracts the real part of the error
@@ -628,6 +628,17 @@ class TestContinuation:
         with pytest.raises(ConvergenceError) as err:
             su3._trapezoid(f, 1e-13, poles=poles)
         assert abs(err.value.achieved - want) <= 1e-7
+
+    @pytest.mark.parametrize("s", [1.5 + 30.0j, 0.3 - 8.0j])
+    def test_unconverged_contour_carries_the_value(self, s, monkeypatch):
+        # the even line, and the residue line with m(s) = 1 residue term:
+        # the ConvergenceError carries 2^s terms + integral/(2 pi), not the
+        # integral, which is 2 pi and (12.0+6.0i) times the value here
+        want = witten_su3_continued(s)
+        monkeypatch.setattr(su3, "_MAX_HALVINGS", 1)
+        with pytest.raises(ConvergenceError) as err:
+            witten_su3_continued(s)
+        assert abs(err.value.achieved - want) <= 1e-9 * abs(want)
 
     # zeta^W_SU(3)(s) next to 0 from mpmath at 45 digits, as NEAR_INTEGERS
     # (M = 6 residues on Re z = 5.5, trapezoid step 1/14)
