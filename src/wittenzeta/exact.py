@@ -259,34 +259,25 @@ class Polynomial:
 
 
 class RationalFunction:
-    """Quotient of two Polynomials, kept reduced with a monic denominator."""
+    """Quotient of two Polynomials, kept reduced with a monic denominator.
+    Parts known to be coprime skip the gcd (``coprime=True``): so do the
+    results of arithmetic with a polynomial or a nonzero constant."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1, var: str = "x"):
+    def __init__(self, num, den=1, var: str = "x", coprime: bool = False):
         if not isinstance(num, Polynomial):
             num = Polynomial.constant(num, var)
         if not isinstance(den, Polynomial):
             den = Polynomial.constant(den, num.var)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        g = num.gcd(den)
-        if g.degree > 0:
+        if not coprime and (g := num.gcd(den)).degree > 0:
             num = num.divmod(g)[0]
             den = den.divmod(g)[0]
-        self._store(num, den)
-
-    def _store(self, num: Polynomial, den: Polynomial) -> None:
         lead = den.leading()
         object.__setattr__(self, "num", num * (1 / lead))
         object.__setattr__(self, "den", den * (1 / lead))
-
-    @classmethod
-    def coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """num/den for parts known to have no common factor: no gcd."""
-        out = object.__new__(cls)
-        out._store(num, den)
-        return out
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
@@ -302,6 +293,9 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def _is_unit(self) -> bool:  # a nonzero constant
+        return self.num.degree == 0 == self.den.degree
+
     @staticmethod
     def _coerce(other, var):
         if isinstance(other, RationalFunction):
@@ -314,13 +308,15 @@ class RationalFunction:
         o = self._coerce(other, self.var)
         if o is None:
             return NotImplemented
+        # with a polynomial q, (num + q den)/den is coprime as num/den is
         return RationalFunction(self.num * o.den + o.num * self.den,
-                                self.den * o.den)
+                                self.den * o.den, coprime=0 in (
+                                    self.den.degree, o.den.degree))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction(-self.num, self.den, coprime=True)
 
     def __sub__(self, other):
         o = self._coerce(other, self.var)
@@ -335,7 +331,8 @@ class RationalFunction:
         o = self._coerce(other, self.var)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        return RationalFunction(self.num * o.num, self.den * o.den, coprime=(
+            self._is_unit() or o._is_unit()))
 
     __rmul__ = __mul__
 
@@ -345,7 +342,8 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return RationalFunction(self.num * o.den, self.den * o.num, coprime=(
+            self._is_unit() or o._is_unit()))
 
     def __rtruediv__(self, other):
         o = self._coerce(other, self.var)

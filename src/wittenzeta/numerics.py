@@ -1,5 +1,7 @@
 """Floating-point special-function kernel: complex Riemann zeta, Hurwitz
-zeta, and log-gamma, with an explicit precision budget.
+zeta, and log-gamma, with an explicit precision budget. ``hurwitz_pair`` is
+the one Hurwitz pass of the polylog routes: zeta(w, t) and zeta(w, 1 - t)
+from a shared split, returned as zeta(w, 1 - t), their difference and sum.
 
 All three are implemented from scratch (Euler-Maclaurin summation and a
 shifted Stirling series) rather than wrapping a library, so the test suite
@@ -228,48 +230,7 @@ def _hurwitz_em(s: complex, a: float, budget: PrecisionBudget) -> complex:
         n_split *= 2
 
 
-def hurwitz_pair(w: complex, t: float,
-                 budget: PrecisionBudget) -> tuple[complex, complex]:
-    """zeta(w, b) and zeta(w, a) - zeta(w, b), a = t, b = 1 - t, Re w >= -40,
-    from one Euler-Maclaurin pass with a shared split N. The difference
-    stays accurate through the pole at w = 1 (where zeta(w, b) is infinite):
-    its integral term ((N+a)^{1-w} - (N+b)^{1-w}) / (w-1) is taken as
-    -(N+b)^{1-w} L e^{u/2} sinh(u/2)/(u/2), L = log((N+a)/(N+b)), u = (1-w) L.
-    N starts at ``_first_split``.
-    """
-    a, b = t, 1.0 - t
-    n_split, minus_w = _first_split(w), -w
-    while n_split <= MAX_TERMS:
-        head_a = head_b = 0.0
-        try:
-            for n in range(n_split):
-                head_a += (n + a) ** minus_w
-                head_b += (n + b) ** minus_w
-        except (OverflowError, ZeroDivisionError):  # a^{-w}, or 0^{-w}
-            raise DomainError(
-                f"zeta({w}, {a}) overflows double precision") from None
-        base_a, base_b = n_split + a, n_split + b
-        pow_a, pow_b = base_a ** (1.0 - w), base_b ** (1.0 - w)
-        pole_a, pole_b = (pow_a / (w - 1.0), pow_b / (w - 1.0)) if w != 1.0 \
-            else (math.inf, math.inf)
-        # a zeta's size is head + integral term, which cancel for Re w < 1;
-        # next to w = 1 the head alone is the size the difference needs
-        corr_a = _em_corrections(
-            w, base_a, min(abs(head_a), abs(head_a + pole_a)) + 1.0, budget)
-        corr_b = _em_corrections(
-            w, base_b, min(abs(head_b), abs(head_b + pole_b)) + 1.0, budget)
-        if corr_a is not None and corr_b is not None:
-            break
-        n_split *= 2
-    else:
-        raise ConvergenceError(f"hurwitz pair did not converge for s={w}")
-    log_ratio = math.log1p((base_a - base_b) / base_b)
-    half = 0.5 * (1.0 - w) * log_ratio
-    sinhc = cmath.sinh(half) / half if half else 1.0
-    diff = head_a - head_b - pow_b * log_ratio * cmath.exp(half) * sinhc \
-        + 0.5 * (base_a ** -w - base_b ** -w) + corr_a - corr_b
-    value_b = head_b + pole_b + 0.5 * base_b ** -w + corr_b
-    return value_b, diff
+NEAR_ZERO = 0.25  # |w| below which hurwitz_pair sums 1 + expm1(-w log(n+x))
 
 
 def _expm1(z):
@@ -279,29 +240,70 @@ def _expm1(z):
     return math.expm1(z)
 
 
-def hurwitz_even(w: complex, a: float, budget: PrecisionBudget) -> complex:
-    """zeta(w, a) + zeta(w, 1 - a) for 0 < |w| < 1, accurate relative to |w|
-    at its zero w = 0: each power (n+x)^{-w} enters as 1 + expm1(-w log(n+x))
-    and the ones, with the integral and half terms, sum exactly to
-    (2N+1) w / (w-1)."""
-    b = 1.0 - a
-    n_split = 8
+def hurwitz_pair(w: complex, t: float, budget: PrecisionBudget
+                 ) -> tuple[complex, complex, complex]:
+    """zeta(w, b), D = zeta(w, a) - zeta(w, b) and S = zeta(w, a) + zeta(w,
+    b), a = t, b = 1 - t, Re w >= -40, from one Euler-Maclaurin pass with a
+    shared split N, which starts at ``_first_split``. D stays accurate
+    through the pole at w = 1: its integral term ((N+a)^{1-w} -
+    (N+b)^{1-w})/(w-1) is -(N+b)^{1-w} L e^{u/2} sinh(u/2)/(u/2), L =
+    log((N+a)/(N+b)), u = (1-w) L. For |w| < NEAR_ZERO each power
+    (n+x)^{-w} enters as 1 + expm1(-w log(n+x)), and the ones, with those of
+    the integral and half terms, sum exactly to (2N+1) w/(w-1): S, which
+    vanishes at w = 0, keeps its accuracy relative to |w|."""
+    a, b = t, 1.0 - t
+    near = abs(w) < NEAR_ZERO
+    n_split, minus_w = _first_split(w), -w
     while n_split <= MAX_TERMS:
-        head = 0.0
-        for n in range(n_split):
-            head += _expm1(-w * math.log(n + a)) + _expm1(-w * math.log(n + b))
+        head_a = head_b = 0.0
+        try:
+            if near:
+                for n in range(n_split):
+                    head_a += _expm1(minus_w * math.log(n + a))
+                    head_b += _expm1(minus_w * math.log(n + b))
+            else:
+                for n in range(n_split):
+                    head_a += (n + a) ** minus_w
+                    head_b += (n + b) ** minus_w
+        except (OverflowError, ZeroDivisionError, ValueError):  # 0^-w, log 0
+            raise DomainError(
+                f"zeta({w}, {a}) overflows double precision") from None
         base_a, base_b = n_split + a, n_split + b
-        value = head + (2 * n_split + 1) * w / (w - 1.0) \
-            + _expm1(-w * math.log(base_a)) * (0.5 + base_a / (w - 1.0)) \
-            + _expm1(-w * math.log(base_b)) * (0.5 + base_b / (w - 1.0))
-        # the value is O(w); Gamma(w) ~ 1/w later scales it back to O(1)
-        scale = abs(value) + abs(w)
-        corr_a = _em_corrections(w, base_a, scale, budget)
-        corr_b = _em_corrections(w, base_b, scale, budget)
+        pow_b = base_b ** (1.0 - w)
+        if near:
+            end_a = _expm1(minus_w * math.log(base_a))
+            end_b = _expm1(minus_w * math.log(base_b))
+            total = head_a + head_b + (2 * n_split + 1) * w / (w - 1.0) \
+                + end_a * (0.5 + base_a / (w - 1.0)) \
+                + end_b * (0.5 + base_b / (w - 1.0))
+            # S is O(w); Gamma(w) ~ 1/w later scales it back to O(1)
+            scale_a = scale_b = abs(total) + abs(w)
+        else:
+            end_a, end_b = base_a ** minus_w, base_b ** minus_w
+            pole_a, pole_b = (base_a ** (1.0 - w) / (w - 1.0),
+                              pow_b / (w - 1.0)) if w != 1.0 \
+                else (math.inf, math.inf)
+            # a zeta's size is head + integral term, which cancel for
+            # Re w < 1; next to w = 1 the head alone is the size D needs
+            scale_a = min(abs(head_a), abs(head_a + pole_a)) + 1.0
+            scale_b = min(abs(head_b), abs(head_b + pole_b)) + 1.0
+        corr_a = _em_corrections(w, base_a, scale_a, budget)
+        corr_b = _em_corrections(w, base_b, scale_b, budget)
         if corr_a is not None and corr_b is not None:
-            return value + corr_a + corr_b
+            break
         n_split *= 2
-    raise ConvergenceError(f"hurwitz sum did not converge for s={w}")
+    else:
+        raise ConvergenceError(f"hurwitz pair did not converge for s={w}")
+    log_ratio = math.log1p((base_a - base_b) / base_b)
+    half = 0.5 * (1.0 - w) * log_ratio
+    sinhc = cmath.sinh(half) / half if half else 1.0
+    diff = head_a - head_b - pow_b * log_ratio * cmath.exp(half) * sinhc \
+        + 0.5 * (end_a - end_b) + corr_a - corr_b
+    if near:
+        total += corr_a + corr_b
+        return 0.5 * (total - diff), diff, total
+    value_b = head_b + pole_b + 0.5 * end_b + corr_b
+    return value_b, diff, diff + 2.0 * value_b
 
 
 def hurwitz_zeta(s: complex, a: float,

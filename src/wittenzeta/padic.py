@@ -128,8 +128,7 @@ def _reduced(num: list, den: list, exponents) -> RationalFunction:
     """num / den, integer lists in p, ascending, for den p^x (p-1)^y (p+1)^z
     times the p^|e| - 1, e in exponents: each factor they share divided out."""
     if not any(num):
-        return RationalFunction.coprime(Polynomial([], "p"),
-                                        Polynomial([1], "p"))
+        return RationalFunction(0, 1, "p", coprime=True)
     low = min(next(t for t, c in enumerate(x) if c) for x in (num, den))
     num, den = num[low:], den[low:]
     orders = {1, 2}.union(*(_divisors(abs(e)) for e in exponents))
@@ -137,7 +136,8 @@ def _reduced(num: list, den: list, exponents) -> RationalFunction:
         while (q := _div_monic(num, phi)) is not None \
                 and (r := _div_monic(den, phi)) is not None:
             num, den = q, r
-    return RationalFunction.coprime(Polynomial(num, "p"), Polynomial(den, "p"))
+    return RationalFunction(Polynomial(num, "p"), Polynomial(den, "p"),
+                            coprime=True)
 
 
 def _leading_moment(poly: dict):

@@ -10,12 +10,15 @@ Two evaluation routes are exposed and cross-checked by the tests:
                             ``_circle_part``, left of it the Hurwitz
                             (Jonquiere) formula, DLMF 25.13.2, for Z itself.
 
+Both read the angle exactly into [-pi, pi] (``_angle``).
+
 ``polylog_via_jonquiere`` is the continuation at real s, kept by name for
 the ``polylog jonquiere`` action.
 
 The SU(2) L-functions take the even or odd part of Z from ``_part``: right
 of Re s = 1.2 ``_circle_part`` (zeta(s - k) about x = 1, DLMF 25.12.12, or
 eta(s - k) about x = -1, one table per part), left of it DLMF 25.13.2.
+Left of the line every value takes one ``numerics.hurwitz_pair`` pass.
 
 At non-positive integers Z(-m, x) = x A_m(x) / (1 - x)^{m+1}, with A_m the
 Eulerian polynomial (DLMF 26.14): ``polylog_closed_form`` returns it as an
@@ -32,10 +35,10 @@ import math
 
 from .errors import ConvergenceError, DomainError
 from .exact import Polynomial, RationalFunction
-from .numerics import (DEFAULT_BUDGET, MAX_TERMS, PrecisionBudget,
+from .numerics import (DEFAULT_BUDGET, MAX_TERMS, NEAR_ZERO, PrecisionBudget,
                        _em_corrections, _expm1, _hurwitz_em, gamma_two_pi,
-                       half_pi_trig, hurwitz_even, hurwitz_pair, log_gamma,
-                       riemann_zeta, sin_half_pi)
+                       half_pi_trig, hurwitz_pair, log_gamma, riemann_zeta,
+                       sin_half_pi)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -47,7 +50,8 @@ def _finite(theta: float) -> float:
 
 
 class UnitCirclePoint:
-    """Point x = e^{i theta} on the unit circle; theta stored in [0, 2 pi)."""
+    """Point x = e^{i theta} on the unit circle; theta stored in [0, 2 pi),
+    rounded for a negative angle. The routes read it through ``_angle``."""
 
     __slots__ = ("theta",)
 
@@ -71,21 +75,17 @@ class UnitCirclePoint:
         return UnitCirclePoint(-self.theta)
 
 
-def _as_point(x) -> UnitCirclePoint:
-    if isinstance(x, UnitCirclePoint):
-        return x
-    return UnitCirclePoint(float(x))
+def _angle(x) -> float:
+    """theta of x = e^{i theta} (a float or a UnitCirclePoint) reduced to
+    [-pi, pi] by math.remainder, exactly: a float angle next to 0 keeps its
+    digits on both sides, one next to 2 pi is read less 2 * math.pi."""
+    return math.remainder(x.theta if isinstance(x, UnitCirclePoint)
+                          else _finite(float(x)), _TWO_PI)
 
 
 # ---------------------------------------------------------------------------
 # Series evaluation
 # ---------------------------------------------------------------------------
-
-def _series_x1(s: complex, budget: PrecisionBudget) -> complex:
-    if s.real <= 1.0:
-        raise DomainError("series for x = 1 requires Re s > 1")
-    return _hurwitz_em(s, 1.0, budget)
-
 
 def _parts_depth(s: complex, e_mag: float, target: float) -> int:
     """Number of summation-by-parts passes; fewer when |E| = |x/(1-x)| is
@@ -117,12 +117,14 @@ def polylog_series(s: complex, x, budget: PrecisionBudget = DEFAULT_BUDGET) -> c
     MAX_TERMS terms it raises ConvergenceError.
     """
     s = complex(s)
-    pt = _as_point(x)
-    if pt.is_one:
-        return _series_x1(s, budget)
+    th = _angle(x)
+    if th == 0.0:
+        if s.real <= 1.0:
+            raise DomainError("series for x = 1 requires Re s > 1")
+        return _hurwitz_em(s, 1.0, budget)
     if s.real <= 0.0:
         raise DomainError("polylog series requires Re s > 0 for x != 1")
-    z = pt.x
+    z = cmath.exp(1j * th)
     e = z / (1.0 - z)  # E in T(f) = E f(1) - E T(delta f)
     q = _parts_depth(s, abs(e), budget.target)
 
@@ -145,14 +147,13 @@ def polylog_series(s: complex, x, budget: PrecisionBudget = DEFAULT_BUDGET) -> c
     order = s.real + q
     real = s.imag == 0.0
     rising = math.prod(abs(s + i) for i in range(q if real else q + 1))
-    tail = abs(e) ** q / math.sin(pt.theta / 2.0) \
+    tail = abs(e) ** q / math.sin(abs(th) / 2.0) \
         * (rising if real else rising / order)
     tail_tol = budget.target * 0.01
     partial = 0.0 + 0.0j
-    phase = cmath.exp(1j * pt.theta)
     zn = 1.0 + 0.0j
     for n in range(1, MAX_TERMS + 1):
-        zn *= phase
+        zn *= z
         dq = 0.0 + 0.0j
         for i, c in enumerate(coefs):
             dq += c * f(float(n + i))
@@ -363,9 +364,6 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget):
     return part
 
 
-_NEAR_ONE = 0.25  # |s - 1| below which the bracket is split at its zero
-
-
 def _finite_value(value, theta: float, what: str, *args):
     """value, or DomainError naming what.format(*args) if it overflowed."""
     if cmath.isfinite(value):
@@ -378,9 +376,9 @@ def _part(sigma: complex, parity: int, budget: PrecisionBudget):
     """theta -> P(theta) on [0, pi] for every sigma, the odd (parity 1) or
     even (parity 0) part of Z(sigma, e^{i theta}): ``_circle_part`` right of
     Re sigma = 1.2; left of it DLMF 25.13.2 for the part, w = 1 - sigma,
-    t = theta/2pi: Gamma(w) (2pi)^{-w} sin(pi w/2) (zeta(w,t) - zeta(w,1-t))
-    from one ``hurwitz_pair``, or cos(pi w/2) and the sum, by ``hurwitz_even``
-    where |w| < 1/4. The trig factor comes first, so P_1 is exactly 0 at
+    t = theta/2pi: Gamma(w) (2pi)^{-w} times sin(pi w/2) D or cos(pi w/2) S,
+    D and S the difference and sum of zeta(w, t) and zeta(w, 1 - t) from one
+    ``hurwitz_pair``. The trig factor comes first, so P_1 is exactly 0 at
     sigma = -1, -3, ... and P_0 at -2, -4, .... Limits: at sigma = 1, P_1 =
     (pi - theta)/2, P_0 = -log(2 sin(theta/2)); at sigma = 0, P_0 = -1/2; at
     theta = 0, P_1 = 0, P_0 = zeta(sigma). An overflow raises DomainError."""
@@ -396,17 +394,14 @@ def _part(sigma: complex, parity: int, budget: PrecisionBudget):
         pref = gamma_two_pi(w) * (sin if parity else cos)
 
     def part(theta: float):
-        t = theta / _TWO_PI
         if theta == 0.0:
             value = 0.0 if parity else riemann_zeta(sigma, budget)
         elif limit:
             value = -0.5 if w else (0.5 * (math.pi - theta) if parity
                                     else -math.log(2.0 * math.sin(0.5 * theta)))
-        elif not parity and abs(w) < _NEAR_ONE:
-            value = pref * hurwitz_even(w, t, budget)
         else:
-            zeta_b, diff = hurwitz_pair(w, t, budget)
-            value = pref * (diff if parity else diff + 2.0 * zeta_b)
+            _, diff, total = hurwitz_pair(w, theta / _TWO_PI, budget)
+            value = pref * (diff if parity else total)
         if not cmath.isfinite(value):
             _finite_value(value, theta, "P_{}({:g}, x)", parity, sigma)
         return value.real if real else value
@@ -422,46 +417,44 @@ def polylog_continued(s: complex, x,
                       budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
     """Z(s, x) for x = e^{i theta} != 1 and every s.
 
-    Right of Re s = 1.2, with t = theta reduced to [-pi, pi], it is
-    P_0(|t|) + i sgn(t) P_1(|t|) from the even and odd parts of
-    ``_circle_part``. Left of it, with x = e^{2 pi i t}, it is the Hurwitz
-    formula, DLMF 25.13.2, with w = 1 - s,
+    theta is reduced exactly to [-pi, pi] (``_angle``). Right of Re s = 1.2,
+    and at s = 0 and 1, where both parts are real and cannot cancel, it is
+    P_0(|theta|) + i sgn(theta) P_1(|theta|) from ``_part``. Left of it,
+    with t = |theta|/2pi and w = 1 - s, it is DLMF 25.13.2 (for theta > 0)
 
-        Gamma(w) (2 pi)^{-w} [e^{i pi w/2} zeta(w,t) + e^{-i pi w/2} zeta(w,1-t)],
+        Gamma(w) (2 pi)^{-w} [e^{i pi w/2} zeta(w,t) + e^{-i pi w/2} zeta(w,1-t)]
 
-    as e^{i pi w/2} (zeta(w,t) - zeta(w,1-t)) + 2 cos(pi w/2) zeta(w,1-t), so
-    that no two large terms cancel; Im s > 0 goes through conj Z(conj s, 1/x)
-    to keep |e^{i pi w/2}| <= 1. s = 0 and 1 use x/(1-x) and -log(1-x).
+    as e^{i pi w/2} D + 2 cos(pi w/2) zeta(w,1-t), D = zeta(w,t) -
+    zeta(w,1-t), so that no two large terms cancel; theta < 0 swaps t and 1 -
+    t, which takes 2 cos(pi w/2) (zeta(w,1-t) + D) - e^{i pi w/2} D. For
+    |w| < NEAR_ZERO the bracket is cos(pi w/2) S +- i sin(pi w/2) D, S the
+    sum, which keeps its accuracy at the pole of Gamma(w). All four come
+    from one ``hurwitz_pair``. Im s > 0 goes through conj Z(conj s, 1/x) to
+    keep |e^{i pi w/2}| <= 1.
     """
     s = complex(s)
-    pt = _as_point(x)
-    if pt.is_one:
+    th = _angle(x)
+    if th == 0.0:
         raise DomainError("polylog continuation requires x != 1 (theta != 0)")
-    if s.real > _EXPANSION_EDGE:
-        t = math.remainder(pt.theta, _TWO_PI)
-        even = _circle_part(s, 0, budget)(abs(t))
-        odd = _circle_part(s, 1, budget)(abs(t))
-        return complex(even + (1j if t > 0.0 else -1j) * odd)
+    i_sign = 1j if th > 0.0 else -1j
+    if s.real > _EXPANSION_EDGE or s == 0.0 or s == 1.0:
+        even = _part(s, 0, budget)(abs(th))
+        odd = _part(s, 1, budget)(abs(th))
+        return complex(even + i_sign * odd)
     if s.imag > 0.0:
-        return polylog_continued(s.conjugate(), pt.inverse(),
-                                 budget).conjugate()
-    z = pt.x
-    if s == 0.0:
-        return z / (1.0 - z)
-    if s == 1.0:
-        return -cmath.log(1.0 - z)
+        return polylog_continued(s.conjugate(), -th, budget).conjugate()
     w = 1.0 - s
-    t = pt.theta / _TWO_PI
     cos, sin, phase = half_pi_trig(w)
-    zeta_b, diff = hurwitz_pair(w, t, budget)
-    if abs(w) < _NEAR_ONE:
+    zeta_b, diff, total = hurwitz_pair(w, abs(th) / _TWO_PI, budget)
+    if abs(w) < NEAR_ZERO:
         # Gamma(w) has a pole at w = 0, where the bracket vanishes: keep
-        # its relative accuracy through cos (zeta(w,t) + zeta(w,1-t))
-        value = gamma_two_pi(w) * (cos * hurwitz_even(w, t, budget)
-                                   + 1j * sin * diff)
-    else:
-        value = gamma_two_pi(w) * (phase * diff + 2.0 * cos * zeta_b)
-    return _finite_value(value, pt.theta, "Z({:g}, x)", s)
+        # its relative accuracy through cos S
+        bracket = cos * total + i_sign * sin * diff
+    elif th > 0.0:
+        bracket = phase * diff + 2.0 * cos * zeta_b
+    else:  # x = e^{2 pi i (1 - t)}: the same form with zeta(w,t) and -D
+        bracket = 2.0 * cos * (zeta_b + diff) - phase * diff
+    return _finite_value(gamma_two_pi(w) * bracket, th, "Z({:g}, x)", s)
 
 
 def polylog_via_jonquiere(s: float, x,
@@ -509,7 +502,7 @@ def polylog_closed_form(m: int) -> RationalFunction:
     num = Polynomial([0] + _eulerian_row(m), "x")
     den = Polynomial([(-1) ** k * math.comb(m + 1, k) for k in range(m + 2)],
                      "x")
-    return RationalFunction.coprime(num, den)
+    return RationalFunction(num, den, coprime=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -537,8 +530,7 @@ def polylog_eval_neg(m: int, x) -> complex:
     Z(-m, x) + (-1)^m Z(-m, 1/x) = 0 demands. An overflow raises DomainError.
     """
     _check_m(m)
-    th = math.remainder(x.theta if isinstance(x, UnitCirclePoint)
-                        else _finite(float(x)), _TWO_PI)  # exact
+    th = _angle(x)
     if th == 0.0:
         raise DomainError("Z(-m, x) closed form requires x != 1")
     if th < 0.0:

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
 from .numerics import (DEFAULT_BUDGET, MAX_TERMS, PrecisionBudget,
-                       hurwitz_zeta, riemann_zeta)
+                       hurwitz_pair, riemann_zeta)
 from .polylog import _part
 
 _TWO_PI = 2.0 * math.pi
@@ -91,18 +91,17 @@ def special_value_neg_even(m: int, g) -> Fraction:
 
 
 def derivative_at_minus2(g, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
-    """d/ds zeta^W_{SU(2)}(s, g) at s = -2; strictly positive for theta > 0."""
+    """d/ds zeta^W_{SU(2)}(s, g) at s = -2; strictly positive for theta > 0.
+    At regular theta, D/(8 pi sin theta) from one ``hurwitz_pair`` at w = 2:
+    of P_1 = Gamma(w) (2pi)^{-w} sin(pi w/2) D only the sine's slope stays."""
     g = _as_class(g)
     pi2 = math.pi * math.pi
     if g.is_identity:
         return -riemann_zeta(3.0, budget).real / (4.0 * pi2)
     if g.is_minus_identity:
         return 7.0 * riemann_zeta(3.0, budget).real / (4.0 * pi2)
-    t = g.theta / _TWO_PI
-    hz = hurwitz_zeta(2.0, t, budget).real
-    half = math.sin(g.theta / 2.0)
-    return (hz - pi2 / (2.0 * half * half)) \
-        / (4.0 * math.pi * math.sin(g.theta))
+    _, diff, _ = hurwitz_pair(2.0, g.theta / _TWO_PI, budget)
+    return diff.real / (8.0 * math.pi * math.sin(g.theta))
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +110,9 @@ def derivative_at_minus2(g, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
 
 # rounding of a signed sum of up to four angles in [0, pi]
 _ANGLE_ROUNDING = 8.0 * math.ulp(_TWO_PI)
+# pi and 2 pi as two doubles each: math.pi + _PI_LO is pi to about 1e-32
+_PI_LO = 1.2246467991473532e-16
+_TWO_PI_LO = 2.0 * _PI_LO
 
 
 def multi_L(s: complex, gs,
@@ -124,8 +126,9 @@ def multi_L(s: complex, gs,
     into one value of the even (r even) or odd (r odd) part of
     ``polylog._part``, one closure for all 2^{r-1} pairs, over the sines of
     ``witten_L_su2``; with no regular class it is the even part at the
-    shift. For r >= 2 a combined angle within rounding of a multiple of
-    2 pi counts as that multiple; a single angle is exact as given."""
+    shift. A combined angle is summed exactly, less k turns of 2 pi held as
+    two doubles, and rounded once; for r >= 2 one within rounding of a
+    multiple of 2 pi counts as that multiple."""
     s = complex(s)
     gs = [_as_class(g) for g in gs]
     if not 1 <= len(gs) <= 3:
@@ -133,7 +136,8 @@ def multi_L(s: complex, gs,
     regular = [g.theta for g in gs if g.is_regular]
     n_pi = sum(1 for g in gs if g.is_minus_identity)
     r_eff = len(regular)
-    shift, sign = (math.pi, -1.0) if n_pi % 2 else (0.0, 1.0)
+    shift, shift_lo, sign = (math.pi, _PI_LO, -1.0) if n_pi % 2 \
+        else (0.0, 0.0, 1.0)
     part = _part(s + r_eff, r_eff % 2, budget)
     if r_eff == 0:
         return complex(sign * part(shift))
@@ -141,8 +145,11 @@ def multi_L(s: complex, gs,
     # so each pair is 2 P_0(|t|) (r even) or 2i sgn(t) P_1(|t|) (r odd)
     acc = 0.0 + 0.0j
     for eps in itertools.product((1.0, -1.0), repeat=r_eff - 1):
-        t = math.remainder(shift + regular[0] + sum(
-            e * th for e, th in zip(eps, regular[1:])), _TWO_PI)
+        # the exact sum of the terms, all doubles, less k turns, rounded once
+        terms = [shift, shift_lo, regular[0]] \
+            + [e * th for e, th in zip(eps, regular[1:])]
+        k = round(sum(terms) / _TWO_PI)
+        t = math.fsum(terms + [-k * _TWO_PI, -k * _TWO_PI_LO])
         if r_eff >= 2 and abs(t) <= _ANGLE_ROUNDING:
             t = 0.0  # e.g. pi/2 - pi/3 - pi/6, which rounds to 1e-16
         pair = 2.0 * part(abs(t))

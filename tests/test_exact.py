@@ -142,6 +142,22 @@ def test_rational_function_ring_laws(na, da, nb, db, nc, dc):
     assert a + (-a) == RationalFunction(0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_coeffs, _coeffs, _coeffs, st.integers(-3, 3))
+def test_constant_and_polynomial_operands_stay_reduced(na, da, nq, c):
+    # these skip the gcd: the result equals the constructor's reduced form
+    a, q = _rf(na, da), _rf(nq, [1])
+    assert a + q == q + a == RationalFunction(a.num + q.num * a.den, a.den)
+    assert a - q == RationalFunction(a.num - q.num * a.den, a.den)
+    assert q - a == RationalFunction(q.num * a.den - a.num, a.den)
+    assert -a == RationalFunction(-a.num, a.den)
+    assert a * c == c * a == RationalFunction(a.num * c, a.den)
+    if c:
+        assert a / c == RationalFunction(a.num, a.den * c)
+    if not a.is_zero():
+        assert c / a == RationalFunction(a.den * c, a.num)
+
+
 _rational_coeffs = st.lists(st.builds(F, st.integers(-9, 9),
                                       st.integers(1, 6)), max_size=4)
 

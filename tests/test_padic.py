@@ -3,6 +3,7 @@ identities, and absolute (p -> 1) limits."""
 
 import json
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -336,3 +337,17 @@ def test_oracle_rows():
     for argv, refs in rows:
         got = _library_values(argv)
         assert got == [_ref_value(r) for r in refs], " ".join(argv)
+
+
+def test_arithmetic_with_a_constant_skips_the_gcd():
+    # the reduced parts of symbolic sl2zp at s = 60 have degree 239 and
+    # binomial-sized coefficients, where Polynomial.gcd takes close to a
+    # minute; a constant or polynomial operand keeps the parts coprime
+    v = eval_at_int_s("sl2zp", 0, 60)
+    start = time.perf_counter()
+    got = [v + 0, v - 1, v * 1, 3 * v, v / 3, 1 - v, -v, 2 / v, v + P]
+    assert time.perf_counter() - start < 1.0
+    x, vx = F(7), v(F(7))
+    assert [g(x) for g in got] == [vx, vx - 1, vx, 3 * vx, vx / 3, 1 - vx,
+                                   -vx, 2 / vx, vx + x]
+    assert got[0] == got[2] == v

@@ -4,6 +4,7 @@ and the exact closed forms at non-positive integer order."""
 import cmath
 import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -143,6 +144,94 @@ class TestExpansion:
             eta = complex(mpmath.altzeta(2.5 + 1j))
         assert abs(part(0.0) - (0.0 if parity else zeta)) <= 1e-13
         assert abs(part(math.pi) - (0.0 if parity else -eta)) <= 1e-13
+
+
+def _mp_hurwitz_values(sigma, theta):
+    """P_0, P_1 and Z of order sigma at x = e^{i theta}, 0 < theta < pi, at
+    40 digits: DLMF 25.13.2 with w = 1 - sigma, the parts taken before the
+    values are rounded, as the cosine and sine of pi w/2 times zeta(w, t) +-
+    zeta(w, 1 - t)."""
+    with mpmath.workdps(40):
+        w = 1 - mpmath.mpc(sigma)
+        t = mpmath.mpf(theta) / (2 * mpmath.pi)
+        pref = mpmath.gamma(w) / (2 * mpmath.pi) ** w
+        za, zb = mpmath.zeta(w, t), mpmath.zeta(w, 1 - t)
+        phase = mpmath.expjpi(w / 2)
+        return (complex(pref * mpmath.cospi(w / 2) * (za + zb)),
+                complex(pref * mpmath.sinpi(w / 2) * (za - zb)),
+                complex(pref * (phase * za + zb / phase)))
+
+
+_NEAR_ZERO_THETAS = (1e-3, 0.3, 1.0, 2.0, 2.9, 3.14)
+
+
+def _near_zero_grid():
+    """150 points (w, theta): |Re w| < 1/4 and Im w 0, U(+-0.24) or
+    U(+-3), where the Hurwitz sum S = zeta(w, t) + zeta(w, 1 - t) vanishes
+    at w = 0 and Gamma(w) ~ 1/w scales it back."""
+    rng = random.Random(7)
+    grid = []
+    for i in range(150):
+        re = rng.uniform(-0.25, 0.25)
+        im = (0.0, rng.uniform(-0.24, 0.24), rng.uniform(-3.0, 3.0))[i % 3]
+        grid.append((complex(re, im), _NEAR_ZERO_THETAS[i % 6]))
+    return grid
+
+
+class TestNearWZero:
+    """Left of Re s = 1.2 every value is one hurwitz_pair pass: next to
+    w = 1 - s = 0 its powers enter as 1 + expm1(-w log(n + x)), for the odd
+    part as well as for the even part and Z."""
+
+    @pytest.mark.parametrize("theta", _NEAR_ZERO_THETAS)
+    def test_against_mpmath(self, theta):
+        budget = PrecisionBudget(1e-13)
+        for w, th in _near_zero_grid():
+            if th != theta:
+                continue
+            sigma = 1.0 - w
+            even, odd, z = _mp_hurwitz_values(sigma, theta)
+            got = (polylog._part(sigma, 0, budget)(theta),
+                   polylog._part(sigma, 1, budget)(theta),
+                   polylog_continued(sigma, theta, budget))
+            for g, want in zip(got, (even, odd, z)):
+                assert abs(g - want) <= 1e-13 * max(1.0, abs(want)), w
+
+    @pytest.mark.parametrize("s,theta", [(0.9, 1.0), (1.1 - 0.1j, -2.0),
+                                         (0.8 + 0.1j, 0.3), (1.0 + 0.2j, 3.0)])
+    def test_one_hurwitz_pass(self, monkeypatch, s, theta):
+        # every Hurwitz kernel polylog can reach is counted
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+        for name in dir(polylog):
+            if name.startswith("hurwitz"):
+                monkeypatch.setattr(polylog, name,
+                                    counted(name, getattr(polylog, name)))
+        polylog_continued(s, theta, PrecisionBudget(1e-13))
+        assert calls == ["hurwitz_pair"]
+
+
+# angles next to 0, which reach the Hurwitz formula and the expansion
+# exactly (-1e-4 read as 2 pi - 1e-4, rounded, costs up to 120x a 1e-13
+# claim there); s = 0 and 1 take x/(1-x) and -log(1-x) from their parts
+_SMALL_ANGLES = [(-1.5, -1e-4), (0.5 + 3j, 1e-5), (0.9 + 10j, 1e-3),
+                 (0.762 + 2.895j, 1e-3), (1.3 - 1j, -1e-6), (0.0, 1e-8),
+                 (1.0, -1e-8)]
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("s,theta", _SMALL_ANGLES)
+def test_small_angles_against_mpmath(s, theta, conjugate):
+    if conjugate:
+        s, theta = complex(s).conjugate(), -theta
+    got = polylog_continued(s, theta, PrecisionBudget(1e-13))
+    want = _mp_li(s, theta)
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestSeriesTail:

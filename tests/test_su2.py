@@ -180,6 +180,19 @@ class TestDerivative:
         fd = (eta_zeta(-2 + h) - eta_zeta(-2 - h)) / (2 * h)
         assert abs(derivative_at_minus2(PI) - fd) <= 1e-6
 
+    @pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.1, 0.7, PI / 3, 1.5,
+                                       2.2, 2.8, 3.0, PI - 0.05])
+    def test_against_reflection(self, theta):
+        # D/(8 pi sin theta) against zeta(2, t) less the reflection's
+        # pi^2/(2 sin^2(theta/2)), the other half of D, at 40 digits
+        with mpmath.workdps(40):
+            th = mpmath.mpf(theta)
+            want = (mpmath.zeta(2, th / (2 * mpmath.pi))
+                    - mpmath.pi ** 2 / (2 * mpmath.sin(th / 2) ** 2)) \
+                / (4 * mpmath.pi * mpmath.sin(th))
+        got = derivative_at_minus2(theta, PrecisionBudget(1e-13))
+        assert abs(got - want) <= 1e-13 * abs(want)
+
     def test_central_difference_oracle_regular(self):
         h = 1e-5
         theta = PI / 3
@@ -307,6 +320,22 @@ def _mp_li(order, angle):
             * (phase * mpmath.zeta(a, x) + mpmath.zeta(a, 1 - x) / phase)
 
 
+def _mp_multi(s, thetas):
+    """multi_L's 2^r signed circle terms at the exact angle sums, 50 digits;
+    a class at math.pi is -1, whose character (-1)^{n-1} n is a half turn
+    of the exact pi and a sign."""
+    with mpmath.workdps(50):
+        n_pi = thetas.count(PI)
+        exact = [mpmath.mpf(t) for t in thetas if t != PI]
+        order = mpmath.mpc(s) + len(exact)
+        acc = 0
+        for eps in itertools.product((1, -1), repeat=len(exact)):
+            acc += math.prod(eps) * _mp_li(order, n_pi * mpmath.pi + sum(
+                e * t for e, t in zip(eps, exact)))
+        return complex((-1) ** n_pi * acc
+                       / mpmath.fprod(2j * mpmath.sin(t) for t in exact))
+
+
 def _mp_witten_hurwitz(s, theta):
     with mpmath.workdps(50):
         th = mpmath.mpf(theta)
@@ -350,16 +379,23 @@ class TestExpansionRoute:
         (-1.0, [1.0, 2.0]), (-1.95 + 0.1j, [0.3, 2.9, 1.1]),
         (-11.212 + 5.267j, [0.3846, 0.3744])])
     def test_multi_next_to_integer_order(self, s, thetas):
-        # the 2^r signed circle terms at the exact angle sums
-        with mpmath.workdps(50):
-            exact = [mpmath.mpf(t) for t in thetas]
-            order = mpmath.mpc(s) + len(thetas)
-            acc = 0
-            for eps in itertools.product((1, -1), repeat=len(thetas)):
-                acc += math.prod(eps) * _mp_li(
-                    order, sum(e * t for e, t in zip(eps, exact)))
-            want = complex(acc / mpmath.fprod(2j * mpmath.sin(t)
-                                              for t in exact))
+        want = _mp_multi(s, thetas)
+        got = multi_L(s, thetas, PrecisionBudget(1e-13))
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("s,thetas", [
+        (-10.8339 - 8.9234j, [3.02434, 1.46582, 1.55733]),
+        (-8.5481 + 9.2393j, [0.94154, 2.28960, 3.05732]),
+        (-10.74, [1.16166, 3.07525, 2.00164]),
+        (-4.2, [PI, 2.9, 0.24]), (-6.7 + 2j, [PI, 2.9, 0.24]),
+        (-8.1 - 3j, [PI, 1.0, 2.14159]), (-12.3, [2.0, PI, 1.14149])])
+    def test_multi_combined_angle_next_to_a_turn(self, s, thetas):
+        # a combined angle within about 1e-3 of 2 pi k, where P(sigma, t) ~
+        # t^{sigma-1} turns an absolute error in t into a relative one: the
+        # sum is exact, less k turns of 2 pi held as two doubles, rounded
+        # once (a float sum is 23x its claim at the first point); a class at
+        # pi adds the half turn as math.pi and its own low part
+        want = _mp_multi(s, thetas)
         got = multi_L(s, thetas, PrecisionBudget(1e-13))
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
@@ -386,13 +422,12 @@ class TestExpansionRoute:
         (-2.1 + 0.1j, [0.3, 2.9, 1.1]), (-3.0 + 2j, [PI / 3, PI, 0.4])])
     def test_multi_hurwitz_passes(self, monkeypatch, s, thetas):
         # left of the line the 2^r terms pair into 2^{r-1} values of one
-        # part, each one Hurwitz pass: a hurwitz_pair, or a hurwitz_even
-        # next to w = 0; Z itself is never taken
-        calls = {"hurwitz_pair": 0, "hurwitz_even": 0, "polylog_continued": 0}
+        # part, each one hurwitz_pair; Z itself is never taken
+        calls = {"hurwitz_pair": 0, "polylog_continued": 0}
         _count_calls(monkeypatch, calls)
         multi_L(s, thetas, PrecisionBudget(1e-13))
         r = sum(1 for t in thetas if 0.0 < t < PI)
-        assert calls["hurwitz_pair"] + calls["hurwitz_even"] == 2 ** (r - 1)
+        assert calls["hurwitz_pair"] == 2 ** (r - 1)
         assert calls["polylog_continued"] == 0
 
     @pytest.mark.parametrize("s", [0.7, 1.5 + 2j])
