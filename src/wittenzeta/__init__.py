@@ -8,8 +8,8 @@ from .numerics import DEFAULT_BUDGET, PrecisionBudget, riemann_zeta
 from .padic import (FAMILIES, absolute_limit, eval_at_int_s,
                     factorization_check, su3_cong_minus1,
                     su3_cong_minus1_limit, verify_zero)
-from .polylog import (UnitCirclePoint, polylog_closed_form, polylog_continued,
-                      polylog_eval_neg, polylog_series, polylog_via_jonquiere)
+from .polylog import (polylog_closed_form, polylog_continued, polylog_eval_neg,
+                      polylog_series, polylog_via_jonquiere)
 from .su2 import (derivative_at_minus2, haar_average_su2, multi_L,
                   special_value_neg_even, witten_L_su2)
 from .su3 import (MBParams, bernoulli_convolution_check, mt_series,
@@ -25,7 +25,7 @@ __all__ = [
     "ConvergenceError", "DEFAULT_BUDGET",
     "DegenerateLimitError", "DomainError", "FAMILIES", "GaussianRational",
     "MBParams", "PoleError", "Polynomial", "PrecisionBudget",
-    "RationalFunction", "UnitCirclePoint", "WittenZetaError",
+    "RationalFunction", "WittenZetaError",
     "absolute_limit", "bernoulli", "bernoulli_convolution_check",
     "derivative_at_minus2", "eval_at_int_s", "factorization_check",
     "finite_witten_L", "finite_witten_L_exact", "haar_average_finite",

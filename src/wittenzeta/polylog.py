@@ -10,7 +10,8 @@ Two evaluation routes are exposed and cross-checked by the tests:
                             ``_circle_part``, left of it the Hurwitz
                             (Jonquiere) formula, DLMF 25.13.2, for Z itself.
 
-Both read the angle exactly into [-pi, pi] (``_angle``).
+The float entry points take x by its angle theta, a float in radians,
+and read it exactly into [-pi, pi] (``_angle``).
 
 ``polylog_via_jonquiere`` is the continuation at real s, kept by name for
 the ``polylog jonquiere`` action.
@@ -43,44 +44,15 @@ from .numerics import (DEFAULT_BUDGET, MAX_TERMS, NEAR_ZERO, PrecisionBudget,
 _TWO_PI = 2.0 * math.pi
 
 
-def _finite(theta: float) -> float:
+def _angle(theta) -> float:
+    """The angle theta of x = e^{i theta}, a float in radians, reduced to
+    [-pi, pi] by math.remainder, exactly: an angle next to 0 keeps its
+    digits on both sides, one next to 2 pi is read less 2 * math.pi. A
+    non-finite angle raises DomainError."""
+    theta = float(theta)
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta}")
-    return theta
-
-
-class UnitCirclePoint:
-    """Point x = e^{i theta} on the unit circle; theta stored in [0, 2 pi),
-    rounded for a negative angle. The routes read it through ``_angle``."""
-
-    __slots__ = ("theta",)
-
-    def __init__(self, theta: float):
-        t = math.fmod(_finite(theta), _TWO_PI)
-        if t < 0.0:
-            t += _TWO_PI
-        if t == _TWO_PI:  # a tiny negative angle plus 2 pi rounds to 2 pi
-            t = 0.0
-        self.theta = t
-
-    @property
-    def x(self) -> complex:
-        return cmath.exp(1j * self.theta)
-
-    @property
-    def is_one(self) -> bool:
-        return self.theta == 0.0
-
-    def inverse(self) -> "UnitCirclePoint":
-        return UnitCirclePoint(-self.theta)
-
-
-def _angle(x) -> float:
-    """theta of x = e^{i theta} (a float or a UnitCirclePoint) reduced to
-    [-pi, pi] by math.remainder, exactly: a float angle next to 0 keeps its
-    digits on both sides, one next to 2 pi is read less 2 * math.pi."""
-    return math.remainder(x.theta if isinstance(x, UnitCirclePoint)
-                          else _finite(float(x)), _TWO_PI)
+    return math.remainder(theta, _TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +75,9 @@ def _parts_depth(s: complex, e_mag: float, target: float) -> int:
 
 
 def polylog_series(s: complex, x, budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
-    """Z(s, x) by direct summation, the independent oracle of the
-    continuation (the ``polylog series`` action and verify's overlap check).
+    """Z(s, x) by direct summation at x = e^{i theta}, given as theta in
+    radians; the independent oracle of the continuation (the ``polylog
+    series`` action and verify's overlap check).
 
     Requires Re s > 1 for x = 1 and Re s > 0 otherwise; the conditionally
     convergent region is handled by q-fold summation by parts, which turns
@@ -415,7 +388,8 @@ def _part(sigma: complex, parity: int, budget: PrecisionBudget):
 
 def polylog_continued(s: complex, x,
                       budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
-    """Z(s, x) for x = e^{i theta} != 1 and every s.
+    """Z(s, x) for x = e^{i theta} != 1, given as theta in radians, and
+    every s.
 
     theta is reduced exactly to [-pi, pi] (``_angle``). Right of Re s = 1.2,
     and at s = 0 and 1, where both parts are real and cannot cancel, it is
@@ -459,8 +433,9 @@ def polylog_continued(s: complex, x,
 
 def polylog_via_jonquiere(s: float, x,
                           budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
-    """Z(s, x) for real s and x = e^{i theta} != 1: ``polylog_continued``,
-    which takes Jonquiere's formula (DLMF 25.13.2) left of Re s = 1.2."""
+    """Z(s, x) for real s and x = e^{i theta} != 1, given as theta in
+    radians: ``polylog_continued``, which takes Jonquiere's formula (DLMF
+    25.13.2) left of Re s = 1.2."""
     return polylog_continued(float(s), x, budget)
 
 
@@ -518,7 +493,8 @@ def _cot_poly(m: int) -> tuple:
 
 
 def polylog_eval_neg(m: int, x) -> complex:
-    """Float evaluation of Z(-m, x) at x = e^{i theta}, with c = cot(theta/2):
+    """Float evaluation of Z(-m, x) at x = e^{i theta}, given as theta in
+    radians, with c = cot(theta/2):
 
         Z(-m, x) = -[m = 0]/2 + (i/2)^{m+1} Q_m(c),
 

@@ -1,8 +1,8 @@
 """SU(2) Witten L-function: special values, the derivative at s = -2,
 multi-character variants (r = 2, 3), and the Haar average.
 
-A conjugacy class is the angle theta in [0, pi] of diag(e^{i theta},
-e^{-i theta}); characters of the (n-dimensional) irreducibles give
+A class is its angle theta in [0, pi], a float in radians, for
+diag(e^{i theta}, e^{-i theta}); characters of the irreducibles give
 
     zeta^W(s, g) = sum_{n >= 1} sin(n theta) / (n sin theta) * n^{-s},
 
@@ -31,33 +31,12 @@ from .polylog import _part
 _TWO_PI = 2.0 * math.pi
 
 
-class ConjugacyClassSU2:
-    """Class of diag(e^{i theta}, e^{-i theta}); regular iff 0 < theta < pi."""
-
-    __slots__ = ("theta",)
-
-    def __init__(self, theta: float):
-        if not 0.0 <= theta <= math.pi:
-            raise DomainError(f"theta must lie in [0, pi], got {theta}")
-        self.theta = theta
-
-    @property
-    def is_identity(self) -> bool:
-        return self.theta == 0.0
-
-    @property
-    def is_minus_identity(self) -> bool:
-        return self.theta == math.pi
-
-    @property
-    def is_regular(self) -> bool:
-        return 0.0 < self.theta < math.pi
-
-
-def _as_class(g) -> ConjugacyClassSU2:
-    if isinstance(g, ConjugacyClassSU2):
-        return g
-    return ConjugacyClassSU2(float(g))
+def _class_angle(g) -> float:
+    """The angle of the class g as a float in [0, pi], else DomainError."""
+    theta = float(g)
+    if not 0.0 <= theta <= math.pi:
+        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    return theta
 
 
 def witten_L_su2(s: complex, g,
@@ -71,20 +50,20 @@ def witten_L_su2(s: complex, g,
     of pi).
     """
     s = complex(s)
-    g = _as_class(g)
-    if g.is_identity:
+    theta = _class_angle(g)
+    if theta == 0.0:
         return riemann_zeta(s, budget)
-    if g.is_minus_identity:
+    if theta == math.pi:
         return (1.0 - 2.0 ** (1.0 - s)) * riemann_zeta(s, budget)
-    odd = _part(s + 1.0, 1, budget)(g.theta)
-    return complex(odd / math.sin(min(g.theta, math.pi - g.theta)))
+    odd = _part(s + 1.0, 1, budget)(theta)
+    return complex(odd / math.sin(min(theta, math.pi - theta)))
 
 
 def special_value_neg_even(m: int, g) -> Fraction:
     """Exact zero zeta^W(-m, g) = 0 for even m >= 2 and every g."""
     if m < 2 or m % 2:
         raise DomainError("special_value_neg_even requires even m >= 2")
-    _as_class(g)  # validate; the value is 0 on every branch:
+    _class_angle(g)  # validate; the value is 0 on every branch:
     # theta in {0, pi}: zeta(-m) = 0; regular: Z(-m+1, x) is odd under
     # x -> 1/x for even m, so the polylog difference cancels.
     return Fraction(0)
@@ -94,14 +73,14 @@ def derivative_at_minus2(g, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
     """d/ds zeta^W_{SU(2)}(s, g) at s = -2; strictly positive for theta > 0.
     At regular theta, D/(8 pi sin theta) from one ``hurwitz_pair`` at w = 2:
     of P_1 = Gamma(w) (2pi)^{-w} sin(pi w/2) D only the sine's slope stays."""
-    g = _as_class(g)
+    theta = _class_angle(g)
     pi2 = math.pi * math.pi
-    if g.is_identity:
+    if theta == 0.0:
         return -riemann_zeta(3.0, budget).real / (4.0 * pi2)
-    if g.is_minus_identity:
+    if theta == math.pi:
         return 7.0 * riemann_zeta(3.0, budget).real / (4.0 * pi2)
-    _, diff, _ = hurwitz_pair(2.0, g.theta / _TWO_PI, budget)
-    return diff.real / (8.0 * math.pi * math.sin(g.theta))
+    _, diff, _ = hurwitz_pair(2.0, theta / _TWO_PI, budget)
+    return diff.real / (8.0 * math.pi * math.sin(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +109,11 @@ def multi_L(s: complex, gs,
     two doubles, and rounded once; for r >= 2 one within rounding of a
     multiple of 2 pi counts as that multiple."""
     s = complex(s)
-    gs = [_as_class(g) for g in gs]
-    if not 1 <= len(gs) <= 3:
+    thetas = [_class_angle(g) for g in gs]
+    if not 1 <= len(thetas) <= 3:
         raise DomainError("multi_L supports between 1 and 3 arguments")
-    regular = [g.theta for g in gs if g.is_regular]
-    n_pi = sum(1 for g in gs if g.is_minus_identity)
+    regular = [th for th in thetas if 0.0 < th < math.pi]
+    n_pi = thetas.count(math.pi)
     r_eff = len(regular)
     shift, shift_lo, sign = (math.pi, _PI_LO, -1.0) if n_pi % 2 \
         else (0.0, 0.0, 1.0)

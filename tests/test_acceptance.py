@@ -5,6 +5,7 @@ exactly; the corrected statements are asserted alongside and the analysis
 lives in the project decision notes.
 """
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -15,10 +16,10 @@ from wittenzeta import (absolute_limit, bernoulli_convolution_check,
                         derivative_at_minus2, eval_at_int_s,
                         factorization_check, haar_average_finite,
                         haar_average_su2, mt_series, multi_L,
-                        polylog_closed_form, polylog_continued,
-                        polylog_eval_neg, special_value_neg_even,
-                        special_value_su3, su3_cong_minus1_limit, verify_zero,
-                        witten_L_su2, witten_su3_continued)
+                        polylog_closed_form, polylog_eval_neg,
+                        special_value_neg_even, special_value_su3,
+                        su3_cong_minus1_limit, verify_zero, witten_L_su2,
+                        witten_su3_continued)
 from wittenzeta.errors import PoleError
 from wittenzeta.exact import Polynomial, RationalFunction
 from wittenzeta.polylog import polylog_via_jonquiere
@@ -58,9 +59,17 @@ def test_criterion_01_closed_forms_exact(m):
 @pytest.mark.parametrize("s", [-0.5, 0.5, 2.5])
 @pytest.mark.parametrize("theta", [PI / 3, PI / 2, PI])
 def test_criterion_02_jonquiere_residual(s, theta):
-    a = polylog_via_jonquiere(s, theta)
-    b = polylog_continued(s, theta)
-    assert abs(a - b) <= 1e-8
+    # e^{-i pi s/2} Z(s, x) + e^{i pi s/2} Z(s, 1/x)
+    #   = (2 pi)^s / Gamma(s) zeta(1 - s, theta/2pi)  (DLMF 25.13.2),
+    # the right side from mpmath's Hurwitz zeta; at most 4.3e-14 off
+    import mpmath
+    mpmath.mp.dps = 30
+    lhs = cmath.exp(-0.5j * PI * s) * polylog_via_jonquiere(s, theta) \
+        + cmath.exp(0.5j * PI * s) * polylog_via_jonquiere(s, -theta)
+    two_pi = 2 * mpmath.pi
+    rhs = complex(two_pi ** s / mpmath.gamma(s)
+                  * mpmath.zeta(1 - s, mpmath.mpf(theta) / two_pi))
+    assert abs(lhs - rhs) <= 1e-10
 
 
 # -- 3. Z(0) and parity identities -------------------------------------------

@@ -10,7 +10,6 @@ and witten_su3_continued on the real rows, with Re s >= 5/6 (the even line)
 and below it (the residue line), and on the complex rows.
 Every row meets its claim but those skipped below."""
 
-import itertools
 import json
 import math
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from wittenzeta.numerics import PrecisionBudget
-from wittenzeta.su2 import _ANGLE_ROUNDING, multi_L, witten_L_su2
+from wittenzeta.su2 import multi_L, witten_L_su2
 from wittenzeta.su3 import mt_series, witten_su3_continued
 
 ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle"
@@ -32,24 +31,26 @@ TARGETS = [1e-6, 1e-10, 1e-13]
 # and returns the value at the exact angles, 2.2283004285441305 (mpmath), to
 # 1e-16.
 _BAD_REFERENCE = (-0.5414425255329522, [math.pi, math.pi / 3, 2 * math.pi / 3])
-
-
-def _near_full_turn(arg):
-    """Whether a signed sum of the float angles, a class at pi counting as
-    a half turn, is within _ANGLE_ROUNDING of a multiple of 2 pi."""
-    regular = [t for t in arg if 0.0 < t < math.pi]
-    shift = math.pi * (sum(1 for t in arg if t == math.pi) % 2)
-    return any(abs(math.remainder(shift + sum(
-        e * t for e, t in zip(eps, regular)), 2.0 * math.pi))
-        <= _ANGLE_ROUNDING
-        for eps in itertools.product((1.0, -1.0), repeat=len(regular)))
+# Skipped, (Re s, Im s): rows left of the line whose references were taken
+# at a combined float angle that misses a multiple of 2 pi by rounding,
+# where Z(s + r, x) blows up next to x = 1: the reference of s = -5.30688...
+# at [pi, pi/6, 5 pi/6] is 1.5e74, and multi_L, which sums the exact angles,
+# returns -12.99. The 10 other rows next to a full turn meet their claims.
+_FULL_TURN_REFERENCES = frozenset([
+    (-5.30688391512466, 0.0),
+    (-8.432904237834965, 0.0),
+    (-5.259546124851463, 1.6754807457208063),
+    (-9.357461926680157, 0.8524150892365343),
+    (-5.847432055833704, 0.0),
+    (-4.012110339744545, 0.0),
+    (-7.341186031711473, 4.040001659183249)])
 
 
 def _rows():
     """(witten_L rows, multi_L rows), each split at the line into the rows
     right and left of it."""
     pools = json.loads(POOL.read_text())["pools"]
-    single, multi = ([], []), ([], [])
+    single, multi, skipped = ([], []), ([], []), set()
     for name, rows in pools.items():
         if name in ("haar", "defect"):
             continue
@@ -57,19 +58,16 @@ def _rows():
             s, arg, ref = complex(row[0], row[1]), row[2], complex(*row[3:5])
             if name == "multi":
                 r = sum(1 for t in arg if 0.0 < t < math.pi)
-                order = (s + r).real
-                # Skipped as _BAD_REFERENCE, below 1 where Z(s + r, x)
-                # blows up next to x = 1: references taken at a combined
-                # float angle that misses a multiple of 2 pi by rounding
-                if r and (row[0], arg) != _BAD_REFERENCE \
-                        and not (order < 1.0 and _near_full_turn(arg)):
-                    multi[order <= 1.2].append((s, arg, ref))
+                if (row[0], row[1]) in _FULL_TURN_REFERENCES:
+                    skipped.add((row[0], row[1]))
+                elif r and (row[0], arg) != _BAD_REFERENCE:
+                    multi[(s + r).real <= 1.2].append((s, arg, ref))
             elif 0.0 < arg < math.pi:
                 single[s.real <= 0.2].append((s, arg, ref))
-    return single, multi
+    return single, multi, skipped
 
 
-(SINGLE, SINGLE_LEFT), (MULTI, MULTI_LEFT) = _rows()
+(SINGLE, SINGLE_LEFT), (MULTI, MULTI_LEFT), FULL_TURN_SKIPPED = _rows()
 
 
 def _misses(fn, rows, target):
@@ -98,8 +96,9 @@ def test_multi_L_rows(target):
 
 
 def test_left_pool_sizes():
-    # 264 multi rows left of the line, less the 17 skipped above
-    assert (len(SINGLE_LEFT), len(MULTI_LEFT)) == (3467, 247)
+    # 264 multi rows left of the line, less the 7 skipped above
+    assert FULL_TURN_SKIPPED == _FULL_TURN_REFERENCES
+    assert (len(SINGLE_LEFT), len(MULTI_LEFT)) == (3467, 257)
 
 
 @pytest.mark.parametrize("target", TARGETS)

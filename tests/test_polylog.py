@@ -14,10 +14,9 @@ from wittenzeta import cli, polylog
 from wittenzeta.errors import ConvergenceError, DomainError
 from wittenzeta.exact import Polynomial, RationalFunction
 from wittenzeta.numerics import PrecisionBudget
-from wittenzeta.polylog import (MAX_CLOSED_M, UnitCirclePoint,
-                                polylog_closed_form, polylog_continued,
-                                polylog_eval_neg, polylog_series,
-                                polylog_via_jonquiere)
+from wittenzeta.polylog import (MAX_CLOSED_M, polylog_closed_form,
+                                polylog_continued, polylog_eval_neg,
+                                polylog_series, polylog_via_jonquiere)
 
 mpmath.mp.dps = 30
 F = Fraction
@@ -25,18 +24,6 @@ F = Fraction
 
 def _oracle(s, theta):
     return complex(mpmath.polylog(s, mpmath.exp(1j * mpmath.mpf(theta))))
-
-
-class TestUnitCirclePoint:
-    def test_reduction(self):
-        assert UnitCirclePoint(2.0 * math.pi + 1.0).theta == pytest.approx(1.0)
-        assert UnitCirclePoint(-1.0).theta == pytest.approx(2.0 * math.pi - 1.0)
-
-    def test_inverse_and_is_one(self):
-        pt = UnitCirclePoint(1.0)
-        assert pt.inverse().theta == pytest.approx(2.0 * math.pi - 1.0)
-        assert UnitCirclePoint(0.0).is_one
-        assert not pt.is_one
 
 
 class TestSeries:

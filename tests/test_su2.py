@@ -13,9 +13,8 @@ from wittenzeta import polylog, su2
 from wittenzeta.errors import ConvergenceError, DomainError
 from wittenzeta.numerics import PrecisionBudget
 from wittenzeta.polylog import _circle_part
-from wittenzeta.su2 import (ConjugacyClassSU2, derivative_at_minus2,
-                            haar_average_su2, multi_L, special_value_neg_even,
-                            witten_L_su2)
+from wittenzeta.su2 import (derivative_at_minus2, haar_average_su2, multi_L,
+                            special_value_neg_even, witten_L_su2)
 
 mpmath.mp.dps = 30
 
@@ -24,17 +23,15 @@ CATALAN = 0.9159655941772190151
 PI = math.pi
 
 
-class TestConjugacyClass:
-    def test_classification(self):
-        assert ConjugacyClassSU2(0.0).is_identity
-        assert ConjugacyClassSU2(PI).is_minus_identity
-        assert ConjugacyClassSU2(1.0).is_regular
-
-    def test_range(self):
+@pytest.mark.parametrize("theta", [-0.1, PI + 0.1, math.nan])
+def test_angle_outside_zero_pi_raises(theta):
+    # a class is its angle in [0, pi]; every entry point checks it
+    for call in (lambda: witten_L_su2(2.0, theta),
+                 lambda: multi_L(-2.0, [1.0, theta]),
+                 lambda: derivative_at_minus2(theta),
+                 lambda: special_value_neg_even(2, theta)):
         with pytest.raises(DomainError):
-            ConjugacyClassSU2(-0.1)
-        with pytest.raises(DomainError):
-            ConjugacyClassSU2(PI + 0.1)
+            call()
 
 
 class TestEval:
