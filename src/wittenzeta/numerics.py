@@ -2,6 +2,8 @@
 zeta, and log-gamma, with an explicit precision budget. ``hurwitz_pair`` is
 the one Hurwitz pass of the polylog routes: zeta(w, t) and zeta(w, 1 - t)
 from a shared split, returned as zeta(w, 1 - t), their difference and sum.
+``zeta_ladder`` gives zeta(rho), zeta(rho + 2), ... from one split, for the
+polylog's zeta(s - k) table.
 
 All three are implemented from scratch (Euler-Maclaurin summation and a
 shifted Stirling series) rather than wrapping a library, so the test suite
@@ -228,6 +230,29 @@ def _hurwitz_em(s: complex, a: float, budget: PrecisionBudget) -> complex:
                 f"hurwitz zeta did not converge for s={s}, a={a}",
                 achieved=head + tail)
         n_split *= 2
+
+
+def zeta_ladder(rho: complex, budget: PrecisionBudget):
+    """zeta(rho), zeta(rho + 2), zeta(rho + 4), ... for Re rho >= 3/2, each
+    to the target absolutely, from one Euler-Maclaurin split N = max(16,
+    ceil|rho| + 8): the powers k^{-rho}, k < N, are taken once, and each
+    later entry multiplies them by k^{-2}, then adds the integral and half
+    terms and the Bernoulli corrections at its own order. The corrections
+    fall from the first term on while |rho + 2j| < 2 pi N, far past the
+    orders a zeta(s - k) table asks for; ConvergenceError if they turn."""
+    n_split = max(16, math.ceil(abs(rho)) + 8)
+    powers = [k ** -rho for k in range(1, n_split)]
+    inv_squares = [1.0 / (k * k) for k in range(1, n_split)]
+    while True:
+        value = sum(powers) + n_split ** (1.0 - rho) / (rho - 1.0) \
+            + 0.5 * n_split ** -rho
+        corr = _em_corrections(rho, n_split, 1.0, budget)
+        if corr is None:
+            raise ConvergenceError(f"zeta ladder did not converge at {rho}",
+                                   achieved=value)
+        yield value + corr
+        rho += 2.0
+        powers = [p * q for p, q in zip(powers, inv_squares)]
 
 
 NEAR_ZERO = 0.25  # |w| below which hurwitz_pair sums 1 + expm1(-w log(n+x))

@@ -11,21 +11,25 @@ Two evaluation routes are exposed and cross-checked by the tests:
                             (Jonquiere) formula, DLMF 25.13.2, for Z itself.
 
 The float entry points take x by its angle theta, a float in radians,
-and read it exactly into [-pi, pi] (``_angle``).
+and read it into [-pi, pi] less the low part of 2 pi per turn (``_angle``).
 
 ``polylog_via_jonquiere`` is the continuation at real s, kept by name for
 the ``polylog jonquiere`` action.
 
 The SU(2) L-functions take the even or odd part of Z from ``_part``: right
 of Re s = 1.2 ``_circle_part`` (zeta(s - k) about x = 1, DLMF 25.12.12, or
-eta(s - k) about x = -1, one table per part), left of it DLMF 25.13.2.
-Left of the line every value takes one ``numerics.hurwitz_pair`` pass.
+eta(s - k) about x = -1), left of it DLMF 25.13.2. Right of the line one
+table per part serves the angles the caller names (all of [0, pi] for the
+Haar average): it stops where its terms at the largest of them meet the
+target, and its zeta(1 - s + k) entries come from one
+``numerics.zeta_ladder``. Left of the line every value takes one
+``numerics.hurwitz_pair`` pass.
 
 At non-positive integers Z(-m, x) = x A_m(x) / (1 - x)^{m+1}, with A_m the
 Eulerian polynomial (DLMF 26.14): ``polylog_closed_form`` returns it as an
 exact rational function of x. ``polylog_eval_neg`` takes its value on the
 circle from the derivative polynomials of cot(theta/2) (Hoffman, Amer. Math.
-Monthly 102, 1995). Both accept m <= MAX_CLOSED_M.
+Monthly 102, 1995). They accept m <= MAX_CLOSED_M and m <= MAX_EVAL_M.
 """
 
 from __future__ import annotations
@@ -39,20 +43,31 @@ from .exact import Polynomial, RationalFunction
 from .numerics import (DEFAULT_BUDGET, MAX_TERMS, NEAR_ZERO, PrecisionBudget,
                        _em_corrections, _expm1, _hurwitz_em, gamma_two_pi,
                        half_pi_trig, hurwitz_pair, log_gamma, riemann_zeta,
-                       sin_half_pi)
+                       sin_half_pi, zeta_ladder)
 
 _TWO_PI = 2.0 * math.pi
+# pi and 2 pi as two doubles each: math.pi + _PI_LO is pi to about 1e-32
+_PI_LO = 1.2246467991473532e-16
+_TWO_PI_LO = 2.0 * _PI_LO
 
 
 def _angle(theta) -> float:
     """The angle theta of x = e^{i theta}, a float in radians, reduced to
-    [-pi, pi] by math.remainder, exactly: an angle next to 0 keeps its
-    digits on both sides, one next to 2 pi is read less 2 * math.pi. A
-    non-finite angle raises DomainError."""
+    [-pi, pi]: math.remainder by 2 * math.pi, which is exact, less the k
+    turns' low part k * _TWO_PI_LO, so that an angle next to 2 pi k keeps
+    its digits; one within rounding of 2 pi k, such as 2 * math.pi, reads
+    as 0. An angle in [-pi, pi] is returned as it is. A non-finite angle
+    raises DomainError."""
     theta = float(theta)
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta}")
-    return math.remainder(theta, _TWO_PI)
+    rem = math.remainder(theta, _TWO_PI)
+    turns = round((theta - rem) / _TWO_PI)
+    if not turns:
+        return rem
+    if abs(rem) <= 0.5 * math.ulp(theta):
+        return 0.0
+    return rem - turns * _TWO_PI_LO
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +161,6 @@ _EXPANSION_EDGE = 1.2  # the zeta(s - k) expansion right of this line
 _ETA_EDGE = 2.0 * math.pi / 3.0  # expand about x = -1 past this angle
 _POLE_ZONE = 0.2  # |s - 1 - m| below which the pole pair is one form
 _DIRECT_TERMS = 32  # up to this many terms the Dirichlet series is summed
-_EM_HEAD = 64  # longest head of the Euler-Maclaurin sum for zeta(1 - s + k)
 _EULER_GAMMA = 0.5772156649015329
 _LOG_TWO, _LOG_TWO_PI = math.log(2.0), math.log(_TWO_PI)
 
@@ -167,27 +181,23 @@ def _zeta_int(p: int) -> float:
     return riemann_zeta(float(p), PrecisionBudget(1e-17)).real
 
 
-def _zeta_right(rho: complex, tol: float, budget: PrecisionBudget) -> complex:
-    """zeta(rho) for Re rho >= 3/2 to absolute tol: a head of n <= _EM_HEAD
-    terms plus the integral and half terms, where the first dropped
-    Euler-Maclaurin term |rho| n^{-Re rho-1}/12 meets tol and n >= |rho+2|/2
-    (so the later terms fall by 15 or more each); else riemann_zeta."""
-    a = rho.real
-    n = max(2, math.ceil(abs(rho + 2.0) / 2.0),
-            math.ceil((abs(rho) / (12.0 * tol)) ** (1.0 / (a + 1.0))))
-    if n > _EM_HEAD:
-        return riemann_zeta(rho, budget)
-    head = sum(k ** -rho for k in range(1, n))
-    return head + n ** (1.0 - rho) / (rho - 1.0) + 0.5 * n ** -rho
+def _reach(theta: float) -> float:
+    """The radius r at which the table's terms |c_k| r^k are summed for
+    theta in [0, pi]: theta itself up to 2 pi/3; past it 2 (pi - theta),
+    as the eta(sigma - k) coefficients grow like 2^k |c_k|. At most 2 pi/3,
+    the reach of the whole interval."""
+    return theta if theta <= _ETA_EDGE else 2.0 * (math.pi - theta)
 
 
-def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget):
+def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget,
+                 thetas=None):
     """theta -> P(theta) on [0, pi] for Re sigma > 1.2, where P is the odd
     part (Z(sigma, x) - Z(sigma, 1/x)) / 2i of Z at x = e^{i theta} for
     parity 1 and the even part (Z(sigma, x) + Z(sigma, 1/x)) / 2 for parity
     0; real for real sigma. One zeta(sigma - k) table, k = parity, parity +
-    2, ..., serves every theta. With s = sigma - 1 and c_k = (-1)^j
-    zeta(sigma - k) / k!, k = parity + 2j, DLMF 25.12.12 gives
+    2, ..., serves every theta in thetas (all of [0, pi] if None). With s =
+    sigma - 1 and c_k = (-1)^j zeta(sigma - k) / k!, k = parity + 2j, DLMF
+    25.12.12 gives
 
         theta <= 2 pi/3:  sum_k c_k theta^k + pi theta^s / (2 cs(pi s/2)
                           Gamma(sigma)),  cs = cos (parity 1), -sin (0);
@@ -195,12 +205,15 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget):
                           theta, the eta(sigma - k) expansion about x = -1,
                           + for parity 1, - for parity 0,
 
-    whose terms fall like 3^{-k}. Entries with Re(sigma - k) <= -1/2 come
-    from the functional equation, c_k = 2 (2 pi)^s sin(pi (sigma - parity)
-    /2) R_k zeta(1 - sigma + k), R_k = Gamma(1 - sigma + k) / (k! (2 pi)^k)
-    by the recurrence R_k = R_{k-2} (k-1-sigma)(k-sigma) / ((k-1) k (2 pi)^2)
-    from one log_gamma; the table ends where Re sigma < k, |Im sigma| < 3k
-    and |c_k| (2 pi/3)^k meets the target.
+    whose terms |c_k| r^k fall like (r / 2 pi)^k, r = ``_reach(theta)`` <=
+    2 pi/3. Entries with Re(sigma - k) <= -1/2 come from the functional
+    equation, c_k = 2 (2 pi)^s sin(pi (sigma - parity)/2) R_k zeta(1 -
+    sigma + k), R_k = Gamma(1 - sigma + k) / (k! (2 pi)^k) by the recurrence
+    R_k = R_{k-2} (k-1-sigma)(k-sigma) / ((k-1) k (2 pi)^2) from one
+    log_gamma, and the zetas from one ``numerics.zeta_ladder``. The table
+    ends where Re sigma < k, |Im sigma| < 3k and |c_k| r^k meets the target,
+    r the largest reach of thetas, 2 pi/3 for all of [0, pi]; the closure
+    refuses an angle past r with RuntimeError, an internal error.
 
     Within _POLE_ZONE of an integer m of the part's parity (eps = s - m),
     the last term and c_m, whose zeta(sigma - m) = zeta(1 + eps) has its
@@ -254,7 +267,9 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget):
     pole = abs(eps) < _POLE_ZONE
     coeffs, etas = [], []  # c_k and the eta-expansion coefficients
     eta_sign = 1.0 if parity else -1.0
-    ratio = None  # R_k once the functional equation takes over
+    reach = _ETA_EDGE if thetas is None \
+        else max(map(_reach, thetas), default=0.0)
+    ladder = None  # zeta(1 - sigma + k) once the functional equation holds
     for k in range(parity, MAX_TERMS, 2):
         u = sigma - k
         if pole and k == m:
@@ -265,19 +280,20 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget):
             c = (-1) ** (k // 2) * num(riemann_zeta(u, zb)) \
                 / math.factorial(k)
         else:
-            if ratio is None:
+            if ladder is None:
                 pref = 2.0 * exp(s * _LOG_TWO_PI) \
                     * num(sin_half_pi(complex(sigma - parity)))
                 ratio = exp(num(log_gamma(1.0 - u)) - math.lgamma(k + 1.0)
                             - k * _LOG_TWO_PI)
+                ladder = zeta_ladder(1.0 - u, zb)
             else:
                 ratio *= (k - 1.0 - sigma) * (k - sigma) \
                     / ((k - 1.0) * k * _TWO_PI * _TWO_PI)
-            c = pref * ratio * num(_zeta_right(1.0 - u, tol, zb))
+            c = pref * ratio * num(next(ladder))
         coeffs.append(c)
         etas.append(-eta_sign * c * _expm1((1.0 - u) * _LOG_TWO))
         if sigma.real < k and abs(sigma.imag) < 3.0 * k \
-                and abs(c) * _ETA_EDGE ** k <= tol:
+                and abs(c) * reach ** k <= tol:
             break
     else:
         raise ConvergenceError(f"zeta(s - k) table did not end for s={sigma}")
@@ -309,6 +325,9 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget):
     etas.reverse()
 
     def part(theta: float):
+        if _reach(theta) > reach:
+            raise RuntimeError(f"theta = {theta} is past the reach {reach} "
+                               f"of the zeta(s - k) table at s = {sigma}")
         if theta > _ETA_EDGE:
             x, table = math.pi - theta, etas
         else:
@@ -345,19 +364,22 @@ def _finite_value(value, theta: float, what: str, *args):
                       "overflows double precision")
 
 
-def _part(sigma: complex, parity: int, budget: PrecisionBudget):
+def _part(sigma: complex, parity: int, budget: PrecisionBudget,
+          thetas=None):
     """theta -> P(theta) on [0, pi] for every sigma, the odd (parity 1) or
     even (parity 0) part of Z(sigma, e^{i theta}): ``_circle_part`` right of
-    Re sigma = 1.2; left of it DLMF 25.13.2 for the part, w = 1 - sigma,
-    t = theta/2pi: Gamma(w) (2pi)^{-w} times sin(pi w/2) D or cos(pi w/2) S,
-    D and S the difference and sum of zeta(w, t) and zeta(w, 1 - t) from one
-    ``hurwitz_pair``. The trig factor comes first, so P_1 is exactly 0 at
-    sigma = -1, -3, ... and P_0 at -2, -4, .... Limits: at sigma = 1, P_1 =
-    (pi - theta)/2, P_0 = -log(2 sin(theta/2)); at sigma = 0, P_0 = -1/2; at
-    theta = 0, P_1 = 0, P_0 = zeta(sigma). An overflow raises DomainError."""
+    Re sigma = 1.2, its table sized to the angles thetas the closure will be
+    asked for (all of [0, pi] if None); left of it DLMF 25.13.2 for the
+    part, w = 1 - sigma, t = theta/2pi: Gamma(w) (2pi)^{-w} times sin(pi
+    w/2) D or cos(pi w/2) S, D and S the difference and sum of zeta(w, t)
+    and zeta(w, 1 - t) from one ``hurwitz_pair``, at any angle. The trig
+    factor comes first, so P_1 is exactly 0 at sigma = -1, -3, ... and P_0
+    at -2, -4, .... Limits: at sigma = 1, P_1 = (pi - theta)/2, P_0 =
+    -log(2 sin(theta/2)); at sigma = 0, P_0 = -1/2; at theta = 0, P_1 = 0,
+    P_0 = zeta(sigma). An overflow raises DomainError."""
     sigma = complex(sigma)
     if sigma.real > _EXPANSION_EDGE:
-        return _circle_part(sigma, parity, budget)
+        return _circle_part(sigma, parity, budget, thetas)
     real = sigma.imag == 0.0
     w = 1.0 - (sigma.real if real else sigma)
     limit = w == 0.0 or (w == 1.0 and not parity)
@@ -412,8 +434,9 @@ def polylog_continued(s: complex, x,
         raise DomainError("polylog continuation requires x != 1 (theta != 0)")
     i_sign = 1j if th > 0.0 else -1j
     if s.real > _EXPANSION_EDGE or s == 0.0 or s == 1.0:
-        even = _part(s, 0, budget)(abs(th))
-        odd = _part(s, 1, budget)(abs(th))
+        angle = abs(th)
+        even = _part(s, 0, budget, (angle,))(angle)
+        odd = _part(s, 1, budget, (angle,))(angle)
         return complex(even + i_sign * odd)
     if s.imag > 0.0:
         return polylog_continued(s.conjugate(), -th, budget).conjugate()
@@ -444,19 +467,24 @@ def polylog_via_jonquiere(s: float, x,
 # ---------------------------------------------------------------------------
 
 MAX_CLOSED_M = 30
-"""Largest m that ``polylog_closed_form`` and ``polylog_eval_neg`` accept;
-larger m raise DomainError. It is the range the tests cover: the integer
-rows of Q_m equal the Eulerian form exactly, and the float values are
-within 1e-13 of mpmath, next to theta = pi too. The float route does not
-set it: its terms are all positive, so its error grows only like m ulps."""
+"""Largest m that ``polylog_closed_form`` accepts; larger m raise
+DomainError. It is the range the tests cover: the integer rows of Q_m equal
+the Eulerian form exactly."""
+
+MAX_EVAL_M = 163
+"""Largest m that ``polylog_eval_neg`` accepts; larger m raise DomainError.
+It is the last m whose cot(theta/2) rows fit in a double (their largest
+entry is 3.1e307 at m = 163). Up to it the values are within
+1e-13 of mpmath, next to theta = pi too: the terms are all positive, so the
+error grows only like m ulps."""
 
 
-def _check_m(m: int) -> None:
+def _check_m(m: int, bound: int) -> None:
     if m < 0:
         raise DomainError("Z(-m, x) closed form: m must be non-negative")
-    if m > MAX_CLOSED_M:
+    if m > bound:
         raise DomainError(
-            f"Z(-m, x) closed form supports m <= {MAX_CLOSED_M}, got m = {m}")
+            f"Z(-m, x) closed form supports m <= {bound}, got m = {m}")
 
 
 def _eulerian_row(m: int) -> list:
@@ -473,7 +501,7 @@ def polylog_closed_form(m: int) -> RationalFunction:
     """Exact rational function R_m(x) = Z(-m, x) = x A_m(x) / (1 - x)^{m+1},
     the numerator from the Eulerian row, the denominator from binomials.
     The parts are coprime, as A_m(1) = m! != 0, so no gcd is taken."""
-    _check_m(m)
+    _check_m(m, MAX_CLOSED_M)
     num = Polynomial([0] + _eulerian_row(m), "x")
     den = Polynomial([(-1) ** k * math.comb(m + 1, k) for k in range(m + 2)],
                      "x")
@@ -503,9 +531,11 @@ def polylog_eval_neg(m: int, x) -> complex:
     so Horner's rule in c^2 over the rows of ``_cot_poly`` adds only
     positive terms and nothing cancels. The value is exactly real for odd m
     and exactly imaginary for even m >= 2, as the parity identity
-    Z(-m, x) + (-1)^m Z(-m, 1/x) = 0 demands. An overflow raises DomainError.
+    Z(-m, x) + (-1)^m Z(-m, 1/x) = 0 demands. The rows are scaled by the
+    2^{-m-1} of (i/2)^{m+1}, exactly, so that the sum overflows only with
+    the value, and an overflow raises DomainError.
     """
-    _check_m(m)
+    _check_m(m, MAX_EVAL_M)
     th = _angle(x)
     if th == 0.0:
         raise DomainError("Z(-m, x) closed form requires x != 1")
@@ -515,11 +545,11 @@ def polylog_eval_neg(m: int, x) -> complex:
         return polylog_eval_neg(m, -th).conjugate()
     half = th / 2.0  # 0 only for the least subnormal theta
     c = 1.0 / math.tan(half) if half else math.inf
-    row = _cot_poly(m)[(m + 1) % 2::2]
-    c2, q = c * c, float(row[-1])  # from the top: no 0 * inf
+    row = [math.ldexp(a, -m - 1) for a in _cot_poly(m)[(m + 1) % 2::2]]
+    c2, q = c * c, row[-1]  # from the top: no 0 * inf
     for a in row[-2::-1]:
         q = q * c2 + a
-    # times c for even m, and (i/2)^{m+1} = (+-1 or +-i) / 2^{m+1}
-    q = math.ldexp(q if m % 2 else q * c, -m - 1) * (-1) ** ((m + 1) // 2)
+    # times c for even m, and (i/2)^{m+1} 2^{m+1} = +-1 or +-i
+    q = (q if m % 2 else q * c) * (-1) ** ((m + 1) // 2)
     value = complex(q, 0.0) if m % 2 else complex(-0.5 if m == 0 else 0.0, q)
     return _finite_value(value, th, "Z(-{}, x)", m)

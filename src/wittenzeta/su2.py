@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import ConvergenceError, DomainError
 from .numerics import (DEFAULT_BUDGET, MAX_TERMS, PrecisionBudget,
                        hurwitz_pair, riemann_zeta)
-from .polylog import _part
+from .polylog import _PI_LO, _TWO_PI_LO, _part
 
 _TWO_PI = 2.0 * math.pi
 
@@ -44,10 +44,10 @@ def witten_L_su2(s: complex, g,
     """zeta^W_{SU(2)}(s, g); real for real s.
 
     At regular theta, (Z(s+1, x) - Z(s+1, 1/x)) / (2i sin theta): the odd
-    part P_1(s+1, theta) of ``polylog._part`` over sin(min(theta, pi -
-    theta)). Past pi/2 the float pi - theta is exact, and it is the angle
-    the expansion about x = -1 uses past 2 pi/3 (math.pi is 1.2e-16 short
-    of pi).
+    part P_1(s+1, theta) of ``polylog._part``, sized to theta, over
+    sin(min(theta, pi - theta)). Past pi/2 the float pi - theta is exact,
+    and it is the angle the expansion about x = -1 uses past 2 pi/3
+    (math.pi is 1.2e-16 short of pi).
     """
     s = complex(s)
     theta = _class_angle(g)
@@ -55,7 +55,7 @@ def witten_L_su2(s: complex, g,
         return riemann_zeta(s, budget)
     if theta == math.pi:
         return (1.0 - 2.0 ** (1.0 - s)) * riemann_zeta(s, budget)
-    odd = _part(s + 1.0, 1, budget)(theta)
+    odd = _part(s + 1.0, 1, budget, (theta,))(theta)
     return complex(odd / math.sin(min(theta, math.pi - theta)))
 
 
@@ -89,9 +89,6 @@ def derivative_at_minus2(g, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
 
 # rounding of a signed sum of up to four angles in [0, pi]
 _ANGLE_ROUNDING = 8.0 * math.ulp(_TWO_PI)
-# pi and 2 pi as two doubles each: math.pi + _PI_LO is pi to about 1e-32
-_PI_LO = 1.2246467991473532e-16
-_TWO_PI_LO = 2.0 * _PI_LO
 
 
 def multi_L(s: complex, gs,
@@ -103,11 +100,11 @@ def multi_L(s: complex, gs,
     polylog argument; the remaining r regular characters expand into 2^r
     signed polylog terms of order s + r. The terms of eps and -eps pair
     into one value of the even (r even) or odd (r odd) part of
-    ``polylog._part``, one closure for all 2^{r-1} pairs, over the sines of
-    ``witten_L_su2``; with no regular class it is the even part at the
-    shift. A combined angle is summed exactly, less k turns of 2 pi held as
-    two doubles, and rounded once; for r >= 2 one within rounding of a
-    multiple of 2 pi counts as that multiple."""
+    ``polylog._part``, one closure sized to the 2^{r-1} pairs' angles, over
+    the sines of ``witten_L_su2``; with no regular class it is the even
+    part at the shift. A combined angle is summed exactly, less k turns of
+    2 pi held as two doubles, and rounded once; for r >= 2 one within
+    rounding of a multiple of 2 pi counts as that multiple."""
     s = complex(s)
     thetas = [_class_angle(g) for g in gs]
     if not 1 <= len(thetas) <= 3:
@@ -117,12 +114,11 @@ def multi_L(s: complex, gs,
     r_eff = len(regular)
     shift, shift_lo, sign = (math.pi, _PI_LO, -1.0) if n_pi % 2 \
         else (0.0, 0.0, 1.0)
-    part = _part(s + r_eff, r_eff % 2, budget)
     if r_eff == 0:
-        return complex(sign * part(shift))
+        return complex(sign * _part(s, 0, budget, (shift,))(shift))
     # eps and -eps give opposite angles (mod 2 pi) and signs (-1)^r apart,
     # so each pair is 2 P_0(|t|) (r even) or 2i sgn(t) P_1(|t|) (r odd)
-    acc = 0.0 + 0.0j
+    pairs = []  # (the product of eps, the combined angle t)
     for eps in itertools.product((1.0, -1.0), repeat=r_eff - 1):
         # the exact sum of the terms, all doubles, less k turns, rounded once
         terms = [shift, shift_lo, regular[0]] \
@@ -131,10 +127,14 @@ def multi_L(s: complex, gs,
         t = math.fsum(terms + [-k * _TWO_PI, -k * _TWO_PI_LO])
         if r_eff >= 2 and abs(t) <= _ANGLE_ROUNDING:
             t = 0.0  # e.g. pi/2 - pi/3 - pi/6, which rounds to 1e-16
+        pairs.append((math.prod(eps), t))
+    part = _part(s + r_eff, r_eff % 2, budget, [abs(t) for _, t in pairs])
+    acc = 0.0 + 0.0j
+    for sgn, t in pairs:
         pair = 2.0 * part(abs(t))
         if r_eff % 2:
             pair *= 1j if t > 0.0 else -1j
-        acc += math.prod(eps) * pair
+        acc += sgn * pair
     denom = math.prod(2j * math.sin(min(th, math.pi - th)) for th in regular)
     return sign * acc / denom
 

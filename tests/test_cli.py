@@ -223,7 +223,7 @@ class TestExitCodes:
 class TestExactMaxima:
     @pytest.mark.parametrize("argv", [
         ("polylog", "closed", "--m", "30"),
-        ("polylog", "neg", "--m", "30", "--theta", "1"),
+        ("polylog", "neg", "--m", "163", "--theta", "1"),
         ("su3", "special", "--n", "200"),
         ("su3", "lemma", "--n", "200"),
     ])
@@ -233,7 +233,7 @@ class TestExactMaxima:
 
     @pytest.mark.parametrize("argv", [
         ("polylog", "closed", "--m", "31"),
-        ("polylog", "neg", "--m", "31", "--theta", "1"),
+        ("polylog", "neg", "--m", "164", "--theta", "1"),
         ("su3", "special", "--n", "201"),
         ("su3", "lemma", "--n", "202"),
     ])

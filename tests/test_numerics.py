@@ -11,7 +11,7 @@ import pytest
 from wittenzeta.errors import DomainError, PoleError
 from wittenzeta.numerics import (DEFAULT_BUDGET, PrecisionBudget,
                                  gamma_ratio_at_neg, hurwitz_zeta, log_gamma,
-                                 riemann_zeta)
+                                 riemann_zeta, zeta_ladder)
 
 mpmath.mp.dps = 30
 
@@ -228,3 +228,18 @@ class TestHurwitzZeta:
         # a^{-s} is past a double (or 0^{-s}, where a underflows)
         with pytest.raises(DomainError, match="overflows"):
             hurwitz_zeta(s, a)
+
+
+class TestZetaLadder:
+    @pytest.mark.parametrize("rho", [1.5, 2.3, 3.1 - 0.7j, 1.6 + 3j,
+                                     2.0 - 10j, 4.5 + 30j, 1.5 - 50j])
+    @pytest.mark.parametrize("target", [1e-6, 1e-16])
+    def test_against_mpmath(self, rho, target):
+        # zeta(rho + 2j), j < 24, each to the target absolutely, from one
+        # split: the orders a zeta(s - k) table takes, and past them; below
+        # 1e-15 the head's rounding, a few ulps of values up to 2.7, remains
+        ladder = zeta_ladder(rho, PrecisionBudget(target))
+        for j in range(24):
+            got = next(ladder)
+            want = _mpc(mpmath.zeta(rho + 2 * j))
+            assert abs(got - want) <= max(target, 2e-15), j

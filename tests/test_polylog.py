@@ -5,6 +5,7 @@ import cmath
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +15,7 @@ from wittenzeta import cli, polylog
 from wittenzeta.errors import ConvergenceError, DomainError
 from wittenzeta.exact import Polynomial, RationalFunction
 from wittenzeta.numerics import PrecisionBudget
-from wittenzeta.polylog import (MAX_CLOSED_M, polylog_closed_form,
+from wittenzeta.polylog import (MAX_CLOSED_M, MAX_EVAL_M, polylog_closed_form,
                                 polylog_continued, polylog_eval_neg,
                                 polylog_series, polylog_via_jonquiere)
 
@@ -83,11 +84,11 @@ class TestContinuation:
         assert abs(polylog_continued(0.5, math.pi) - want) <= 1e-10
 
 
-def _mp_li(order, theta):
-    """Z(order, e^{i theta}) at 40 digits: DLMF 25.13.2 with x = theta / 2 pi
+def _mp_li(order, theta, dps=40):
+    """Z(order, e^{i theta}) at dps digits: DLMF 25.13.2 with x = theta / 2 pi
     (mod 1), mpmath's polylog at the integer orders where Gamma(1 - order)
     has its pole."""
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         order = mpmath.mpc(order)
         angle = mpmath.mpf(theta)
         if order.imag == 0 and order.real == int(order.real):
@@ -101,6 +102,12 @@ def _mp_li(order, theta):
                           + mpmath.zeta(a, 1 - x) / phase))
 
 
+# the 13 classes of SU(2) the benchmark's su2-grid draws its angles from
+_SU2_CLASSES = [f * math.pi for f in (1 / 2, 1 / 3, 2 / 3, 1 / 4, 3 / 4, 1 / 5,
+                                      2 / 5, 1 / 6, 5 / 6)] \
+    + [0.2, 1.0, 0.0, math.pi]
+
+
 class TestExpansion:
     """Right of Re s = 1.2 the continuation is the zeta(s - k) expansion: at
     small theta, next to pi from both sides, just below 2 pi, and at and
@@ -109,7 +116,9 @@ class TestExpansion:
     @pytest.mark.parametrize("s", [1.3, 1.538, 2.0, 2.0 + 1e-7, 3.0,
                                    4.0 - 0.05j, 2.5 + 3j])
     @pytest.mark.parametrize("theta", [1e-3, 0.05, math.pi - 1e-3,
-                                       math.pi + 1e-3, 2.0 * math.pi - 0.08])
+                                       math.pi + 1e-3, 2.0 * math.pi - 0.08,
+                                       2.0 * math.pi / 3.0 - 1e-9,
+                                       2.0 * math.pi / 3.0 + 1e-9])
     def test_against_mpmath(self, s, theta):
         got = polylog_continued(s, theta, PrecisionBudget(target=1e-13))
         want = _mp_li(s, theta)
@@ -121,6 +130,32 @@ class TestExpansion:
         monkeypatch.setattr(polylog, "polylog_series", forbidden)
         polylog_continued(1.3, 6.2, PrecisionBudget(target=1e-13))
         polylog_continued(2.5 + 3j, 0.05)
+
+    @pytest.mark.parametrize("target", [1e-6, 1e-10, 1e-13])
+    @pytest.mark.parametrize("sigma", [1.3, 2.0, 2.5, 3.0 + 1e-9, 3.7,
+                                       12.5, 1.25 + 0.5j, 2.5 + 3j, 1.5 - 8j,
+                                       3.9 + 9.5j])
+    def test_table_sized_to_the_angle(self, sigma, target):
+        # sized to one angle, the table drops only terms below its
+        # tolerance, target * 1e-3, there: it gives the full table's value
+        budget = PrecisionBudget(target)
+        for parity in (0, 1):
+            full = polylog._part(sigma, parity, budget)
+            for theta in _SU2_CLASSES:
+                got = polylog._part(sigma, parity, budget, (theta,))(theta)
+                want = full(theta)
+                x = theta if theta <= 2.0 * math.pi / 3.0 else math.pi - theta
+                scale = max(abs(want), x if parity else 1.0)
+                assert abs(got - want) <= 1e-3 * target * scale, theta
+
+    def test_refuses_an_angle_past_its_reach(self):
+        # an internal error: no caller asks a table for an angle it was
+        # not sized to
+        part = polylog._part(2.5, 1, PrecisionBudget(1e-10), (0.2,))
+        part(0.2)
+        part(3.1)  # about x = -1 the reach is 2 (pi - theta) = 0.083
+        with pytest.raises(RuntimeError, match="reach"):
+            part(1.0)
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_parts_at_the_ends(self, parity):
@@ -219,6 +254,46 @@ def test_small_angles_against_mpmath(s, theta, conjugate):
     got = polylog_continued(s, theta, PrecisionBudget(1e-13))
     want = _mp_li(s, theta)
     assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+# angles next to a full turn: each is read less 2 * math.pi and the turn's
+# low part, 2.45e-16, so that it keeps its digits (s = 0 at 2 pi - 1e-3 was
+# 2.45x a 1e-13 claim without the low part)
+_NEAR_TURN = [2.0 * math.pi - 1e-3, 2.0 * math.pi - 1e-4]
+
+
+@pytest.mark.parametrize("theta", _NEAR_TURN + [-t for t in _NEAR_TURN])
+@pytest.mark.parametrize("s", [0.0, 1.5, -1.5, 0.5 + 3j, 2.5 - 1j, -7.3])
+def test_angles_next_to_a_full_turn_against_mpmath(s, theta):
+    got = polylog_continued(s, theta, PrecisionBudget(1e-13))
+    want = _mp_li(s, theta, dps=50)
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("theta", _NEAR_TURN)
+@pytest.mark.parametrize("m", [0, 1, 4, 9])
+def test_eval_neg_next_to_a_full_turn_against_mpmath(m, theta):
+    with mpmath.workdps(50):
+        want = complex(mpmath.polylog(-m, mpmath.expj(mpmath.mpf(theta))))
+    got = polylog_eval_neg(m, theta)
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_angle_reads_full_turns_as_one():
+    # within rounding of 2 pi k the angle is 0, x = 1; in [-pi, pi] every
+    # angle is returned as it is, the sign of 0 too
+    for k in (1, -1, 2, 3, 7):
+        assert polylog._angle(k * 2.0 * math.pi) == 0.0
+    with pytest.raises(DomainError):
+        polylog_continued(2.0, 2.0 * math.pi)
+    with pytest.raises(DomainError):
+        polylog_eval_neg(2, 2.0 * math.pi)
+    rng = random.Random(3)
+    for theta in [0.0, -0.0, math.pi, -math.pi, 5e-324, -1e-300] \
+            + [rng.uniform(-math.pi, math.pi) for _ in range(200)]:
+        got = polylog._angle(theta)
+        assert got == theta and math.copysign(1.0, got) \
+            == math.copysign(1.0, theta)
 
 
 class TestSeriesTail:
@@ -405,14 +480,20 @@ class TestClosedFormOracle:
         assert (reduced.num.coeffs, reduced.den.coeffs) \
             == (rf.num.coeffs, rf.den.coeffs)
 
-    @pytest.mark.parametrize("m", [10, 14, 20, 30])
+    @pytest.mark.parametrize("m", [10, 14, 20, 30, 64, 100, MAX_EVAL_M])
     @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5, 3.1, 3.14,
                                        math.pi - 1e-6, math.pi - 1e-9, 1e-3,
                                        -3.14, 2.0 * math.pi - 3.1])
     def test_eval_neg_large_m_matches_mpmath(self, m, theta):
-        got = polylog_eval_neg(m, theta)
+        # a value past a double raises; every other meets 1e-13
         with mpmath.workdps(80):
-            want = _oracle(-m, theta)
+            want = mpmath.polylog(-m, mpmath.expj(mpmath.mpf(theta)))
+        if abs(want) > sys.float_info.max:
+            with pytest.raises(DomainError, match="overflows"):
+                polylog_eval_neg(m, theta)
+            return
+        got = polylog_eval_neg(m, theta)
+        want = complex(want)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("m", range(MAX_CLOSED_M + 1))
@@ -431,11 +512,17 @@ class TestClosedFormOracle:
             assert got == want
 
     def test_maximum_m(self):
-        assert polylog_eval_neg(MAX_CLOSED_M, 1.0) != 0
+        # the float route's bound is its own: the last m whose cot rows
+        # fit in a double
+        assert polylog_closed_form(MAX_CLOSED_M).num.coeffs
+        assert polylog_eval_neg(MAX_EVAL_M, 1.0) != 0
+        assert max(polylog._cot_poly(MAX_EVAL_M)) < sys.float_info.max
+        with pytest.raises(OverflowError):
+            float(max(polylog._cot_poly(MAX_EVAL_M + 1)))
         with pytest.raises(DomainError):
             polylog_closed_form(MAX_CLOSED_M + 1)
         with pytest.raises(DomainError):
-            polylog_eval_neg(MAX_CLOSED_M + 1, 1.0)
+            polylog_eval_neg(MAX_EVAL_M + 1, 1.0)
 
 
 class TestParityIdentities:

@@ -356,7 +356,9 @@ class TestExpansionRoute:
     @pytest.mark.parametrize("theta", [1e-3, 0.01, 0.05,
                                        _TWO_THIRDS_PI - 1e-12,
                                        _TWO_THIRDS_PI + 1e-12, 3 * PI / 4,
-                                       PI - 1e-3, PI - 1e-6])
+                                       PI - 1e-3, PI - 1e-6,
+                                       _TWO_THIRDS_PI - 1e-9,
+                                       _TWO_THIRDS_PI + 1e-9])
     def test_against_mpmath(self, s, theta):
         want = _mp_witten_hurwitz(s, theta)
         try:
@@ -468,6 +470,29 @@ class TestExpansionRoute:
         polylog.polylog_continued(2.3, 6.2, budget)
         haar_average_su2(1.7, budget)
         assert calls["polylog_series"] == 0
+
+    def test_table_sized_to_the_angle(self, monkeypatch):
+        # witten_L_su2 sizes its zeta(s - k) table to its angle; the Haar
+        # average, whose nodes cover [0, pi], keeps the full table
+        entries = []
+        ladder = polylog.zeta_ladder
+
+        def counted(*args):
+            for value in ladder(*args):
+                entries.append(value)
+                yield value
+        monkeypatch.setattr(polylog, "zeta_ladder", counted)
+        budget = PrecisionBudget(1e-10)
+
+        def count(call):
+            entries.clear()
+            call()
+            return len(entries)
+        near = count(lambda: witten_L_su2(1.5, 0.2, budget))
+        far = count(lambda: witten_L_su2(1.5, 2.0, budget))
+        haar = count(lambda: haar_average_su2(1.5, budget))
+        full = count(lambda: polylog._part(2.5, 1, budget))
+        assert 0 < near < far <= full == haar
 
     @pytest.mark.parametrize("s", [-0.5, 0.3 + 2j, 1.05])
     def test_multi_one_table(self, monkeypatch, s):
