@@ -88,41 +88,42 @@ def _poly_coeffs(poly: Polynomial) -> list:
     return [fraction_str(c) for c in poly.coeffs]
 
 
+def _double(q: Fraction) -> float:
+    """q rounded to a double, +-inf past the largest one."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
 def _encode_value(value):
-    """(json-encodable value, is_exact)."""
-    if isinstance(value, (bool, str)):
-        return value, True
+    """(json-encodable value, is_exact, the value as a complex): one type
+    switch for every format; CSV writes the complex, NaN for a value that
+    is no number (a string, a rational function)."""
+    nan = complex(math.nan, math.nan)
+    if isinstance(value, bool):
+        return value, True, complex(value)
+    if isinstance(value, str):
+        return value, True, nan
     if isinstance(value, Fraction):
-        return fraction_str(value), True
+        return fraction_str(value), True, complex(_double(value))
     if isinstance(value, GaussianRational):
-        return str(value), True
+        return str(value), True, complex(_double(value.re),
+                                         _double(value.im))
     if isinstance(value, RationalFunction):
         return {"num": _poly_coeffs(value.num), "den": _poly_coeffs(value.den),
-                "var": value.var}, True
+                "var": value.var}, True, nan
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}, False
+        return {"re": value.real, "im": value.imag}, False, value
     if isinstance(value, (int, float)):
-        return float(value), False
+        return float(value), False, complex(value)
     raise TypeError(f"cannot encode {type(value).__name__}")
 
 
 def _record(query: str, value, ms: float, target: float) -> dict:
-    encoded, is_exact = _encode_value(value)
+    encoded, is_exact, _ = _encode_value(value)
     return {"query": query, "value": encoded,
             "error": "exact" if is_exact else target, "ms": round(ms, 3)}
-
-
-def _csv_numbers(value):
-    if isinstance(value, complex):
-        return value.real, value.imag
-    if isinstance(value, (int, float)):
-        return float(value), 0.0
-    if isinstance(value, Fraction):
-        return float(value), 0.0
-    if isinstance(value, GaussianRational):
-        c = complex(value)
-        return c.real, c.imag
-    return float("nan"), float("nan")
 
 
 def _print_records(records, raw_values, fmt: str, precision: int):
@@ -137,9 +138,9 @@ def _print_records(records, raw_values, fmt: str, precision: int):
         writer = csv.writer(sys.stdout)
         writer.writerow(("query", "value_re", "value_im", "error", "ms"))
         for rec, raw in zip(records, raw_values):
-            re_v, im_v = _csv_numbers(raw)
-            writer.writerow((rec["query"], repr(re_v), repr(im_v),
-                             rec["error"], rec["ms"]))
+            number = _encode_value(raw)[2]
+            writer.writerow((rec["query"], repr(number.real),
+                             repr(number.imag), rec["error"], rec["ms"]))
         return
     for rec, raw in zip(records, raw_values):
         if rec["error"] == "exact":

@@ -65,9 +65,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0

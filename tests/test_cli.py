@@ -99,6 +99,34 @@ class TestFormats:
         assert len(rows) == 2
         assert float(rows[1][1]) == pytest.approx(math.pi / 4, abs=1e-9)
 
+    @pytest.mark.parametrize("argv,numbers", [
+        (("su3", "special", "--n", "0"), ["0.3333333333333333", "0.0"]),
+        # an exact value past the largest double is written as its sign
+        (("su3", "lemma", "--n", "200"), ["-inf", "0.0"]),
+        # a rational function has no number to write
+        (("padic", "eval", "--family", "sl2cong", "--s", "-1"),
+         ["nan", "nan"]),
+    ])
+    def test_csv_exact_values(self, capsys, argv, numbers):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0 and rows[1][1:4] == numbers + ["exact"]
+
+    def test_csv_gaussian_rational(self, capsys, tmp_path):
+        # a table that passes every check although no group has it: a
+        # group's conjugate characters share a degree, so its values are
+        # real; here class 1 gives i - i/4
+        path = tmp_path / "twisted.tbl"
+        path.write_text("group X 5\nclasses 1 4\nirrep 1 1 i\n"
+                        "irrep 2 2 -1/2i\n")
+        argv = ("finite", "eval", "--table", str(path), "--s", "0",
+                "--class", "1")
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0 and rows[1][1:4] == ["0.0", "0.75", "exact"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and " = 0+3/4i  [exact" in out
+
 
 class TestPrecision:
     def test_flag_changes_budget(self, capsys):
@@ -533,6 +561,20 @@ class TestMalformedInput:
     def test_angle_is_usage_error(self, capsys, argv):
         code, err = exit_code(capsys, *argv)
         assert code == 2 and _one_line(err)
+
+    @pytest.mark.parametrize("argv,want,words", [
+        (("su2", "eval", "--s", "1,2,3", "--theta", "1"), 2, "re or re,im"),
+        (("padic", "eval", "--family", "sl2cong", "--s", "-1", "--p", "x"),
+         2, "--p expects"),
+        (("su2", "average", "--s", "2,1"), 3, "requires real s"),
+        (("su2", "multi", "--s", "2", "--theta", "1"), 3, "2 or 3 angles"),
+        (("su2", "multi", "--s", "2", "--theta", "1,2,0.5,0.3"), 3,
+         "2 or 3 angles"),
+        (("finite", "eval", "--family", "nope", "--s", "2"), 3, "'nope'"),
+    ])
+    def test_documented_rejection(self, capsys, argv, want, words):
+        code, err = exit_code(capsys, *argv)
+        assert code == want and words in err and _one_line(err)
 
     def test_precision_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("WITTENZETA_PRECISION", "abc")

@@ -8,9 +8,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from wittenzeta.errors import DomainError, PoleError
+from wittenzeta import numerics, polylog
+from wittenzeta.errors import ConvergenceError, DomainError, PoleError
 from wittenzeta.numerics import (DEFAULT_BUDGET, PrecisionBudget,
-                                 gamma_ratio_at_neg, hurwitz_zeta, log_gamma,
+                                 _em_corrections, gamma_ratio_at_neg,
+                                 hurwitz_pair, hurwitz_zeta, log_gamma,
                                  riemann_zeta, zeta_ladder)
 
 mpmath.mp.dps = 30
@@ -222,6 +224,10 @@ class TestHurwitzZeta:
         with pytest.raises(DomainError):
             hurwitz_zeta(2.0, 1.5)
 
+    def test_pole_at_one(self):
+        with pytest.raises(PoleError):
+            hurwitz_zeta(1.0, 0.5)
+
     @pytest.mark.parametrize("s,a", [(2.0, 1e-201), (101.5, 1.6e-4),
                                      (2.0, 5e-324)])
     def test_overflow_is_domain_error(self, s, a):
@@ -243,3 +249,33 @@ class TestZetaLadder:
             got = next(ladder)
             want = _mpc(mpmath.zeta(rho + 2 * j))
             assert abs(got - want) <= max(target, 2e-15), j
+
+
+class TestOneSplit:
+    """Each Euler-Maclaurin call takes one split and adds the Bernoulli
+    corrections from it: a series that turns raises ConvergenceError, with
+    no larger split tried and no value returned."""
+
+    @pytest.mark.parametrize("base,target", [
+        (0.25, 1e-10),  # the second term already outgrows the first
+        (17.0, 1e-300),  # still falling when the 50 coefficients run out
+    ])
+    def test_corrections_raise(self, base, target):
+        with pytest.raises(ConvergenceError, match=f"s = 2.0 .* {base:g}$"):
+            _em_corrections(2.0, base, 1.0, PrecisionBudget(target))
+
+    @pytest.mark.parametrize("module,call", [
+        (numerics, lambda b: hurwitz_zeta(2.5 + 1j, 0.3, b)),
+        (numerics, lambda b: hurwitz_pair(0.5 + 2j, 0.3, b)),
+        (numerics, lambda b: next(zeta_ladder(2.3, b))),
+        # the pole zone's g = zeta(1 + eps) - 1/eps, the one call polylog
+        # makes itself; its zeta(s - k) table stays untouched
+        (polylog, lambda b: polylog._circle_part(2.0, 1, b)),
+    ], ids=["hurwitz_em", "hurwitz_pair", "zeta_ladder", "pole_zone_g"])
+    def test_a_turn_is_raised(self, monkeypatch, module, call):
+        # the corrections taken at N + a = 1/4, where they turn at once
+        def turning(s, base, scale, budget):
+            return _em_corrections(s, 0.25, scale, budget)
+        monkeypatch.setattr(module, "_em_corrections", turning)
+        with pytest.raises(ConvergenceError, match="N \\+ a = 0.25"):
+            call(PrecisionBudget(1e-10))

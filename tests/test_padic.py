@@ -127,6 +127,12 @@ class TestValues:
         for p in (2, 5, 7, 11):
             assert su3_cong_minus1(p, 1) < 0
 
+    @pytest.mark.parametrize("p,m,match", [(SYMBOLIC, 0, "m >= 1"),
+                                           (1, 1, "p != 1")])
+    def test_su3cong_at_minus_one_domain(self, p, m, match):
+        with pytest.raises(DomainError, match=match):
+            su3_cong_minus1(p, m)
+
 
 class TestZeros:
     @pytest.mark.parametrize("family,m,s,want", [

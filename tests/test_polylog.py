@@ -38,6 +38,8 @@ class TestSeries:
     def test_x_equals_one(self):
         got = polylog_series(2.0, 0.0)
         assert abs(got - math.pi ** 2 / 6.0) <= 1e-10
+        with pytest.raises(DomainError, match="Re s > 1"):
+            polylog_series(0.5, 0.0)
 
     def test_dilog_pinned(self):
         # Li_2 at a primitive cube root of unity

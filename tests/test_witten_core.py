@@ -75,6 +75,16 @@ class TestParseTable:
         with pytest.raises(TableFormatError):
             parse_table(bad)
 
+    @pytest.mark.parametrize("old,new,match", [
+        ("classes 1 3 2", "classes 1 3 3", "sum to 7, not the group order 6"),
+        ("classes 1 3 2", "classes 3 1 2", "first class must be the identity"),
+        ("irrep 2 2 0 -1", "irrep 2 2 0", "has 2 character values, "
+                                          "expected 3"),
+    ])
+    def test_table_checks(self, old, new, match):
+        with pytest.raises(TableFormatError, match=match):
+            parse_table(_S3_TEXT.replace(old, new))
+
 
 class TestAnchors:
     @pytest.mark.parametrize("table", [S3, Q8])
@@ -103,6 +113,14 @@ class TestAnchors:
     def test_class_index_range(self):
         with pytest.raises(DomainError):
             finite_witten_L_exact(S3, 0, 3)
+        with pytest.raises(DomainError, match="class index -1"):
+            finite_witten_L(S3, 0.5, -1)
+
+    @pytest.mark.parametrize("last,past", [(1000, 1001), (-1000, -1001)])
+    def test_exact_order_bound(self, last, past):
+        finite_witten_L_exact(S3, last, 0)
+        with pytest.raises(DomainError, match="1000"):
+            finite_witten_L_exact(S3, past, 0)
 
     def test_builtins_registered(self):
         assert set(BUILTIN_TABLES) == {"S3", "Q8"}
