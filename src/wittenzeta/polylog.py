@@ -6,9 +6,9 @@ Two evaluation routes are exposed and cross-checked by the tests:
                             summation by parts, stopped on a bound of its
                             tail; the independent oracle of the other;
 * ``polylog_continued``  -- Z(s, x) for x != 1 and every s: right of
-                            Re s = 1.2 the even and odd parts of
-                            ``_circle_part``, left of it the Hurwitz
-                            (Jonquiere) formula, DLMF 25.13.2, for Z itself.
+                            Re s = 1.2 the even and odd parts of ``_part``,
+                            left of it the Hurwitz (Jonquiere) formula,
+                            DLMF 25.13.2, for Z itself.
 
 The float entry points take x by its angle theta, a float in radians,
 and read it into [-pi, pi] less the low part of 2 pi per turn (``_angle``).
@@ -16,14 +16,12 @@ and read it into [-pi, pi] less the low part of 2 pi per turn (``_angle``).
 ``polylog_via_jonquiere`` is the continuation at real s, kept by name for
 the ``polylog jonquiere`` action.
 
-The SU(2) L-functions take the even or odd part of Z from ``_part``: right
-of Re s = 1.2 ``_circle_part`` (zeta(s - k) about x = 1, DLMF 25.12.12, or
-eta(s - k) about x = -1), left of it DLMF 25.13.2. Right of the line one
-table per part serves the angles the caller names (all of [0, pi] for the
-Haar average): it stops where its terms at the largest of them meet the
-target, and its zeta(1 - s + k) entries come from one
-``numerics.zeta_ladder``. Left of the line every value takes one
-``numerics.hurwitz_pair`` pass.
+The SU(2) L-functions take the even or odd part of Z from ``_part``. Right
+of Re s = 1.2 angles all from 1/2 on take ``_euler_boole``, Boole's sum on
+the cot(theta/2) polynomials of ``polylog_eval_neg``, other calls one
+zeta(s - k) table (``_circle_part``, DLMF 25.12.12) for the angles they
+name, its zeta(1 - s + k) entries from one ``numerics.zeta_ladder``. Left
+of the line every value takes one ``numerics.hurwitz_pair`` pass.
 
 At non-positive integers Z(-m, x) = x A_m(x) / (1 - x)^{m+1}, with A_m the
 Eulerian polynomial (DLMF 26.14): ``polylog_closed_form`` returns it as an
@@ -37,6 +35,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 
 from .errors import ConvergenceError, DomainError
 from .exact import Polynomial, RationalFunction
@@ -154,25 +153,16 @@ def polylog_series(s: complex, x, budget: PrecisionBudget = DEFAULT_BUDGET) -> c
 
 
 # ---------------------------------------------------------------------------
-# Even and odd parts right of Re s = 1.2: the zeta(s - k) expansion
+# Even and odd parts right of Re s = 1.2: the zeta(s - k) table and the
+# Euler-Boole sum
 # ---------------------------------------------------------------------------
 
-_EXPANSION_EDGE = 1.2  # the zeta(s - k) expansion right of this line
-_ETA_EDGE = 2.0 * math.pi / 3.0  # expand about x = -1 past this angle
+_EXPANSION_EDGE = 1.2  # the table and the Euler-Boole sum right of this line
+_BOOLE_EDGE = 0.5  # angles all from here on take the Euler-Boole sum
 _POLE_ZONE = 0.2  # |s - 1 - m| below which the pole pair is one form
 _DIRECT_TERMS = 32  # up to this many terms the Dirichlet series is summed
 _EULER_GAMMA = 0.5772156649015329
-_LOG_TWO, _LOG_TWO_PI = math.log(2.0), math.log(_TWO_PI)
-
-
-def _rounding(im: float) -> float:
-    """Rounding of an expansion at Im sigma = im, relative to the sum of the
-    magnitudes of its terms: a few ulps, and the kernels' phases, of size
-    |im| log |im|, each rounded in its last place. Against mpmath (1960
-    points, |Im sigma| = 10..50, theta in [0.5, 2.9]) it was at least twice
-    every error above half a 1e-13 claim."""
-    t = abs(im)
-    return 2.0 ** -53 * (6.0 + 1.5 * t * math.log(2.0 + t))
+_LOG_TWO_PI = math.log(_TWO_PI)
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,39 +171,25 @@ def _zeta_int(p: int) -> float:
     return riemann_zeta(float(p), PrecisionBudget(1e-17)).real
 
 
-def _reach(theta: float) -> float:
-    """The radius r at which the table's terms |c_k| r^k are summed for
-    theta in [0, pi]: theta itself up to 2 pi/3; past it 2 (pi - theta),
-    as the eta(sigma - k) coefficients grow like 2^k |c_k|. At most 2 pi/3,
-    the reach of the whole interval."""
-    return theta if theta <= _ETA_EDGE else 2.0 * (math.pi - theta)
-
-
 def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget,
                  thetas=None):
     """theta -> P(theta) on [0, pi] for Re sigma > 1.2, where P is the odd
     part (Z(sigma, x) - Z(sigma, 1/x)) / 2i of Z at x = e^{i theta} for
     parity 1 and the even part (Z(sigma, x) + Z(sigma, 1/x)) / 2 for parity
-    0; real for real sigma. One zeta(sigma - k) table, k = parity, parity +
-    2, ..., serves every theta in thetas (all of [0, pi] if None). With s =
-    sigma - 1 and c_k = (-1)^j zeta(sigma - k) / k!, k = parity + 2j, DLMF
-    25.12.12 gives
+    0; real for real sigma. With s = sigma - 1 and c_k = (-1)^j zeta(sigma
+    - k) / k!, k = parity + 2j, DLMF 25.12.12 gives
 
-        theta <= 2 pi/3:  sum_k c_k theta^k + pi theta^s / (2 cs(pi s/2)
-                          Gamma(sigma)),  cs = cos (parity 1), -sin (0);
-        theta > 2 pi/3:   +-sum_k c_k (1 - 2^{1-sigma+k}) phi^k, phi = pi -
-                          theta, the eta(sigma - k) expansion about x = -1,
-                          + for parity 1, - for parity 0,
+        sum_k c_k theta^k + pi theta^s / (2 cs(pi s/2) Gamma(sigma)),
+        cs = cos (parity 1), -sin (parity 0).
 
-    whose terms |c_k| r^k fall like (r / 2 pi)^k, r = ``_reach(theta)`` <=
-    2 pi/3. Entries with Re(sigma - k) <= -1/2 come from the functional
-    equation, c_k = 2 (2 pi)^s sin(pi (sigma - parity)/2) R_k zeta(1 -
-    sigma + k), R_k = Gamma(1 - sigma + k) / (k! (2 pi)^k) by the recurrence
-    R_k = R_{k-2} (k-1-sigma)(k-sigma) / ((k-1) k (2 pi)^2) from one
-    log_gamma, and the zetas from one ``numerics.zeta_ladder``. The table
-    ends where Re sigma < k, |Im sigma| < 3k and |c_k| r^k meets the target,
-    r the largest reach of thetas, 2 pi/3 for all of [0, pi]; the closure
-    refuses an angle past r with RuntimeError, an internal error.
+    One table of c_k serves every theta in thetas (all of [0, pi] if None):
+    it ends where Re sigma < k, |Im sigma| < 3k and |c_k| r^k meets the
+    target, r the largest of thetas (terms fall like (r / 2 pi)^k); an angle
+    past r raises RuntimeError, an internal error. Entries with Re(sigma -
+    k) <= -1/2 come from the functional equation, c_k = 2 (2 pi)^s sin(pi
+    (sigma - parity)/2) R_k zeta(1 - sigma + k), R_k = Gamma(1 - sigma + k)
+    / (k! (2 pi)^k) by R_k = R_{k-2} (k-1-sigma)(k-sigma) / ((k-1) k (2
+    pi)^2) from one log_gamma, the zetas from one ``numerics.zeta_ladder``.
 
     Within _POLE_ZONE of an integer m of the part's parity (eps = s - m),
     the last term and c_m, whose zeta(sigma - m) = zeta(1 + eps) has its
@@ -224,15 +200,12 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget,
         lam = L + (log((pi eps/2)/sin(pi eps/2)) - log(Gamma(1+s)/m!))/eps,
 
     g by Euler-Maclaurin and lam - L by its power series in eps; at s = m
-    this is (-1)^{m//2} theta^m/m! (H_m - L). About x = -1 the pole cancels:
-    eta(1+eps) = -expm1(-eps log 2) (1/eps + g). For large Re sigma, where
-    the tail bound N^{-s}/s of the Dirichlet series meets the target with
-    N <= _DIRECT_TERMS, that sum is taken instead, about x = -1 as well.
-
-    A value whose rounding estimate, ``_rounding`` times the sum of the
-    magnitudes of its terms (which grow before they fall as |Im sigma|
-    rises), misses the target relative to max(|P|, phi or theta) for
-    parity 1 or max(|P|, 1) for parity 0 raises ConvergenceError.
+    this is (-1)^{m//2} theta^m/m! (H_m - L). The rounding, 2^{-53} (6 + 1.5
+    t log(2 + t)), t = |Im sigma| (ulps and the kernels' phases; at 1960
+    mpmath points, t = 10..50, at least twice every error above half a
+    1e-13 claim), times the sum of the magnitudes of the terms, raises
+    ConvergenceError where it misses the target relative to max(|P|,
+    theta) for parity 1 or max(|P|, 1) for parity 0.
     """
     sigma = complex(sigma)
     real = sigma.imag == 0.0
@@ -244,37 +217,20 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget,
         return z.real if real else z
 
     tol = budget.target * 1e-3
-    s = sigma - 1.0
-    terms = math.ceil((tol * s.real) ** (-1.0 / s.real))
-    if terms <= _DIRECT_TERMS:
-        trig = math.sin if parity else math.cos
-        weights = [n ** -sigma for n in range(1, terms + 1)]
-        # sin(n theta) = (-1)^{n+1} sin(n phi),
-        # cos(n theta) = (-1)^n cos(n phi)
-        flipped = [(-1) ** (n + parity) * w for n, w in enumerate(weights, 1)]
-        add = math.fsum if real else sum
-
-        def direct(theta: float):
-            x, ws = (math.pi - theta, flipped) if theta > _ETA_EDGE \
-                else (theta, weights)
-            return add(w * trig(n * x) for n, w in enumerate(ws, 1))
-        return direct
-
     zb = PrecisionBudget(tol)
-    rounding = _rounding(sigma.imag)
+    t = abs(sigma.imag)
+    rounding = 2.0 ** -53 * (6.0 + 1.5 * t * math.log(2.0 + t))
+    s = sigma - 1.0
     m = 2 * round((s.real - parity) / 2.0) + parity
     eps = s - m
     pole = abs(eps) < _POLE_ZONE
-    coeffs, etas = [], []  # c_k and the eta-expansion coefficients
-    eta_sign = 1.0 if parity else -1.0
-    reach = _ETA_EDGE if thetas is None \
-        else max(map(_reach, thetas), default=0.0)
+    coeffs = []  # c_k
+    reach = math.pi if thetas is None else max(thetas, default=0.0)
     ladder = None  # zeta(1 - sigma + k) once the functional equation holds
     for k in range(parity, MAX_TERMS, 2):
         u = sigma - k
         if pole and k == m:
             coeffs.append(0.0)
-            etas.append(None)  # filled in with g below
             continue
         if u.real > -0.5:
             c = (-1) ** (k // 2) * num(riemann_zeta(u, zb)) \
@@ -291,7 +247,6 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget,
                     / ((k - 1.0) * k * _TWO_PI * _TWO_PI)
             c = pref * ratio * num(next(ladder))
         coeffs.append(c)
-        etas.append(-eta_sign * c * _expm1((1.0 - u) * _LOG_TWO))
         if sigma.real < k and abs(sigma.imag) < 3.0 * k \
                 and abs(c) * reach ** k <= tol:
             break
@@ -313,45 +268,111 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget,
             lam0 += coef * eps ** (p - 1) / p
             p += 1
         sign = (-1) ** (m // 2) / math.factorial(m)
-        # eta(1 + eps) = -expm1(-eps log 2) (1/eps + g)
-        eta1 = (-_expm1(-eps * _LOG_TWO) / eps * (1.0 + eps * g)
-                if eps else _LOG_TWO)
-        etas[(m - parity) // 2] = eta_sign * sign * eta1
     else:
         cos, sin, _ = half_pi_trig(complex(s))
         lead = num(math.pi / (2.0 * cos) if parity else -math.pi / (2.0 * sin))
         log_gamma_s = num(log_gamma(sigma))
     coeffs.reverse()
-    etas.reverse()
 
     def part(theta: float):
-        if _reach(theta) > reach:
+        if theta > reach:
             raise RuntimeError(f"theta = {theta} is past the reach {reach} "
                                f"of the zeta(s - k) table at s = {sigma}")
-        if theta > _ETA_EDGE:
-            x, table = math.pi - theta, etas
-        else:
-            x, table = theta, coeffs
-        x2, acc, size = x * x, 0.0, 0.0
-        for c in table:
+        x2, acc, size = theta * theta, 0.0, 0.0
+        for c in coeffs:
             acc = acc * x2 + c
             size = size * x2 + abs(c)
         if parity:
-            acc, size = acc * x, size * x
-        if table is coeffs and x:
+            acc, size = acc * theta, size * theta
+        if theta:
             if pole:
-                lam = math.log(x) + lam0
-                last = sign * x ** m * (
+                lam = math.log(theta) + lam0
+                last = sign * theta ** m * (
                     g - (_expm1(eps * lam) / eps if eps else lam))
             else:
-                last = lead * exp(s * math.log(x) - log_gamma_s)
+                last = lead * exp(s * math.log(theta) - log_gamma_s)
             acc += last
             size += abs(last)
         if rounding * size > budget.target * max(abs(acc),
-                                                  x if parity else 1.0):
+                                                  theta if parity else 1.0):
             raise ConvergenceError(
                 f"zeta(s - k) expansion loses its digits at s={sigma}",
                 achieved=acc)
+        return acc
+    return part
+
+
+def _direct_terms(sigma: complex, tol: float) -> int:
+    """N <= _DIRECT_TERMS with N^{1-Re sigma}/(Re sigma-1) <= tol, or 0."""
+    s = sigma.real - 1.0
+    n = math.ceil(math.exp(min(-(math.log(tol) + math.log(s)) / s, 9.0)))
+    return n if n <= _DIRECT_TERMS else 0
+
+
+def _euler_boole(sigma: complex, parity: int, budget: PrecisionBudget):
+    """theta -> P(theta) on (0, pi], the part of ``_circle_part``, by Boole's
+    summation (Borwein, Calkin and Manna, Amer. Math. Monthly 116, 2009).
+    The Taylor series of (N + j)^{-sigma} and Z(-k, x) = (i/2)^{k+1} Q_k(c),
+    c = cot(theta/2), give P = sum_{n<N} trig(n theta) n^{-sigma} + N^{-sigma}
+    (b/2 + sum_k C(-sigma, k) N^{-k} u_k w_k), trig = sin (parity 1) or cos,
+    u_k = ``_cot_value(k, c)``, w_k = a for even k and b for odd k, (a, b) =
+    (cos N theta, sin N theta) for parity 1, (-sin N theta, cos N theta) for
+    0. As the tail's terms fall like |sigma + k| / (N theta), N theta = 2
+    |sigma| + 10 - log tol, tol = target * 1e-3, and the tail stops at two
+    terms below tol times the scale, phi for parity 1 past pi/2, else 1.
+    Past pi/2 the trig factors and c = tan(phi/2) come from the exact phi =
+    pi - theta, as e^{i n theta} = (-1)^n e^{-i n phi}: nothing cancels. A
+    Dirichlet series that ends within _DIRECT_TERMS is the head, with no
+    tail. A term t rounds its phase by 2^{-53} |t| (6 + 1.5 |Im sigma| log
+    n), n = N in the tail: a sum of these past the target relative to
+    max(|P|, scale), or a tail above tol at k = MAX_EVAL_M, raises
+    ConvergenceError; N past MAX_TERMS DomainError."""
+    sigma, add = complex(sigma), sum
+    if sigma.imag == 0.0:
+        sigma, add = sigma.real, math.fsum
+    tol = budget.target * 1e-3
+    direct = _direct_terms(sigma, tol)
+    reach = 2.0 * abs(sigma) + 10.0 - math.log(tol)  # N theta
+    trig = math.sin if parity else math.cos
+    powers, flipped, roundings = [], [], []  # at n = 1, 2, ..., shared
+
+    def part(theta: float):
+        flip = theta > 0.5 * math.pi
+        y = theta - math.pi if flip else theta  # -phi past pi/2, exactly
+        scale = -y if parity and flip else 1.0
+        if not direct and reach > MAX_TERMS * theta:
+            raise DomainError(f"the Euler-Boole sum at s = {sigma}, theta = "
+                              f"{theta:g} needs more than {MAX_TERMS} terms")
+        n = direct + 1 if direct else math.ceil(reach / theta)  # N
+        for k in range(len(powers) + 1, n + 1):
+            powers.append(k ** -sigma)
+            flipped.append(-powers[-1] if k % 2 else powers[-1])
+            roundings.append(2.0 ** -53 * abs(powers[-1]) * (
+                6.0 + 1.5 * abs(sigma.imag) * math.log(k)))
+        trigs = [trig(k * y) for k in range(1, n)]
+        acc = add(map(operator.mul, trigs, flipped if flip else powers))
+        size = sum(map(operator.mul, map(abs, trigs), roundings))
+        if not direct:
+            sign = (-1) ** n if flip else 1
+            cos_n, sin_n = sign * math.cos(n * y), sign * math.sin(n * y)
+            a, b = (cos_n, sin_n) if parity else (-sin_n, cos_n)
+            c = -math.tan(0.5 * y) if flip else 1.0 / math.tan(0.5 * y)
+            small = tol * scale / abs(powers[n - 1])  # a term's bound
+            coef, tail, tail_size, run = 1.0, 0.5 * b, 0.5 * abs(b), 0
+            for k in range(MAX_EVAL_M + 1):
+                term = coef * _cot_value(k, c) * (b if k % 2 else a)
+                tail, tail_size = tail + term, tail_size + abs(term)
+                run = run + 1 if abs(term) <= small else 0
+                if run == 2:
+                    break
+                coef *= (-sigma - k) / ((k + 1.0) * n)
+            else:  # the terms never got below tol
+                tail_size = math.inf
+            acc += powers[n - 1] * tail
+            size += roundings[n - 1] * tail_size
+        if size > budget.target * max(abs(acc), scale):
+            raise ConvergenceError(f"Euler-Boole sum misses its target at s = "
+                                   f"{sigma}, theta = {theta:g}", achieved=acc)
         return acc
     return part
 
@@ -367,9 +388,10 @@ def _finite_value(value, theta: float, what: str, *args):
 def _part(sigma: complex, parity: int, budget: PrecisionBudget,
           thetas=None):
     """theta -> P(theta) on [0, pi] for every sigma, the odd (parity 1) or
-    even (parity 0) part of Z(sigma, e^{i theta}): ``_circle_part`` right of
-    Re sigma = 1.2, its table sized to the angles thetas the closure will be
-    asked for (all of [0, pi] if None); left of it DLMF 25.13.2 for the
+    even (parity 0) part of Z(sigma, e^{i theta}). Right of Re sigma = 1.2
+    ``_euler_boole`` for angles all from _BOOLE_EDGE on or a Dirichlet series
+    within _DIRECT_TERMS, else ``_circle_part`` sized to the angles thetas
+    (all of [0, pi] if None); left of it DLMF 25.13.2 for the
     part, w = 1 - sigma, t = theta/2pi: Gamma(w) (2pi)^{-w} times sin(pi
     w/2) D or cos(pi w/2) S, D and S the difference and sum of zeta(w, t)
     and zeta(w, 1 - t) from one ``hurwitz_pair``, at any angle. The trig
@@ -379,6 +401,9 @@ def _part(sigma: complex, parity: int, budget: PrecisionBudget,
     P_0 = zeta(sigma). An overflow raises DomainError."""
     sigma = complex(sigma)
     if sigma.real > _EXPANSION_EDGE:
+        if thetas and min(thetas) >= _BOOLE_EDGE \
+                or _direct_terms(sigma, budget.target * 1e-3):
+            return _euler_boole(sigma, parity, budget)
         return _circle_part(sigma, parity, budget, thetas)
     real = sigma.imag == 0.0
     w = 1.0 - (sigma.real if real else sigma)
@@ -520,6 +545,24 @@ def _cot_poly(m: int) -> tuple:
     return tuple((k + 1) * a[k + 2] + (k - 1) * a[k] for k in range(m + 2))
 
 
+@functools.lru_cache(maxsize=None)
+def _cot_row(m: int) -> tuple:
+    """The nonzero coefficients of Q_m / 2^{m+1}, ascending, exactly."""
+    return tuple(math.ldexp(a, -m - 1) for a in _cot_poly(m)[(m + 1) % 2::2])
+
+
+def _cot_value(m: int, c: float) -> float:
+    """(-1)^{ceil(m/2)} Q_m(c) / 2^{m+1}, the nonzero part of (i/2)^{m+1}
+    Q_m(c), by Horner's rule in c^2: for c >= 0 nothing cancels; scaled
+    first, the sum overflows only with its value."""
+    row = _cot_row(m)
+    c2, q = c * c, row[-1]  # from the top: no 0 * inf
+    for a in row[-2::-1]:
+        q = q * c2 + a
+    # times c for even m, and (i/2)^{m+1} 2^{m+1} = +-1 or +-i
+    return (q if m % 2 else q * c) * (-1) ** ((m + 1) // 2)
+
+
 def polylog_eval_neg(m: int, x) -> complex:
     """Float evaluation of Z(-m, x) at x = e^{i theta}, given as theta in
     radians, with c = cot(theta/2):
@@ -527,13 +570,10 @@ def polylog_eval_neg(m: int, x) -> complex:
         Z(-m, x) = -[m = 0]/2 + (i/2)^{m+1} Q_m(c),
 
     as x/(1 - x) = -1/2 + (i/2) c and x d/dx = (i/2)(1 + c^2) d/dc (Hoffman,
-    Amer. Math. Monthly 102, 1995). On the angle reduced to (0, pi], c >= 0,
-    so Horner's rule in c^2 over the rows of ``_cot_poly`` adds only
-    positive terms and nothing cancels. The value is exactly real for odd m
-    and exactly imaginary for even m >= 2, as the parity identity
-    Z(-m, x) + (-1)^m Z(-m, 1/x) = 0 demands. The rows are scaled by the
-    2^{-m-1} of (i/2)^{m+1}, exactly, so that the sum overflows only with
-    the value, and an overflow raises DomainError.
+    Amer. Math. Monthly 102, 1995), from ``_cot_value`` on the angle reduced
+    to (0, pi], where c >= 0. The value is exactly real for odd m and
+    exactly imaginary for even m >= 2, as the parity identity Z(-m, x) +
+    (-1)^m Z(-m, 1/x) = 0 demands. An overflow raises DomainError.
     """
     _check_m(m, MAX_EVAL_M)
     th = _angle(x)
@@ -544,12 +584,6 @@ def polylog_eval_neg(m: int, x) -> complex:
         # identity holds to the last ulp
         return polylog_eval_neg(m, -th).conjugate()
     half = th / 2.0  # 0 only for the least subnormal theta
-    c = 1.0 / math.tan(half) if half else math.inf
-    row = [math.ldexp(a, -m - 1) for a in _cot_poly(m)[(m + 1) % 2::2]]
-    c2, q = c * c, row[-1]  # from the top: no 0 * inf
-    for a in row[-2::-1]:
-        q = q * c2 + a
-    # times c for even m, and (i/2)^{m+1} 2^{m+1} = +-1 or +-i
-    q = (q if m % 2 else q * c) * (-1) ** ((m + 1) // 2)
+    q = _cot_value(m, 1.0 / math.tan(half) if half else math.inf)
     value = complex(q, 0.0) if m % 2 else complex(-0.5 if m == 0 else 0.0, q)
     return _finite_value(value, th, "Z(-{}, x)", m)

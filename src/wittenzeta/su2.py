@@ -10,10 +10,10 @@ which is zeta(s) at theta = 0, the eta-twisted (1 - 2^{1-s}) zeta(s) at
 theta = pi, and a difference of unit-circle polylogarithms in between:
 P_1(s+1, theta) / sin theta, with P_1 the odd part of Z(s+1, e^{i theta}),
 exactly 0 at s = -2, -4, .... The eval, multi and Haar paths take the even
-and odd parts from one dispatch, ``polylog._part``: the zeta(s - k)
-expansion right of Re(s + 1) = 1.2, the Hurwitz formula for the part left
-of it. multi_L pairs its 2^r signed polylog terms into 2^{r-1} values of
-one part on both sides of that line. The Haar average (s in {-2, -1} or
+and odd parts from one dispatch, ``polylog._part``: the Euler-Boole sum or
+the zeta(s - k) expansion right of Re(s + 1) = 1.2, the Hurwitz formula
+left of it. multi_L pairs its 2^r signed polylog terms into 2^{r-1} values
+of one part on both sides of that line. The Haar average (s in {-2, -1} or
 s > 1) integrates P_1(s+1, theta) sin theta by a nested trapezoid rule.
 """
 
@@ -46,7 +46,7 @@ def witten_L_su2(s: complex, g,
     At regular theta, (Z(s+1, x) - Z(s+1, 1/x)) / (2i sin theta): the odd
     part P_1(s+1, theta) of ``polylog._part``, sized to theta, over
     sin(min(theta, pi - theta)). Past pi/2 the float pi - theta is exact,
-    and it is the angle the expansion about x = -1 uses past 2 pi/3
+    and it is the angle the Euler-Boole sum takes its terms in there
     (math.pi is 1.2e-16 short of pi).
     """
     s = complex(s)

@@ -111,9 +111,10 @@ _SU2_CLASSES = [f * math.pi for f in (1 / 2, 1 / 3, 2 / 3, 1 / 4, 3 / 4, 1 / 5,
 
 
 class TestExpansion:
-    """Right of Re s = 1.2 the continuation is the zeta(s - k) expansion: at
-    small theta, next to pi from both sides, just below 2 pi, and at and
-    next to the integer orders where its pole pair is one form."""
+    """Right of Re s = 1.2 the continuation takes the zeta(s - k) expansion
+    below theta = 1/2 and the Euler-Boole sum from 1/2 on: at small theta,
+    next to pi from both sides, just below 2 pi, and at and next to the
+    integer orders where the expansion's pole pair is one form."""
 
     @pytest.mark.parametrize("s", [1.3, 1.538, 2.0, 2.0 + 1e-7, 3.0,
                                    4.0 - 0.05j, 2.5 + 3j])
@@ -138,26 +139,35 @@ class TestExpansion:
                                        12.5, 1.25 + 0.5j, 2.5 + 3j, 1.5 - 8j,
                                        3.9 + 9.5j])
     def test_table_sized_to_the_angle(self, sigma, target):
-        # sized to one angle, the table drops only terms below its
-        # tolerance, target * 1e-3, there: it gives the full table's value
+        # sized to one angle below 1/2, or to the larger of two, the table
+        # drops only terms below its tolerance, target * 1e-3, there: it
+        # gives the full table's value (at pi the two tables are one). One
+        # angle from 1/2 on takes the Euler-Boole sum, which meets the claim
         budget = PrecisionBudget(target)
         for parity in (0, 1):
             full = polylog._part(sigma, parity, budget)
             for theta in _SU2_CLASSES:
-                got = polylog._part(sigma, parity, budget, (theta,))(theta)
-                want = full(theta)
-                x = theta if theta <= 2.0 * math.pi / 3.0 else math.pi - theta
-                scale = max(abs(want), x if parity else 1.0)
-                assert abs(got - want) <= 1e-3 * target * scale, theta
+                sets = [(theta, 0.2)] if theta < math.pi else []
+                if theta < polylog._BOOLE_EDGE:
+                    sets.append((theta,))
+                for thetas in sets:
+                    got = polylog._part(sigma, parity, budget, thetas)(theta)
+                    want = full(theta)
+                    scale = max(abs(want), theta if parity else 1.0)
+                    assert abs(got - want) <= 1e-3 * target * scale, thetas
+                if theta >= polylog._BOOLE_EDGE:
+                    got = polylog._part(sigma, parity, budget, (theta,))(theta)
+                    want = _mp_parts(sigma, theta)[parity]
+                    assert abs(got - want) <= target * max(1.0, abs(want))
 
     def test_refuses_an_angle_past_its_reach(self):
         # an internal error: no caller asks a table for an angle it was
-        # not sized to
-        part = polylog._part(2.5, 1, PrecisionBudget(1e-10), (0.2,))
+        # not sized to; past 2 pi/3 too, as the table is the one about x = 1
+        part = polylog._part(2.5, 1, PrecisionBudget(1e-10), (0.2, 0.1))
         part(0.2)
-        part(3.1)  # about x = -1 the reach is 2 (pi - theta) = 0.083
-        with pytest.raises(RuntimeError, match="reach"):
-            part(1.0)
+        for theta in (1.0, 3.1):
+            with pytest.raises(RuntimeError, match="reach"):
+                part(theta)
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_parts_at_the_ends(self, parity):
@@ -184,6 +194,17 @@ def _mp_hurwitz_values(sigma, theta):
         return (complex(pref * mpmath.cospi(w / 2) * (za + zb)),
                 complex(pref * mpmath.sinpi(w / 2) * (za - zb)),
                 complex(pref * (phase * za + zb / phase)))
+
+
+def _mp_parts(sigma, theta):
+    """P_0 and P_1 of order sigma at x = e^{i theta}, 0 < theta <= pi, at 40
+    digits: ``_mp_hurwitz_values``, or at an integer order, where its
+    Gamma(w) has a pole, mpmath's Clausen functions."""
+    if sigma == round(complex(sigma).real):
+        with mpmath.workdps(40):
+            return (complex(mpmath.clcos(sigma, theta)),
+                    complex(mpmath.clsin(sigma, theta)))
+    return _mp_hurwitz_values(sigma, theta)[:2]
 
 
 _NEAR_ZERO_THETAS = (1e-3, 0.3, 1.0, 2.0, 2.9, 3.14)

@@ -344,10 +344,28 @@ def _mp_witten_hurwitz(s, theta):
 _TWO_THIRDS_PI = 2.0 * PI / 3.0
 
 
+def _right_of_line_points():
+    """48 points right of the line: 24 of a large-|Im s| grid with theta
+    >= 1/2, where the zeta(s - k) table refused 1e-10 or 1e-13 claims, and
+    the first 24 with Re s in (0.2, 3] of a band next to pi, theta = pi -
+    10^U(-9, -1), Re s U(-2, 3), Im s U(-30, 30) (random.Random(5))."""
+    grid = [(complex(re, im), theta) for re in (0.5, 2.0)
+            for im in (15.0, 30.0, 60.0, 100.0) for theta in (0.5, 2.09, 3.1)]
+    rng = random.Random(5)
+    band = []
+    while len(band) < 24:
+        theta = PI - 10.0 ** rng.uniform(-9.0, -1.0)
+        s = complex(rng.uniform(-2.0, 3.0), rng.uniform(-30.0, 30.0))
+        if s.real > 0.2:
+            band.append((s, theta))
+    return grid + band
+
+
 class TestExpansionRoute:
-    """Right of Re s = 0.2: the zeta(s - k) expansion of the odd part, at
-    small theta, across its switch at 2 pi/3 and next to theta = pi, at and
-    next to the integers where its pole pair is one form."""
+    """Right of Re s = 0.2: the odd part from the zeta(s - k) expansion
+    below theta = 1/2 and from the Euler-Boole sum from 1/2 on, at small
+    theta, next to 2 pi/3 and to theta = pi, at and next to the integers
+    where the expansion's pole pair is one form."""
 
     @pytest.mark.parametrize("s", [0.25, 0.7, 1.0, 1.0 + 1e-7, 1.0 - 1e-7,
                                    1.5, 2.0, 2.3, 3.0, 3.0 + 1e-9,
@@ -361,13 +379,7 @@ class TestExpansionRoute:
                                        _TWO_THIRDS_PI + 1e-9])
     def test_against_mpmath(self, s, theta):
         want = _mp_witten_hurwitz(s, theta)
-        try:
-            got = witten_L_su2(s, theta, PrecisionBudget(1e-13))
-        except ConvergenceError:
-            # at |Im s| = 30 the terms grow to e^{|Im s|/3} next to 2 pi/3,
-            # and the rounding estimate may refuse a 1e-13 claim there
-            assert abs(s.imag) >= 30 and 1.0 < theta < 3.0
-            return
+        got = witten_L_su2(s, theta, PrecisionBudget(1e-13))
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("s,thetas", [
@@ -449,15 +461,25 @@ class TestExpansionRoute:
     @pytest.mark.parametrize("re", [0.25, 0.5, 1.5, 2.5])
     @pytest.mark.parametrize("theta", [0.2, 1.0, 2.0, 2.1, 2.6])
     def test_large_imaginary_part(self, re, im, theta):
-        # the expansion's terms grow before they fall as |Im s| rises: a
-        # returned value meets its claim, else ConvergenceError is raised
+        # the table's terms grow before they fall as |Im s| rises, at 0.2;
+        # from 1/2 on the Euler-Boole sum's do not
         target = 1e-13
         want = _mp_witten_hurwitz(complex(re, im), theta)
+        got = witten_L_su2(complex(re, im), theta, PrecisionBudget(target))
+        assert abs(got - want) <= target * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("s,theta", _right_of_line_points())
+    def test_euler_boole_against_mpmath(self, s, theta):
+        # the Euler-Boole sum: no raise at 1e-10, and at 1e-13 a value that
+        # meets its claim or ConvergenceError from the rounding estimate
+        want = _mp_witten_hurwitz(s, theta)
+        got = witten_L_su2(s, theta, PrecisionBudget(1e-10))
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
         try:
-            got = witten_L_su2(complex(re, im), theta, PrecisionBudget(target))
+            got = witten_L_su2(s, theta, PrecisionBudget(1e-13))
         except ConvergenceError:
             return
-        assert abs(got - want) <= target * max(1.0, abs(want))
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_no_series_calls(self, monkeypatch):
         calls = {"polylog_series": 0}
@@ -472,8 +494,9 @@ class TestExpansionRoute:
         assert calls["polylog_series"] == 0
 
     def test_table_sized_to_the_angle(self, monkeypatch):
-        # witten_L_su2 sizes its zeta(s - k) table to its angle; the Haar
-        # average, whose nodes cover [0, pi], keeps the full table
+        # witten_L_su2 sizes its zeta(s - k) table to an angle below 1/2 and
+        # takes none from 1/2 on (the Euler-Boole sum); the Haar average,
+        # whose nodes cover [0, pi], keeps the full table
         entries = []
         ladder = polylog.zeta_ladder
 
@@ -492,16 +515,16 @@ class TestExpansionRoute:
         far = count(lambda: witten_L_su2(1.5, 2.0, budget))
         haar = count(lambda: haar_average_su2(1.5, budget))
         full = count(lambda: polylog._part(2.5, 1, budget))
-        assert 0 < near < far <= full == haar
+        assert far == 0 < near < full == haar
 
     @pytest.mark.parametrize("s", [-0.5, 0.3 + 2j, 1.05])
     def test_multi_one_table(self, monkeypatch, s):
         # the 2^r terms of multi_L share one table: no more zeta calls than
-        # one witten_L_su2 at the same order (s + 3 = (s + 2) + 1)
+        # one table of the same order for all of [0, pi]
         budget = PrecisionBudget(1e-13)
         calls = {"riemann_zeta": 0}
         _count_calls(monkeypatch, calls)
-        witten_L_su2(s + 2.0, 1.0, budget)
+        polylog._part(s + 3.0, 1, budget)
         single = calls["riemann_zeta"]
         calls["riemann_zeta"] = 0
         multi_L(s, [PI / 3, 1.0, 2.0], budget)
