@@ -260,6 +260,8 @@ NEAR_ZERO = 0.25  # |w| below which hurwitz_pair sums 1 + expm1(-w log(n+x))
 def _expm1(z):
     """e^z - 1 for real or complex z, accurate next to 0."""
     if isinstance(z, complex):
+        if z.real < -40.0:  # nothing cancels; sinh(z/2) may overflow
+            return cmath.exp(z) - 1.0
         return 2.0 * cmath.exp(0.5 * z) * cmath.sinh(0.5 * z)
     return math.expm1(z)
 

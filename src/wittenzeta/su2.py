@@ -6,15 +6,15 @@ diag(e^{i theta}, e^{-i theta}); characters of the irreducibles give
 
     zeta^W(s, g) = sum_{n >= 1} sin(n theta) / (n sin theta) * n^{-s},
 
-which is zeta(s) at theta = 0, the eta-twisted (1 - 2^{1-s}) zeta(s) at
-theta = pi, and a difference of unit-circle polylogarithms in between:
-P_1(s+1, theta) / sin theta, with P_1 the odd part of Z(s+1, e^{i theta}),
-exactly 0 at s = -2, -4, .... The eval, multi and Haar paths take the even
-and odd parts from one dispatch, ``polylog._part``: the Euler-Boole sum or
-the zeta(s - k) expansion right of Re(s + 1) = 1.2, the Hurwitz formula
-left of it. multi_L pairs its 2^r signed polylog terms into 2^{r-1} values
-of one part on both sides of that line. The Haar average (s in {-2, -1} or
-s > 1) integrates P_1(s+1, theta) sin theta by a nested trapezoid rule.
+which is zeta(s) at theta = 0, eta(s) = (1 - 2^{1-s}) zeta(s) at theta = pi,
+and a difference of unit-circle polylogarithms in between: P_1(s+1, theta) /
+sin theta, with P_1 the odd part of Z(s+1, e^{i theta}), exactly 0 at s =
+-2, -4, .... The regular classes take the parts from one dispatch,
+``polylog._part``: the Euler-Boole sum or the zeta(s - k) expansion right of
+Re(s + 1) = 1.2, the Hurwitz formula left of it. multi_L pairs its 2^r signed
+polylog terms into 2^{r-1} values of one part, and takes classes 0 and pi
+alone from witten_L_su2. The Haar average (s in {-2, -1} or s > 1)
+integrates P_1(s+1, theta) sin theta by a nested trapezoid rule.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
-from .numerics import (DEFAULT_BUDGET, MAX_TERMS, PrecisionBudget,
+from .numerics import (DEFAULT_BUDGET, MAX_TERMS, PrecisionBudget, _expm1,
                        hurwitz_pair, riemann_zeta)
 from .polylog import _PI_LO, _TWO_PI_LO, _part
 
@@ -43,18 +43,22 @@ def witten_L_su2(s: complex, g,
                  budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
     """zeta^W_{SU(2)}(s, g); real for real s.
 
-    At regular theta, (Z(s+1, x) - Z(s+1, 1/x)) / (2i sin theta): the odd
-    part P_1(s+1, theta) of ``polylog._part``, sized to theta, over
-    sin(min(theta, pi - theta)). Past pi/2 the float pi - theta is exact,
-    and it is the angle the Euler-Boole sum takes its terms in there
-    (math.pi is 1.2e-16 short of pi).
+    At theta = pi, eta(s) = -expm1((1 - s) log 2) zeta(s), which does not
+    cancel next to s = 1, and log 2 + (s - 1) eta'(1) within 1e-13 of it,
+    where riemann_zeta raises. At regular theta, the odd part P_1(s+1, theta)
+    of ``polylog._part``, sized to theta, over sin(min(theta, pi - theta)):
+    past pi/2 the float pi - theta is exact, and the Euler-Boole sum takes
+    its terms in it (math.pi is 1.2e-16 short of pi).
     """
     s = complex(s)
     theta = _class_angle(g)
     if theta == 0.0:
         return riemann_zeta(s, budget)
     if theta == math.pi:
-        return (1.0 - 2.0 ** (1.0 - s)) * riemann_zeta(s, budget)
+        if abs(s - 1.0) < 1e-13:  # eta'(1) = gamma log 2 - (log 2)^2 / 2
+            return math.log(2.0) + (s - 1.0) * 0.15986890374243097
+        zeta = riemann_zeta(s, budget)  # 0 at s = -2k: 2^{1-s} may overflow
+        return -_expm1((1.0 - s) * math.log(2.0)) * zeta if zeta else zeta
     odd = _part(s + 1.0, 1, budget, (theta,))(theta)
     return complex(odd / math.sin(min(theta, math.pi - theta)))
 
@@ -101,10 +105,10 @@ def multi_L(s: complex, gs,
     signed polylog terms of order s + r. The terms of eps and -eps pair
     into one value of the even (r even) or odd (r odd) part of
     ``polylog._part``, one closure sized to the 2^{r-1} pairs' angles, over
-    the sines of ``witten_L_su2``; with no regular class it is the even
-    part at the shift. A combined angle is summed exactly, less k turns of
-    2 pi held as two doubles, and rounded once; for r >= 2 one within
-    rounding of a multiple of 2 pi counts as that multiple."""
+    the sines of ``witten_L_su2``; with no regular class it is
+    ``witten_L_su2`` at the shift. A combined angle is summed exactly, less
+    k turns of 2 pi held as two doubles, and rounded once; for r >= 2 one
+    within rounding of a multiple of 2 pi counts as that multiple."""
     s = complex(s)
     thetas = [_class_angle(g) for g in gs]
     if not 1 <= len(thetas) <= 3:
@@ -115,7 +119,7 @@ def multi_L(s: complex, gs,
     shift, shift_lo, sign = (math.pi, _PI_LO, -1.0) if n_pi % 2 \
         else (0.0, 0.0, 1.0)
     if r_eff == 0:
-        return complex(sign * _part(s, 0, budget, (shift,))(shift))
+        return witten_L_su2(s, shift, budget)
     # eps and -eps give opposite angles (mod 2 pi) and signs (-1)^r apart,
     # so each pair is 2 P_0(|t|) (r even) or 2i sgn(t) P_1(|t|) (r odd)
     pairs = []  # (the product of eps, the combined angle t)

@@ -144,6 +144,13 @@ def suite_su2() -> list:
     _check(out, "continuity at theta -> pi (linear)", linear,
            f"diffs {diffs[0]:.1e}, {diffs[1]:.1e}, {diffs[2]:.1e}",
            "linear decay", "1e-2 at eps=1e-2")
+    # eta(s) = -Z(s, -1) next to s = 1, against one Hurwitz pass at t = 1/2
+    # (-log 2 at s = 1) that takes neither riemann_zeta nor 1 - 2^{1-s}
+    worst = max(abs(su2.witten_L_su2(s, _PI)
+                    + polylog.polylog_continued(s, _PI))
+                for s in (1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-6, 1.0 - 1e-6))
+    _check(out, "eta(s) next to s = 1 against -Z(s, -1)", worst <= 1e-12,
+           f"max {worst:.2e}", "0", "1e-12")
     h = 1e-5
 
     def eta_zeta(s):
@@ -153,12 +160,10 @@ def suite_su2() -> list:
            _close(su2.derivative_at_minus2(_PI), fd, 1e-6),
            f"{su2.derivative_at_minus2(_PI):.10f} vs {fd:.10f}", "equal", "1e-6")
     rng = random.Random(20260824)
-    worst = 0.0
     pairs = [(rng.uniform(0.05, _PI - 0.05), rng.uniform(0.05, _PI - 0.05))
              for _ in range(9)]
     pairs.append((1.1, 1.1))  # degenerate equal angles
-    for t1, t2 in pairs:
-        worst = max(worst, abs(su2.multi_L(-2.0, [t1, t2])))
+    worst = max(abs(su2.multi_L(-2.0, list(pair))) for pair in pairs)
     _check(out, "zeta^W(-2; g1, g2) = 0, 10 pairs", worst <= 1e-10,
            f"max {worst:.2e}", "0", "1e-10")
     v3 = su2.multi_L(-2.0, [_PI / 2] * 3)
@@ -193,20 +198,14 @@ def suite_su3() -> list:
                    for t in su3.special_value_terms(n))
     _check(out, "odd n: term-by-term vanishing", termwise, "all terms 0",
            "0", "exact")
-    ok = True
-    n2_val = None
-    for n in (2, 4, 6, 8, 10, 12):
-        lhs, rhs = su3.bernoulli_convolution_check(n)
-        ok = ok and lhs == rhs
-        if n == 2:
-            n2_val = lhs
+    sides = [su3.bernoulli_convolution_check(n) for n in (2, 4, 6, 8, 10, 12)]
+    n2_val = sides[0][0]
     _check(out, "Bernoulli convolution identity, even n <= 12",
-           ok and n2_val == Fraction(1, 14400),
+           all(lhs == rhs for lhs, rhs in sides)
+           and n2_val == Fraction(1, 14400),
            f"n=2 value {n2_val}", "1/14400 and equality", "exact")
-    worst = 0.0
-    for s in (2.0, 3.0, 1.5):
-        worst = max(worst, abs(su3.witten_su3_continued(s)
-                               - su3.mt_series(s)))
+    worst = max(abs(su3.witten_su3_continued(s) - su3.mt_series(s))
+                for s in (2.0, 3.0, 1.5))
     _check(out, "continuation vs double series at s=2, 3, 1.5",
            worst <= 1e-6, f"max {worst:.2e}", "0", "1e-6")
     zeta3 = 1.2020569031595942854  # Tornheim 1950; Mordell 1958
@@ -272,13 +271,10 @@ def suite_padic() -> list:
                   ("sl3cong", 1, -1, True), ("sl3cong", 2, -2, True),
                   ("su3cong", 1, -2, True), ("su3cong", 1, 0, True),
                   ("su3cong", 1, -1, False)]
-    ok = True
-    witness = None
-    for fam, m, s, want in zero_cases:
-        is_zero, w = padic.verify_zero(fam, m, s)
-        ok = ok and (is_zero == want)
-        if fam == "su3cong" and s == -1:
-            witness = w
+    found = {(fam, m, s): padic.verify_zero(fam, m, s)
+             for fam, m, s, _ in zero_cases}
+    ok = all(found[case[:3]][0] == case[3] for case in zero_cases)
+    witness = found["su3cong", 1, -1][1]
     want_w = -2 * p ** 6 / (1 + p + p ** 2 + p ** 3 + p ** 4)
     _check(out, "symbolic zeros across the catalog", ok, "as expected",
            "zeros except su3cong at s=-1", "exact")

@@ -10,8 +10,8 @@ import mpmath
 import pytest
 
 from wittenzeta import polylog, su2
-from wittenzeta.errors import ConvergenceError, DomainError
-from wittenzeta.numerics import PrecisionBudget
+from wittenzeta.errors import ConvergenceError, DomainError, PoleError
+from wittenzeta.numerics import PrecisionBudget, riemann_zeta
 from wittenzeta.polylog import _circle_part
 from wittenzeta.su2 import (derivative_at_minus2, haar_average_su2, multi_L,
                             special_value_neg_even, witten_L_su2)
@@ -410,11 +410,13 @@ class TestExpansionRoute:
         got = multi_L(s, thetas, PrecisionBudget(1e-13))
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
-    @pytest.mark.parametrize("s", [-1.5, -0.3, -2.5 + 1j, -7.25])
+    @pytest.mark.parametrize("s", [-1.5, -0.3, -2.5 + 1j, -7.25,
+                                   1.5, 2.7, 2.5 + 4j, 1.0 + 1e-9])
     @pytest.mark.parametrize("theta", [1.0, 2.0])
     def test_multi_central_classes_left_of_the_line(self, s, theta):
-        # one regular class with the identity, or with -identity: oracles
-        # that take neither the sine of 0 or pi nor the part route
+        # one regular class with the identity, or with -identity, and the
+        # central classes alone, on both sides of the line: oracles that
+        # take neither the sine of 0 or pi nor the part route
         with mpmath.workdps(50):
             order = mpmath.mpc(s) + 1
             th = mpmath.mpf(theta)
@@ -529,3 +531,81 @@ class TestExpansionRoute:
         calls["riemann_zeta"] = 0
         multi_L(s, [PI / 3, 1.0, 2.0], budget)
         assert 0 < calls["riemann_zeta"] <= single
+
+
+# the central classes next to the pole of zeta, where 1 - 2^{1-s} cancels,
+# and a little further out; the first three are within 1e-13 of s = 1,
+# where riemann_zeta raises and eta(s) is log 2 + (s - 1) eta'(1)
+_AT_ONE = [1.0, 1.0 + 1e-14, 1.0 - 1e-14]
+_NEAR_ONE = [1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-6,
+             1.0 - 1e-6, 1.0 + 1e-4, 1.0 + 1e-3, 1.01, 1.0 + 1e-6j,
+             1.0 + 1e-8 + 1e-8j, 0.999 + 0.01j]
+
+
+class TestCentralClasses:
+    """The classes 0 and pi are zeta(s) and eta(s), the same value from
+    witten_L_su2 and multi_L, against mpmath at 40 digits."""
+
+    @staticmethod
+    def _mp(fn, s):
+        with mpmath.workdps(40):
+            return complex(fn(mpmath.mpc(s)))
+
+    @pytest.mark.parametrize("target", [1e-6, 1e-10, 1e-13])
+    @pytest.mark.parametrize("s", _AT_ONE + _NEAR_ONE)
+    def test_eta_against_mpmath(self, s, target):
+        want = self._mp(mpmath.altzeta, s)
+        got = witten_L_su2(s, PI, PrecisionBudget(target))
+        assert abs(got - want) <= target * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("s", _AT_ONE)
+    def test_eta_at_one_to_rounding(self, s):
+        want = self._mp(mpmath.altzeta, s)
+        got = witten_L_su2(s, PI, PrecisionBudget(1e-15))
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("target", [1e-6, 1e-10, 1e-13])
+    @pytest.mark.parametrize("s", _NEAR_ONE)
+    def test_zeta_against_mpmath(self, s, target):
+        want = self._mp(mpmath.zeta, s)
+        got = witten_L_su2(s, 0.0, PrecisionBudget(target))
+        assert abs(got - want) <= target * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("s", _AT_ONE + _NEAR_ONE + [2.5, -3.5 + 2j])
+    def test_one_value_per_class(self, s):
+        # eval and multi give the same double; identity sets are zeta(s),
+        # which raises within 1e-13 of s = 1
+        budget = PrecisionBudget(1e-13)
+        eta = witten_L_su2(s, PI, budget)
+        for classes in ([PI], [PI, 0.0], [PI, PI, PI]):
+            assert repr(multi_L(s, classes, budget)) == repr(eta)
+        for classes in ([0.0], [0.0, 0.0], [PI, PI], [0.0, PI, PI]):
+            if s in _AT_ONE:
+                with pytest.raises(PoleError):
+                    multi_L(s, classes, budget)
+            else:
+                want = repr(riemann_zeta(s, budget))
+                assert repr(multi_L(s, classes, budget)) == want
+
+    def test_far_from_one(self):
+        # eta at a trivial zero is 0 where 2^{1-s} overflows a double, and
+        # between the trivial zeros zeta itself raises; far right, where
+        # 2^{1-s} underflows, eta is 1
+        for classes in ([PI], [PI, 0.0]):
+            assert witten_L_su2(-2000.0, PI) == multi_L(-2000.0, classes) == 0
+            with pytest.raises(DomainError):
+                multi_L(-2001.0, classes)
+            for s in (3000.0, 3000.0 + 5j, 1e300):
+                assert witten_L_su2(s, PI) == multi_L(s, classes) == 1.0
+
+    @pytest.mark.parametrize("s", [1.0 + 1e-9, 0.5, 2.5, -3.5 + 2j])
+    def test_multi_takes_no_part(self, monkeypatch, s):
+        # a set with no regular class takes no polylog part; one with a
+        # regular class takes one
+        calls = {"_part": 0}
+        _count_calls(monkeypatch, calls)
+        for classes in ([PI], [0.0, PI], [PI, PI, PI], [0.0, 0.0]):
+            multi_L(s, classes)
+        assert calls["_part"] == 0
+        multi_L(s, [1.0, PI])
+        assert calls["_part"] == 1
