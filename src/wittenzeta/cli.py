@@ -11,7 +11,6 @@ dispatch and each module's --help come from one table, ``_COMMANDS``.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import os
 import sys
@@ -21,7 +20,7 @@ from fractions import Fraction
 from . import padic, polylog, su2, su3, witten_core
 from .errors import ConvergenceError, DomainError
 from .exact import Polynomial, RationalFunction, fraction_str
-from .numerics import PrecisionBudget, riemann_zeta
+from .numerics import PrecisionBudget
 from .witten_core import GaussianRational
 
 EXIT_OK = 0
@@ -40,12 +39,7 @@ def _parse_s(text: str) -> complex:
     parts = text.split(",")
     if len(parts) > 2:
         raise argparse.ArgumentTypeError("--s expects re or re,im")
-    s = complex(*map(float, parts))
-    if not cmath.isfinite(s):
-        # argparse lets this through (it catches only ValueError and
-        # TypeError), so main reports it as a domain error
-        raise DomainError(f"--s must be finite, got {text!r}")
-    return s
+    return complex(*map(float, parts))
 
 
 def _parse_radians(text: str) -> list:
@@ -65,10 +59,15 @@ def _parse_pi_multiples(text: str) -> list:
             f"expected rationals p/q, comma-separated, got {text!r}") from None
 
 
+def _fmt_float(x: float, sign: str = "") -> str:
+    """The shortest decimal that reads back as x, less a trailing .0."""
+    return f"{x:{sign}}".removesuffix(".0")
+
+
 def _fmt_s(s: complex) -> str:
     if s.imag == 0.0:
-        return f"{s.real:g}"
-    return f"{s.real:g}{s.imag:+g}i"
+        return _fmt_float(s.real)
+    return f"{_fmt_float(s.real)}{_fmt_float(s.imag, '+')}i"
 
 
 def _parse_p(text: str):
@@ -160,28 +159,9 @@ def _print_records(records, raw_values, fmt: str, precision: int):
 # The command table
 # ---------------------------------------------------------------------------
 
-def _real_s(args) -> float:
-    if args.s.imag:
-        raise DomainError(f"{args.module} {args.action} requires real s")
-    return args.s.real
-
-
-def _polylog_eval(args, budget):
-    # theta = 0 is the Riemann zeta, which the continuation excludes
-    if args.theta[0] == 0.0:
-        return riemann_zeta(args.s, budget)
-    return polylog.polylog_continued(args.s, args.theta[0], budget)
-
-
-def _su2_multi(args, budget):
-    if not 2 <= len(args.theta) <= 3:
-        raise DomainError("su2 multi expects 2 or 3 angles")
-    return su2.multi_L(args.s, args.theta, budget)
-
-
 def _finite_eval(args, budget):
     s, c = args.s, args.class_index
-    if s.imag == 0.0 and s.real == int(s.real):
+    if s.imag == 0.0 and s.real.is_integer():
         return witten_core.finite_witten_L_exact(args.table, int(s.real), c)
     return witten_core.finite_witten_L(args.table, s, c)
 
@@ -208,7 +188,7 @@ def _finite_table(args):
 _NEEDS = {
     "s": (("s",), "--s"),
     "theta": (("theta",), "--theta or --theta-pi (one angle)"),
-    "thetas": (("theta",), "--theta or --theta-pi (2 or 3 angles)"),
+    "thetas": (("theta",), "--theta or --theta-pi (1 to 3 angles)"),
     "m": (("m",), "--m"),
     "n": (("n",), "--n"),
     "family": (("family",), "--family"),
@@ -223,12 +203,12 @@ _DEFAULTS = {"m": 1, "n": 1, "p": padic.SYMBOLIC, "class_index": 0}
 _COMMANDS = {
     "polylog": {
         "eval": (("s", "theta"), "polylog eval s={s} theta={theta}",
-                 _polylog_eval),
+                 lambda a, b: polylog.polylog_continued(a.s, a.theta[0], b)),
         "series": (("s", "theta"), "polylog series s={s} theta={theta}",
                    lambda a, b: polylog.polylog_series(a.s, a.theta[0], b)),
         "jonquiere": (("s", "theta"), "polylog jonquiere s={s} theta={theta}",
                       lambda a, b: polylog.polylog_via_jonquiere(
-                          _real_s(a), a.theta[0], b)),
+                          a.s, a.theta[0], b)),
         "closed": (("m",), "polylog closed m={m}",
                    lambda a, b: polylog.polylog_closed_form(a.m)),
         "neg": (("m", "theta"), "polylog neg m={m} theta={theta}",
@@ -242,9 +222,9 @@ _COMMANDS = {
         "deriv2": (("theta",), "su2 deriv2 theta={theta}",
                    lambda a, b: su2.derivative_at_minus2(a.theta[0], b)),
         "multi": (("s", "thetas"), "su2 multi s={s} thetas={theta}",
-                  _su2_multi),
+                  lambda a, b: su2.multi_L(a.s, a.theta, b)),
         "average": (("s",), "su2 average s={s}",
-                    lambda a, b: su2.haar_average_su2(_real_s(a), b)),
+                    lambda a, b: su2.haar_average_su2(a.s, b)),
     },
     "su3": {
         "eval": (("s",), "su3 eval s={s}",
@@ -306,7 +286,7 @@ def _dispatch(args, budget) -> list:
     if isinstance(labels, str):
         labels, values = (labels,), (values,)
     fields = dict(vars(args), s=None if args.s is None else _fmt_s(args.s),
-                  theta=",".join(f"{t:g}" for t in args.theta or ()))
+                  theta=",".join(map(_fmt_float, args.theta or ())))
     return [(label.format_map(fields), value)
             for label, value in zip(labels, values)]
 

@@ -63,6 +63,19 @@ class PrecisionBudget:
 
 DEFAULT_BUDGET = PrecisionBudget()
 
+
+def read_s(s) -> complex:
+    """s as a complex, the one reading of s at the public float entry
+    points; DomainError for a non-finite s or one past a double."""
+    try:
+        z = complex(s)
+    except OverflowError:  # an int past a double
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise DomainError(f"s must be finite, got {z}")
+    return z
+
+
 # B_2 .. B_100 as floats (Stirling), and B_{2j}/(2j)! (Euler-Maclaurin)
 _BFLOAT = {k: float(bernoulli(k)) for k in range(2, 102, 2)}
 _EM_COEF = [_BFLOAT[2 * j] / factorial(2 * j) for j in range(1, 51)]
@@ -329,7 +342,7 @@ def hurwitz_pair(w: complex, t: float, budget: PrecisionBudget
 def hurwitz_zeta(s: complex, a: float,
                  budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
     """Hurwitz zeta(s, a) for 0 < a <= 1, Re s >= -40, s != 1."""
-    s = complex(s)
+    s = read_s(s)
     if not 0.0 < a <= 1.0:
         raise DomainError("hurwitz_zeta requires 0 < a <= 1")
     if abs(s - 1.0) < 1e-13:
@@ -350,7 +363,7 @@ def riemann_zeta(s: complex,
     and where the sine overflows (|Im s| > 445). s = 0 gives the exact
     -1/2, s = -2, -4, ... exactly 0.
     """
-    s = complex(s)
+    s = read_s(s)
     if abs(s - 1.0) < 1e-13:
         raise PoleError("riemann zeta pole at s = 1", location=1.0)
     if s == 0:

@@ -5,10 +5,10 @@ Two evaluation routes are exposed and cross-checked by the tests:
 * ``polylog_series``     -- the defining series, accelerated by repeated
                             summation by parts, stopped on a bound of its
                             tail; the independent oracle of the other;
-* ``polylog_continued``  -- Z(s, x) for x != 1 and every s: right of
-                            Re s = 1.2 the even and odd parts of ``_part``,
-                            left of it the Hurwitz (Jonquiere) formula,
-                            DLMF 25.13.2, for Z itself.
+* ``polylog_continued``  -- Z(s, x) for every x and s: zeta(s) at x = 1,
+                            right of Re s = 1.2 the even and odd parts of
+                            ``_part``, left of it the Hurwitz (Jonquiere)
+                            formula, DLMF 25.13.2, for Z itself.
 
 The float entry points take x by its angle theta, a float in radians,
 and read it into [-pi, pi] less the low part of 2 pi per turn (``_angle``).
@@ -41,8 +41,8 @@ from .errors import ConvergenceError, DomainError
 from .exact import Polynomial, RationalFunction
 from .numerics import (DEFAULT_BUDGET, MAX_TERMS, NEAR_ZERO, PrecisionBudget,
                        _em_corrections, _expm1, _hurwitz_em, gamma_two_pi,
-                       half_pi_trig, hurwitz_pair, log_gamma, riemann_zeta,
-                       sin_half_pi, zeta_ladder)
+                       half_pi_trig, hurwitz_pair, log_gamma, read_s,
+                       riemann_zeta, sin_half_pi, zeta_ladder)
 
 _TWO_PI = 2.0 * math.pi
 # pi and 2 pi as two doubles each: math.pi + _PI_LO is pi to about 1e-32
@@ -103,7 +103,7 @@ def polylog_series(s: complex, x, budget: PrecisionBudget = DEFAULT_BUDGET) -> c
     |(s)_{q+1}| n^{-Re s-q}/(Re s + q) for complex s. Past
     MAX_TERMS terms it raises ConvergenceError.
     """
-    s = complex(s)
+    s = read_s(s)
     th = _angle(x)
     if th == 0.0:
         if s.real <= 1.0:
@@ -435,13 +435,14 @@ def _part(sigma: complex, parity: int, budget: PrecisionBudget,
 
 def polylog_continued(s: complex, x,
                       budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
-    """Z(s, x) for x = e^{i theta} != 1, given as theta in radians, and
-    every s.
+    """Z(s, x) for x = e^{i theta}, given as theta in radians, and every s.
 
-    theta is reduced exactly to [-pi, pi] (``_angle``). Right of Re s = 1.2,
-    and at s = 0 and 1, where both parts are real and cannot cancel, it is
-    P_0(|theta|) + i sgn(theta) P_1(|theta|) from ``_part``. Left of it,
-    with t = |theta|/2pi and w = 1 - s, it is DLMF 25.13.2 (for theta > 0)
+    theta is reduced exactly to [-pi, pi] (``_angle``); x = 1, theta = 0
+    or within rounding of 2 pi k, is zeta(s) (``riemann_zeta``: PoleError
+    at s = 1). Right of Re s = 1.2, and at s = 0 and 1, where both parts
+    are real and cannot cancel, it is P_0(|theta|) + i sgn(theta)
+    P_1(|theta|) from ``_part``. Left of it, with t = |theta|/2pi and w =
+    1 - s, it is DLMF 25.13.2 (for theta > 0)
 
         Gamma(w) (2 pi)^{-w} [e^{i pi w/2} zeta(w,t) + e^{-i pi w/2} zeta(w,1-t)]
 
@@ -453,10 +454,10 @@ def polylog_continued(s: complex, x,
     from one ``hurwitz_pair``. Im s > 0 goes through conj Z(conj s, 1/x) to
     keep |e^{i pi w/2}| <= 1.
     """
-    s = complex(s)
+    s = read_s(s)
     th = _angle(x)
     if th == 0.0:
-        raise DomainError("polylog continuation requires x != 1 (theta != 0)")
+        return riemann_zeta(s, budget)
     i_sign = 1j if th > 0.0 else -1j
     if s.real > _EXPANSION_EDGE or s == 0.0 or s == 1.0:
         angle = abs(th)
@@ -481,10 +482,14 @@ def polylog_continued(s: complex, x,
 
 def polylog_via_jonquiere(s: float, x,
                           budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
-    """Z(s, x) for real s and x = e^{i theta} != 1, given as theta in
-    radians: ``polylog_continued``, which takes Jonquiere's formula (DLMF
-    25.13.2) left of Re s = 1.2."""
-    return polylog_continued(float(s), x, budget)
+    """Z(s, x) for real s and x = e^{i theta}, given as theta in radians:
+    ``polylog_continued``, which takes Jonquiere's formula (DLMF 25.13.2)
+    left of Re s = 1.2, and zeta(s) at x = 1. s may be a complex with zero
+    imaginary part; any other raises DomainError."""
+    s = read_s(s)
+    if s.imag:
+        raise DomainError(f"polylog_via_jonquiere requires real s, got {s}")
+    return polylog_continued(s.real, x, budget)
 
 
 # ---------------------------------------------------------------------------

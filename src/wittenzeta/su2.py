@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
 from .numerics import (DEFAULT_BUDGET, MAX_TERMS, PrecisionBudget, _expm1,
-                       hurwitz_pair, riemann_zeta)
+                       hurwitz_pair, read_s, riemann_zeta)
 from .polylog import _PI_LO, _TWO_PI_LO, _part
 
 _TWO_PI = 2.0 * math.pi
@@ -50,7 +50,7 @@ def witten_L_su2(s: complex, g,
     past pi/2 the float pi - theta is exact, and the Euler-Boole sum takes
     its terms in it (math.pi is 1.2e-16 short of pi).
     """
-    s = complex(s)
+    s = read_s(s)
     theta = _class_angle(g)
     if theta == 0.0:
         return riemann_zeta(s, budget)
@@ -109,7 +109,7 @@ def multi_L(s: complex, gs,
     ``witten_L_su2`` at the shift. A combined angle is summed exactly, less
     k turns of 2 pi held as two doubles, and rounded once; for r >= 2 one
     within rounding of a multiple of 2 pi counts as that multiple."""
-    s = complex(s)
+    s = read_s(s)
     thetas = [_class_angle(g) for g in gs]
     if not 1 <= len(thetas) <= 3:
         raise DomainError("multi_L supports between 1 and 3 arguments")
@@ -175,28 +175,29 @@ def haar_average_su2(s: float,
     """Integral over SU(2) of zeta^W(s, g) dg with normalized Haar measure,
     i.e. (2/pi) * integral of zeta^W(s, theta) sin^2 theta on [0, pi].
 
-    Domain: s in {-2, -1} or real s > 1, at any target. For s > 1 (where
-    the average is 1 by character orthogonality) the integrand is
-    (2/pi) sin theta Im Z(s+1, e^{i theta}), the odd part of
-    ``polylog._part`` (one zeta(s - 2j) table for all nodes), under
-    the nested trapezoid rule with Richardson steps in the orders s+2,
-    s+4, ... of its |theta|^{s+1} term; s = -1, where it is
-    (2/pi) cos^2(theta/2), takes the same rule; at s = -2 it vanishes.
+    Domain: s in {-2, -1} or s > 1, real or of zero imaginary part, at any
+    target. For s > 1 (where the average is 1 by character orthogonality)
+    the integrand is (2/pi) sin theta Im Z(s+1, e^{i theta}), the odd part
+    of ``polylog._part`` (one zeta(s - 2j) table for all nodes), under the
+    nested trapezoid rule with Richardson steps in the orders s+2, s+4, ...
+    of its |theta|^{s+1} term; s = -1, where it is (2/pi) cos^2(theta/2),
+    takes the same rule; at s = -2 it vanishes.
     The node values carry the rounding of zeta at negative arguments, so
     below a target of about 1e-14 the average stays about 1e-14 off.
     """
-    s = float(s)
+    s = read_s(s)
+    if s.imag or not (s.real > 1.0 or s.real in (-2.0, -1.0)):
+        raise DomainError("haar_average_su2 requires real s in {-2, -1} or "
+                          f"s > 1, got {s}")
+    s = s.real
     if s == -2.0:
         return 0.0
     if s == -1.0:
         def f(th):
             return (2.0 / math.pi) * math.cos(th / 2.0) ** 2
-    elif s > 1.0:
+    else:
         odd = _part(s + 1.0, 1, budget)
 
         def f(th):
             return (2.0 / math.pi) * math.sin(th) * odd(th)
-    else:
-        raise DomainError(
-            "haar_average_su2 is defined for s in {-2, -1} or s > 1")
     return _periodic_trapezoid(f, s + 2.0, budget)

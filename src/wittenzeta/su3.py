@@ -77,7 +77,7 @@ from math import factorial
 from .errors import ConvergenceError, DomainError, PoleError
 from .exact import zeta_neg_int
 from .numerics import (DEFAULT_BUDGET, PrecisionBudget, gamma_ratio_at_neg,
-                       log_gamma, riemann_zeta)
+                       log_gamma, read_s, riemann_zeta)
 
 _POLE_TOL = 1e-6  # the genuine poles s = 2/3 and s = 1/2 - j
 _EVEN_LINE = 5.0 / 6.0  # the even line's strip is >= 1/4 wide from here on
@@ -130,7 +130,7 @@ def mt_series(s: complex,
     that share nothing with the continuation) are Richardson-extrapolated
     against the known tail order N^{1-2s}; the two extrapolants must agree.
     """
-    s = complex(s)
+    s = read_s(s)
     if not 1.0 < s.real < _MT_MAX_RE:
         raise DomainError(f"mt_series requires 1 < Re s < {_MT_MAX_RE:g}")
     pref = 2.0 ** s if s.imag == 0.0 else cmath.exp(s * cmath.log(2.0))
@@ -354,7 +354,7 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
     right of Re s of about 42 at 1e-13, 252 at 1e-12 (see the module
     docstring); and where the rule does not settle.
     """
-    s, lo = complex(s), -params.n - 0.25
+    s, lo = read_s(s), -params.n - 0.25
     if not (lo < s.real <= _MAX_RE_S and abs(s.imag) <= _MAX_IM_S):
         raise DomainError(f"s={s} outside {lo} < Re s <= {_MAX_RE_S:g}, "
                           f"|Im s| <= {_MAX_IM_S:g} (strip n={params.n})")

@@ -18,6 +18,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import DomainError
+from .numerics import read_s
 
 MAX_EXACT_S = 1000  # deg^{|s|+1} then prints in 4300 digits for deg < 19,000
 
@@ -295,10 +296,9 @@ def finite_witten_L_exact(table: CharacterTable, s: int,
 
 def finite_witten_L(table: CharacterTable, s: complex,
                     class_index: int) -> complex:
-    """Sum over irreps of chi(g)/deg * deg^{-s}; exact path at integer s."""
-    s = complex(s)
-    if s.imag == 0.0 and s.real == int(s.real):
-        return complex(finite_witten_L_exact(table, int(s.real), class_index))
+    """Sum over irreps of chi(g)/deg * deg^{-s} in floating point, integer s
+    too; DomainError for a non-finite s or a deg^{-s-1} past a double."""
+    s = read_s(s)
     if not 0 <= class_index < table.n_classes:
         raise DomainError(f"class index {class_index} out of range")
     acc = 0.0 + 0.0j

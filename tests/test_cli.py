@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import wittenzeta
@@ -22,6 +23,16 @@ classes 1 3 2
 irrep 1 1 1 1
 irrep 1 1 -1 1
 irrep 2 2 0 -1
+"""
+
+# S4: classes e, (12), (12)(34), (123), (1234); 3^701 passes a double
+S4_TEXT = """group S4 24
+classes 1 6 3 8 6
+irrep 1 1 1 1 1 1
+irrep 1 1 -1 1 1 -1
+irrep 2 2 0 2 -1 0
+irrep 3 3 1 -1 0 -1
+irrep 3 3 -1 -1 0 1
 """
 
 
@@ -482,16 +493,19 @@ _ROWS = [(module, action, needs)
 _LABELS = [
     ("polylog eval --s 2.5 --theta 1", "polylog eval s=2.5 theta=1"),
     ("polylog series --s 1.5 --theta-pi 1/3",
-     "polylog series s=1.5 theta=1.0472"),
+     "polylog series s=1.5 theta=1.0471975511965976"),
     ("polylog jonquiere --s -1.5 --theta 2",
      "polylog jonquiere s=-1.5 theta=2"),
     ("polylog closed --m 3", "polylog closed m=3"),
-    ("polylog neg --m 2 --theta-pi 1/2", "polylog neg m=2 theta=1.5708"),
-    ("su2 eval --s -1 --theta-pi 1/3", "su2 eval s=-1 theta=1.0472"),
-    ("su2 special --m 2 --theta-pi 1/2", "su2 special m=2 theta=1.5708"),
-    ("su2 deriv2 --theta-pi 1/2", "su2 deriv2 theta=1.5708"),
+    ("polylog neg --m 2 --theta-pi 1/2",
+     "polylog neg m=2 theta=1.5707963267948966"),
+    ("su2 eval --s -1 --theta-pi 1/3",
+     "su2 eval s=-1 theta=1.0471975511965976"),
+    ("su2 special --m 2 --theta-pi 1/2",
+     "su2 special m=2 theta=1.5707963267948966"),
+    ("su2 deriv2 --theta-pi 1/2", "su2 deriv2 theta=1.5707963267948966"),
     ("su2 multi --s=-0.5,2 --theta-pi 1/2,1/3",
-     "su2 multi s=-0.5+2i thetas=1.5708,1.0472"),
+     "su2 multi s=-0.5+2i thetas=1.5707963267948966,1.0471975511965976"),
     ("su2 average --s 2", "su2 average s=2"),
     ("su3 eval --s 2.5", "su3 eval s=2.5"),
     ("su3 special --n 2", "su3 special n=2"),
@@ -549,6 +563,73 @@ class TestCommandTable:
         assert {tuple(argv.split()[:2]) for argv, _ in _LABELS} \
             == {(module, action) for module, action, _ in _ROWS}
 
+    # a float in a label is the shortest decimal that reads back as it
+    @pytest.mark.parametrize("text", ["1", "1.000000001", "-0.1",
+                                      "2.5e-300", "0.5,-1.000000001",
+                                      "-2,1e-07"])
+    def test_label_reads_back_as_s(self, capsys, text):
+        code, out, _ = run(capsys, "su2", "eval", f"--s={text}",
+                           "--theta-pi", "1/3", "--format", "json")
+        assert code == 0
+        query = json.loads(out)["query"]
+        s_text, theta_text = re.fullmatch(r"su2 eval s=(\S+) theta=(\S+)",
+                                          query).groups()
+        # a+bi as Python's a+bj
+        assert complex(re.sub(r"i$", "j", s_text)) == cli._parse_s(text)
+        assert float(theta_text) == math.pi / 3
+
+    def test_labels_next_to_one_differ(self, capsys):
+        records = [json.loads(run(capsys, "su2", "eval", "--s", text,
+                                  "--theta-pi", "1", "--format", "json")[1])
+                   for text in ("1", "1.000000001")]
+        assert records[0] != records[1]
+        assert records[0]["query"] != records[1]["query"]
+
+
+class TestLibraryRules:
+    """Each row of the command table calls its library function: the
+    rules on x = 1, the su2 multi class count and real s are the
+    library's."""
+
+    @pytest.mark.parametrize("action", ["eval", "jonquiere"])
+    @pytest.mark.parametrize("s", ["2", "0.5"])
+    def test_every_spelling_of_x_one(self, capsys, action, s):
+        # theta 0 and full turns: x = 1, zeta(s), in text and JSON
+        shown, values = [], []
+        for angle in ("--theta=0", "--theta-pi=2",
+                      "--theta=6.283185307179586",
+                      "--theta=-6.283185307179586"):
+            code, out, err = run(capsys, "polylog", action, "--s", s, angle)
+            assert code == 0, err
+            shown.append(out.split(" = ")[1].split()[0])
+            code, out, err = run(capsys, "polylog", action, "--s", s, angle,
+                                 "--format", "json")
+            values.append(json.loads(out)["value"])
+        assert shown[1:] == shown[:-1] and values[1:] == values[:-1]
+        with mpmath.workdps(30):
+            want = float(mpmath.zeta(float(s)))
+        assert abs(values[0]["re"] - want) <= 1e-10 * abs(want)
+        assert values[0]["im"] == 0.0
+        if s == "2":
+            assert shown[0] == "1.644934067"
+
+    @pytest.mark.parametrize("angle", ["--theta=0", "--theta-pi=2"])
+    def test_pole_at_x_one(self, capsys, angle):
+        code, err = exit_code(capsys, "polylog", "eval", "--s", "1", angle)
+        assert code == 3 and "pole" in err and _one_line(err)
+
+    @pytest.mark.parametrize("s", ["2", "-1.5,3", "0.5"])
+    @pytest.mark.parametrize("angle", ["--theta=1", "--theta-pi=1",
+                                       "--theta=0", "--theta=2.9"])
+    def test_multi_with_one_class_is_eval(self, capsys, s, angle):
+        values = []
+        for action in ("multi", "eval"):
+            code, out, err = run(capsys, "su2", action, f"--s={s}", angle,
+                                 "--format", "json")
+            assert code == 0, err
+            values.append(json.loads(out)["value"])
+        assert values[0] == values[1]
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("argv", [
@@ -567,14 +648,33 @@ class TestMalformedInput:
         (("padic", "eval", "--family", "sl2cong", "--s", "-1", "--p", "x"),
          2, "--p expects"),
         (("su2", "average", "--s", "2,1"), 3, "requires real s"),
-        (("su2", "multi", "--s", "2", "--theta", "1"), 3, "2 or 3 angles"),
         (("su2", "multi", "--s", "2", "--theta", "1,2,0.5,0.3"), 3,
-         "2 or 3 angles"),
+         "between 1 and 3"),
+        (("polylog", "jonquiere", "--s", "2,1", "--theta", "1"), 3,
+         "requires real s"),
         (("finite", "eval", "--family", "nope", "--s", "2"), 3, "'nope'"),
     ])
     def test_documented_rejection(self, capsys, argv, want, words):
         code, err = exit_code(capsys, *argv)
         assert code == want and words in err and _one_line(err)
+
+    @pytest.mark.parametrize("module,action,needs",
+                             [row for row in _ROWS if "s" in row[2]],
+                             ids=[f"{m}-{a}" for m, a, n in _ROWS if "s" in n])
+    @pytest.mark.parametrize("text", ["nan", "inf", "1,nan"])
+    def test_non_finite_s_is_domain_error(self, capsys, module, action,
+                                          needs, text):
+        # the library reads s once; the parser takes any two floats
+        argv = [tok for need in needs if need != "s" for tok in _GIVEN[need]]
+        code, err = exit_code(capsys, module, action, *argv, "--s", text)
+        assert code == 3 and _one_line(err)
+
+    def test_s4_past_a_double_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "S4.txt"
+        path.write_text(S4_TEXT)
+        code, err = exit_code(capsys, "finite", "average", "--table",
+                              str(path), "--s=-700")
+        assert code == 3 and "overflows" in err and _one_line(err)
 
     def test_precision_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("WITTENZETA_PRECISION", "abc")

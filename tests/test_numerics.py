@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import wittenzeta
 from wittenzeta import numerics, polylog
 from wittenzeta.errors import ConvergenceError, DomainError, PoleError
 from wittenzeta.numerics import (DEFAULT_BUDGET, PrecisionBudget,
@@ -33,6 +34,39 @@ def _seeded(seed, re_lo, re_hi, im_max, n=200):
 # relative to the value next to the poles of Gamma and the trivial zeros
 _NEAR_INTEGERS = [-n + sign * 10.0 ** -k for n in range(1, 41)
                   for k in range(3, 13) for sign in (1, -1)]
+
+
+# every public entry point that reads a float s, as a function of s alone
+_FLOAT_ENTRY_POINTS = {
+    "riemann_zeta": riemann_zeta,
+    "hurwitz_zeta": lambda s: hurwitz_zeta(s, 0.5),
+    "polylog_series": lambda s: wittenzeta.polylog_series(s, 1.0),
+    "polylog_continued": lambda s: wittenzeta.polylog_continued(s, 1.0),
+    "polylog_via_jonquiere":
+        lambda s: wittenzeta.polylog_via_jonquiere(s, 1.0),
+    "witten_L_su2": lambda s: wittenzeta.witten_L_su2(s, 1.0),
+    "multi_L": lambda s: wittenzeta.multi_L(s, [1.0, 2.0]),
+    "haar_average_su2": wittenzeta.haar_average_su2,
+    "witten_su3_continued": wittenzeta.witten_su3_continued,
+    "mt_series": wittenzeta.mt_series,
+    "finite_witten_L":
+        lambda s: wittenzeta.finite_witten_L(wittenzeta.BUILTIN_TABLES["S3"],
+                                             s, 0),
+    "haar_average_finite":
+        lambda s: wittenzeta.haar_average_finite(
+            wittenzeta.BUILTIN_TABLES["S3"], s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_ENTRY_POINTS))
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf,
+                               complex(1.0, math.nan), 10 ** 400],
+                         ids=["nan", "inf", "-inf", "1+nan_i", "10^400"])
+def test_non_finite_s_is_domain_error(name, s):
+    # one reading of s: a ValueError, OverflowError or TypeError from deep
+    # in a kernel would escape the CLI's exit codes
+    with pytest.raises(DomainError, match="finite"):
+        _FLOAT_ENTRY_POINTS[name](s)
 
 
 class TestPrecisionBudget:

@@ -12,9 +12,9 @@ import mpmath
 import pytest
 
 from wittenzeta import cli, polylog
-from wittenzeta.errors import ConvergenceError, DomainError
+from wittenzeta.errors import ConvergenceError, DomainError, PoleError
 from wittenzeta.exact import Polynomial, RationalFunction
-from wittenzeta.numerics import PrecisionBudget
+from wittenzeta.numerics import PrecisionBudget, riemann_zeta
 from wittenzeta.polylog import (MAX_CLOSED_M, MAX_EVAL_M, polylog_closed_form,
                                 polylog_continued, polylog_eval_neg,
                                 polylog_series, polylog_via_jonquiere)
@@ -303,12 +303,12 @@ def test_eval_neg_next_to_a_full_turn_against_mpmath(m, theta):
 
 
 def test_angle_reads_full_turns_as_one():
-    # within rounding of 2 pi k the angle is 0, x = 1; in [-pi, pi] every
-    # angle is returned as it is, the sign of 0 too
+    # within rounding of 2 pi k the angle is 0, x = 1, where the
+    # continuation is zeta(s); in [-pi, pi] every angle is returned as it
+    # is, the sign of 0 too
     for k in (1, -1, 2, 3, 7):
         assert polylog._angle(k * 2.0 * math.pi) == 0.0
-    with pytest.raises(DomainError):
-        polylog_continued(2.0, 2.0 * math.pi)
+    assert polylog_continued(2.0, 2.0 * math.pi) == riemann_zeta(2.0)
     with pytest.raises(DomainError):
         polylog_eval_neg(2, 2.0 * math.pi)
     rng = random.Random(3)
@@ -317,6 +317,36 @@ def test_angle_reads_full_turns_as_one():
         got = polylog._angle(theta)
         assert got == theta and math.copysign(1.0, got) \
             == math.copysign(1.0, theta)
+
+
+_X_ONE = [0.0, -0.0, 2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi]
+
+
+class TestIdentityClass:
+    """x = 1, in every spelling of its angle, is zeta(s) in the
+    continuation and the Jonquiere action, as in mpmath."""
+
+    @pytest.mark.parametrize("theta", _X_ONE)
+    @pytest.mark.parametrize("s", [2.0, 0.5, -1.5 + 3j, 3.0 + 4j])
+    @pytest.mark.parametrize("target", [1e-10, 1e-13])
+    def test_is_zeta(self, s, theta, target):
+        budget = PrecisionBudget(target)
+        zeta = riemann_zeta(s, budget)
+        routes = [polylog_continued]
+        if isinstance(s, float):
+            routes.append(polylog_via_jonquiere)
+        with mpmath.workdps(40):
+            want = complex(mpmath.polylog(s, 1))
+        for route in routes:
+            got = route(s, theta, budget)
+            assert repr(got) == repr(zeta)
+            assert abs(got - want) <= target * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("theta", _X_ONE)
+    def test_pole_at_one(self, theta):
+        for route in (polylog_continued, polylog_via_jonquiere):
+            with pytest.raises(PoleError):
+                route(1.0, theta)
 
 
 class TestSeriesTail:
@@ -392,6 +422,14 @@ class TestJonquiere:
         got = polylog_via_jonquiere(s, theta, PrecisionBudget(target))
         want = _mp_polylog(s, theta)
         assert abs(got - want) <= target * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("s", [-0.5, 2.5])
+    def test_reads_a_real_complex_s(self, s):
+        want = repr(polylog_via_jonquiere(s, 1.0))
+        assert repr(polylog_via_jonquiere(complex(s, 0.0), 1.0)) == want
+        assert repr(polylog_via_jonquiere(complex(s, -0.0), 1.0)) == want
+        with pytest.raises(DomainError, match="requires real s"):
+            polylog_via_jonquiere(complex(s, 1.0), 1.0)
 
     def test_residual_identity(self):
         # e^{-pi i s/2} Z(s,x) + e^{pi i s/2} Z(s,1/x)

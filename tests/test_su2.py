@@ -221,6 +221,17 @@ class TestMultiCharacter:
         want = witten_L_su2(1.5, PI / 5)
         assert abs(got - want) <= 1e-10
 
+    @pytest.mark.parametrize("target", [1e-10, 1e-13])
+    def test_single_is_eval_by_repr(self, target):
+        # one class: multi_L and witten_L_su2 take the same odd part
+        rng = random.Random(33)
+        budget = PrecisionBudget(target)
+        for _ in range(60):
+            s = complex(rng.uniform(-15.0, 3.0), rng.uniform(-10.0, 10.0))
+            theta = rng.uniform(0.01, PI - 0.01)
+            assert repr(multi_L(s, [theta], budget)) \
+                == repr(witten_L_su2(s, theta, budget))
+
     def test_three_classes_with_zero_combined_angle(self):
         # s + r = -1.01; one combined angle pi/2 - pi/3 - pi/6 is 0, so one
         # of the eight circle terms is the Riemann zeta
@@ -286,6 +297,14 @@ class TestHaarAverage:
     def test_untested_domain(self):
         with pytest.raises(DomainError):
             haar_average_su2(0.5)
+
+    @pytest.mark.parametrize("s", [-2.0, -1.0, 2.5])
+    def test_reads_a_real_complex_s(self, s):
+        want = repr(haar_average_su2(s))
+        assert repr(haar_average_su2(complex(s, 0.0))) == want
+        assert repr(haar_average_su2(complex(s, -0.0))) == want
+        with pytest.raises(DomainError, match="requires real s"):
+            haar_average_su2(complex(s, 1.0))
 
 
 @pytest.mark.parametrize("s", [1.3, 1.538, 2.0, 2.3, 3.0, 3.0 + 1e-7, 3.7])

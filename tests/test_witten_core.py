@@ -44,6 +44,16 @@ irrep 1 1 -1 1
 irrep 2 2 0 -1
 """
 
+# the symmetric group S4: classes e, (12), (12)(34), (123), (1234)
+_S4_TEXT = """group S4 24
+classes 1 6 3 8 6
+irrep 1 1 1 1 1 1
+irrep 1 1 -1 1 1 -1
+irrep 2 2 0 2 -1 0
+irrep 3 3 1 -1 0 -1
+irrep 3 3 -1 -1 0 1
+"""
+
 
 class TestParseTable:
     def test_round_trip(self):
@@ -104,11 +114,26 @@ class TestAnchors:
             exact = complex(finite_witten_L_exact(S3, 3, c))
             approx = finite_witten_L(S3, 3.0 + 1e-9j, c)
             assert abs(exact - approx) <= 1e-8
+            # the float route at the integer itself
+            assert abs(finite_witten_L(S3, 3, c) - exact) <= 1e-15
 
     def test_haar_average_is_one(self):
         for table in (S3, Q8):
             for s in (0.7, -1.3, 2.5 + 1.0j, -0.25 - 2.0j):
                 assert abs(haar_average_finite(table, s) - 1.0) <= 1e-12
+
+    def test_s4_past_a_double_is_domain_error(self):
+        # the float route at an integer s too: 3^701 overflows it
+        table = parse_table(_S4_TEXT)
+        with pytest.raises(DomainError, match="overflows"):
+            finite_witten_L(table, -700, 0)
+        with pytest.raises(DomainError, match="overflows"):
+            haar_average_finite(table, -700)
+
+    @pytest.mark.parametrize("s", [-2, -1, 0, 2])
+    def test_s4_haar_average_is_one(self, s):
+        table = parse_table(_S4_TEXT)
+        assert abs(haar_average_finite(table, s) - 1.0) <= 1e-12
 
     def test_class_index_range(self):
         with pytest.raises(DomainError):
