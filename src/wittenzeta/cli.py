@@ -161,7 +161,8 @@ def _print_records(records, raw_values, fmt: str, precision: int):
 
 def _finite_eval(args, budget):
     s, c = args.s, args.class_index
-    if s.imag == 0.0 and s.real.is_integer():
+    if s.imag == 0.0 and s.real.is_integer() \
+            and abs(s.real) <= witten_core.MAX_EXACT_S:
         return witten_core.finite_witten_L_exact(args.table, int(s.real), c)
     return witten_core.finite_witten_L(args.table, s, c)
 

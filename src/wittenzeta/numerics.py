@@ -360,14 +360,13 @@ def riemann_zeta(s: complex,
     Euler-Maclaurin for Re s > 0.5 or |s| < 0.1 (where the functional
     equation loses eps/|s|), else the functional equation: it raises
     DomainError left of Re s = -169, where Gamma(1 - s) passes a double,
-    and where the sine overflows (|Im s| > 445). s = 0 gives the exact
-    -1/2, s = -2, -4, ... exactly 0.
+    and where the sine overflows (|Im s| > 445). At s = 0 the
+    Euler-Maclaurin sum is exactly N - (N + 1) + 1/2 = -1/2, each
+    correction a multiple of s, and s = -2, -4, ... give exactly 0.
     """
     s = read_s(s)
     if abs(s - 1.0) < 1e-13:
         raise PoleError("riemann zeta pole at s = 1", location=1.0)
-    if s == 0:
-        return complex(-0.5)
     if s.real > _RZ_CROSSOVER or abs(s) < 0.1:
         return _hurwitz_em(s, 1.0, budget)
     if s.real < -169.0:

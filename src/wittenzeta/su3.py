@@ -54,7 +54,12 @@ Two roundings are bounded, and ConvergenceError is raised, the value as
 1 + 2s and 2s - 1 in zeta(2s+1) and Gamma(2s-1) costs up to 4e-18/|s| (at
 most 2.3e-18/|s| against mpmath at s = +-10^-k, k = 2 .. 13, and at 40
 random s between 1e-13 and 1e-5 in size): below |s| = 4e-5 at 1e-13, 4e-8
-at 1e-10 and 4e-12 at 1e-6. On the even line the exponent s log 2 -
+at 1e-10 and 4e-12 at 1e-6. Below |s| = 5.1e-14 (_ZERO_BAND) 1 + 2s rounds
+into riemann_zeta's pole window, and below about 5.6e-17 2s - 1 rounds to
+the pole of Gamma at -1: there the contour is not run, and the exact limit
+1/3, within 2.1 |s| of the value (zeta^W(s) = 1/3 + 2.07 s + ...), stands
+in for it, so that ConvergenceError carries 1/3 at every target below
+8e-5. On the even line the exponent s log 2 -
 log Gamma(s) + 2 Re log Gamma(s/2+iu) adds terms of size s log s, and its
 rounding is bounded by _EXP_ROUNDING times the sum of |s log 2|,
 |log Gamma(s)| and 2 |log Gamma(s/2)| (against 1 + 2 3^-s + 2 6^-s + 8^-s
@@ -86,6 +91,7 @@ _MAX_RE_S, _MAX_IM_S = 1000.0, 250.0  # each call then takes under 0.7 s:
 # 0.45 s at 0.8+205i (residue line)
 _MAX_HALVINGS = 8  # trapezoid steps 1/2 .. 1/256
 _ZERO_ROUNDING = 4e-18  # next to s = 0 the error is up to this over |s|
+_ZERO_BAND = 5.1e-14  # below, 1 + 2s rounds into riemann_zeta's pole window
 _EXP_ROUNDING = 4.4e-16  # the even line's, per unit of its exponent's size
 _ESTIMATE_SHARE = 0.1  # of the target, for the trapezoid's error estimate
 _POLE_REACH = 2.0  # the two-sided rule subtracts the poles this near
@@ -350,9 +356,10 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
     and where a sine overflows (left of Re s = 3/4 from |Im s| = 111 on,
     left of Re s = 1 from about 210, the edge moving with the target)
     DomainError is raised. ConvergenceError, the value as ``achieved``, is
-    raised where a rounding bound exceeds the target: next to s = 0 and
-    right of Re s of about 42 at 1e-13, 252 at 1e-12 (see the module
-    docstring); and where the rule does not settle.
+    raised where a rounding bound exceeds the target: next to s = 0 (within
+    5.1e-14 of it, with the exact limit 1/3 as ``achieved``) and right of
+    Re s of about 42 at 1e-13, 252 at 1e-12 (see the module docstring); and
+    where the rule does not settle.
     """
     s, lo = read_s(s), -params.n - 0.25
     if not (lo < s.real <= _MAX_RE_S and abs(s.imag) <= _MAX_IM_S):
@@ -366,7 +373,10 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
                             location=pole)
     # the fewest residues whose pole-free gap is 1/2 wide; <= params.M
     m = 0 if s.real >= _EVEN_LINE else max(1, math.ceil(1.5 - 2.0 * s.real))
-    value = _mb_direct(s, m, budget)
+    if abs(s) < _ZERO_BAND:  # within 2.1 |s| of the exact limit
+        value = complex(special_value_su3(0))
+    else:
+        value = _mb_direct(s, m, budget)
     if m:  # next to s = 0, of 1 + 2s
         rounding = _ZERO_ROUNDING / abs(s)
     else:  # of s log 2 - log Gamma(s) + 2 Re log Gamma(s/2 + iu)

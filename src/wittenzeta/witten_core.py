@@ -4,17 +4,15 @@ A ``CharacterTable`` holds the class sizes and irreducible characters of a
 finite group with Gaussian-rational character values; ``finite_witten_L``
 evaluates sum over irreps of chi(g)/deg * deg^{-s}, which at s = -2 counts
 |G| on the identity class and vanishes elsewhere. Tables load from a
-line-oriented text format. Two built-in tables (S3 and Q8) anchor the test
-suite; they are kept in that format and each is parsed and checked, row
-orthogonality included, on first use (``BUILTIN_TABLES[name]``), not at
-import.
+line-oriented text format. Two built-in tables, ``S3`` and ``Q8`` (also
+``BUILTIN_TABLES[name]``), anchor the test suite; they are kept in that
+format and parsed and checked, row orthogonality included, at import.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import DomainError
@@ -225,54 +223,20 @@ def load_table(path: str) -> CharacterTable:
         return parse_table(fh.read())
 
 
-# the built-in tables in the table-file format
-_BUILTIN_TEXT = {
-    "S3": """group S3 6
-             classes 1 3 2
-             irrep 1 1 1 1
-             irrep 1 1 -1 1
-             irrep 2 2 0 -1""",
-    "Q8": """group Q8 8
-             classes 1 1 2 2 2
-             irrep 1 1 1 1 1 1
-             irrep 1 1 1 1 -1 -1
-             irrep 1 1 1 -1 1 -1
-             irrep 1 1 1 -1 -1 1
-             irrep 2 2 -2 0 0 0""",
-}
-
-
-class _BuiltinTables(Mapping):
-    """Name -> CharacterTable of the built-in tables; each is parsed and
-    checked when first looked up, and kept."""
-
-    def __init__(self, texts: dict):
-        self._texts, self._built = texts, {}
-
-    def __getitem__(self, name: str) -> CharacterTable:
-        table = self._built.get(name)
-        if table is None:
-            table = self._built[name] = parse_table(self._texts[name])
-        return table
-
-    def __contains__(self, name) -> bool:
-        return name in self._texts
-
-    def __iter__(self):
-        return iter(self._texts)
-
-    def __len__(self) -> int:
-        return len(self._texts)
-
-
-BUILTIN_TABLES = _BuiltinTables(_BUILTIN_TEXT)
-
-
-def __getattr__(name: str):
-    """``witten_core.S3`` and ``witten_core.Q8``, built on first use."""
-    if name in BUILTIN_TABLES:
-        return BUILTIN_TABLES[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# the built-in tables, kept in the table-file format
+S3 = parse_table("""group S3 6
+                    classes 1 3 2
+                    irrep 1 1 1 1
+                    irrep 1 1 -1 1
+                    irrep 2 2 0 -1""")
+Q8 = parse_table("""group Q8 8
+                    classes 1 1 2 2 2
+                    irrep 1 1 1 1 1 1
+                    irrep 1 1 1 1 -1 -1
+                    irrep 1 1 1 -1 1 -1
+                    irrep 1 1 1 -1 -1 1
+                    irrep 2 2 -2 0 0 0""")
+BUILTIN_TABLES = {"S3": S3, "Q8": Q8}
 
 
 # ---------------------------------------------------------------------------

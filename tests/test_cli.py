@@ -9,13 +9,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
 
 import wittenzeta
-from wittenzeta import cli
+from wittenzeta import cli, verify
 from wittenzeta.errors import ConvergenceError
 
 S3_TEXT = """group S3 6
@@ -242,13 +243,18 @@ class TestExitCodes:
 
     def test_su3_next_to_zero(self, capsys):
         # the rounding of 1 + 2s costs up to 4e-18/|s|: within 1e-13 at
-        # s = 0.0035, the smallest of the benchmark pool; 4e-9 at 1e-9
+        # s = 0.0035, the smallest of the benchmark pool; 4e-9 at 1e-9.
+        # Below 5.1e-14, where 1 + 2s rounds into zeta's pole window and
+        # 2s - 1 to Gamma's pole at -1, it is the same error, not a pole
         code, out, _ = run(capsys, "su3", "eval", "--s", "0.0035",
                            "--precision", "13")
         assert code == 0 and "0.34066182110" in out
-        code, _, err = run(capsys, "su3", "eval", "--s", "1e-9",
-                           "--precision", "10")
-        assert code == 4 and "rounding" in err
+        for s in ("1e-9", "1e-17", "-1e-17", "1e-320", "4e-14", "0,4e-14",
+                  "4.9e-14", "5.1e-14"):
+            code, _, err = run(capsys, "su3", "eval", f"--s={s}",
+                               "--precision", "10")
+            assert code == 4 and "rounding" in err
+            assert len(err.splitlines()) == 1
 
     def test_convergence_error(self, capsys, monkeypatch):
         def boom(args, budget):
@@ -303,12 +309,35 @@ class TestFinite:
 
     def test_huge_s_is_domain_error(self):
         # deg ** (-s - 1) as an exact Fraction used to run without end; a
-        # hang here fails by the timeout instead of stalling the suite
+        # hang here fails by the timeout instead of stalling the suite. Past
+        # the exact path's |s| <= 1000 the float route runs: at 1e308 every
+        # deg > 1 underflows, and at -1e308 it overflows, a domain error
         out = run_python("import wittenzeta.cli as cli\n"
-                         "print(cli.main(['finite', 'eval', '--family', 's3',"
-                         " '--s', '1e308']))\n", timeout=30)
-        assert out.stdout.splitlines()[-1] == "3"
-        assert "|s| <= 1000" in out.stderr
+                         "for s in ('--s=1e308', '--s=-1e308'):\n"
+                         "    print(cli.main(['finite', 'eval', '--family',"
+                         " 's3', s]))\n", timeout=30)
+        lines = out.stdout.splitlines()
+        assert lines[0].startswith("finite eval S3 s=1e+308 class=0 = 2  [~")
+        assert lines[1:] == ["0", "3"]
+        assert out.stderr.splitlines() == [
+            "domain error: deg^(-s-1) overflows a float at s=(-1e+308+0j)"]
+
+    @pytest.mark.parametrize("s,exact,want", [
+        ("1000", True, 2 + Fraction(1, 2 ** 1000)), ("-2", True, 6),
+        ("1001", False, 2.0), ("-1001", False, 2.0 ** 1001)])
+    def test_exact_path_within_its_bound(self, capsys, s, exact, want):
+        # S3 at the identity is 2 + 2^-s: integer |s| <= MAX_EXACT_S = 1000
+        # takes the exact path, every other s the float route, as finite
+        # average does
+        code, out, _ = run(capsys, "finite", "eval", "--family", "s3",
+                           f"--s={s}", "--format", "json")
+        rec = json.loads(out)
+        assert code == 0
+        if exact:
+            assert rec["error"] == "exact" and rec["value"] == str(want)
+        else:
+            assert rec["error"] == 1e-10
+            assert rec["value"]["re"] == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("command,family", [("eval", "s3"),
                                                 ("average", "q8")])
@@ -337,6 +366,18 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "su3")
         assert code == 1
         assert "FAIL" in out and "s=0.5" in out
+
+    def test_every_suite_runs(self):
+        # the library side of `zeta verify`: every suite, and "all", whose
+        # one failure is the documented s = 1/2 pole
+        failed = {}
+        for suite in ("polylog", "su2", "su3", "padic", "core", "all"):
+            results = verify.run(suite)
+            failed[suite] = [r.name for r in results if not r.passed]
+        pole = ["strip independence at s=0.5"]
+        assert failed == {"polylog": [], "su2": [], "su3": pole, "padic": [],
+                          "core": [], "all": pole}
+        assert len(results) == 47  # of "all", the last suite run
 
     def test_precision_is_usage_error(self):
         # verify runs fixed checks; a --precision there would be ignored
@@ -448,17 +489,6 @@ class TestImport:
             " 'wittenzeta.verify')\n"
             "print([m for m in lazy if m in sys.modules and m not in before])\n")
         assert out.stdout.splitlines()[-1] == "[]"
-
-    def test_builtin_tables_built_on_first_use(self):
-        out = run_python(
-            "import wittenzeta.cli as cli\n"
-            "from wittenzeta.witten_core import BUILTIN_TABLES\n"
-            "print(sorted(BUILTIN_TABLES._built))\n"
-            "cli.main(['finite', 'eval', '--family', 'q8', '--s', '-2'])\n"
-            "print(sorted(BUILTIN_TABLES._built))\n")
-        lines = out.stdout.splitlines()
-        assert lines[0] == "[]" and lines[-1] == "['Q8']"
-        assert lines[1].startswith("finite eval Q8 s=-2 class=0 = 8  [exact")
 
     def test_version_matches_pyproject(self):
         text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
@@ -653,6 +683,9 @@ class TestMalformedInput:
         (("polylog", "jonquiere", "--s", "2,1", "--theta", "1"), 3,
          "requires real s"),
         (("finite", "eval", "--family", "nope", "--s", "2"), 3, "'nope'"),
+        # the Euler-Boole sum's head past numerics.MAX_TERMS
+        (("su2", "eval", "--s", "0.5,3000", "--theta", "0.5"), 3,
+         "needs more than 10000 terms"),
     ])
     def test_documented_rejection(self, capsys, argv, want, words):
         code, err = exit_code(capsys, *argv)

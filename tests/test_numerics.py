@@ -185,6 +185,13 @@ class TestRiemannZeta:
         assert abs(riemann_zeta(-2.0)) <= 1e-12
         assert abs(riemann_zeta(2.0) - math.pi ** 2 / 6.0) <= 1e-12
 
+    @pytest.mark.parametrize("s", [0, -0.0, 0j])
+    def test_zero_is_exact_by_euler_maclaurin(self, s):
+        # N - (N + 1) + 1/2, every correction a multiple of s: no branch
+        for target in (1e-6, 1e-10, 1e-13, 1e-17):
+            got = riemann_zeta(s, PrecisionBudget(target))
+            assert repr(got) == "(-0.5+0j)"
+
     def test_next_to_the_integers(self):
         # relative to the value, at the trivial zeros too; 3.1e-14 at worst
         # (-31 + 1e-11), where an unreduced sin(pi s/2) gave 3.0e-8 at

@@ -397,13 +397,6 @@ _JONQUIERE_POINTS = [(s, theta) for s in (-0.5, 0.5, 2.5)
 
 
 class TestJonquiere:
-    @pytest.mark.parametrize("s", [-0.5, 0.5, 2.5])
-    @pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 2, math.pi])
-    def test_agrees_with_continuation(self, s, theta):
-        a = polylog_via_jonquiere(s, theta)
-        b = polylog_continued(s, theta)
-        assert abs(a - b) <= 1e-8
-
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_integer_limit(self, m):
         got = polylog_via_jonquiere(float(-m), math.pi / 3)

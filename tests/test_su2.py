@@ -502,6 +502,16 @@ class TestExpansionRoute:
             return
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
+    def test_table_raise_carries_the_odd_part(self):
+        # at 0.5+100i and theta = 0.1 the zeta(s - k) table's rounding
+        # estimate refuses 1e-13; the error carries the odd part
+        # P_1(1.5+100i, 0.1), not the L-value (1.3e-14 off mpmath's)
+        with pytest.raises(ConvergenceError, match="loses its digits") as err:
+            witten_L_su2(0.5 + 100j, 0.1, PrecisionBudget(1e-13))
+        with mpmath.workdps(50):
+            want = complex(mpmath.clsin(mpmath.mpc(1.5, 100), 0.1))
+        assert abs(err.value.achieved - want) <= 1e-13
+
     def test_no_series_calls(self, monkeypatch):
         calls = {"polylog_series": 0}
         _count_calls(monkeypatch, calls)

@@ -650,12 +650,17 @@ class TestContinuation:
     @pytest.mark.parametrize("target,inside,outside", [
         (1e-13, 1e-4, 1e-5), (1e-13, -1e-4, -1e-5), (1e-10, 1e-7, 1e-8),
         (1e-6, 1e-11, 1e-12), (1e-13, 0.0035, 3.9e-5),
-        (1e-13, -0.0035, -3.9e-5)])
+        (1e-13, -0.0035, -3.9e-5), (1e-13, 1e-4, 1e-17),
+        (1e-10, 1e-7, -1e-17), (1e-6, 1e-11, 1e-320), (1e-13, -1e-4, 4e-14),
+        (1e-10, 1e-7, 4e-14j), (1e-6, 1e-11, 5.1e-14)])
     def test_rounding_next_to_zero(self, target, inside, outside):
         # the rounding of 1 + 2s costs up to 4e-18/|s| (2.3e-18/|s| at
         # most, measured): the value is returned, and meets its claim, where
         # that is within the target, and ConvergenceError carries it where
-        # it is not (1e-8 at 1e-10 was 1.9e-10 off, 1e-12 at 1e-6 1.8e-6)
+        # it is not (1e-8 at 1e-10 was 1.9e-10 off, 1e-12 at 1e-6 1.8e-6).
+        # Below |s| = 5.1e-14 zeta(1 + 2s) is in riemann_zeta's pole window,
+        # and below 5.6e-17 2s - 1 rounds to Gamma's pole at -1: the error
+        # there carries the exact limit 1/3, not a PoleError
         budget = PrecisionBudget(target)
         got = witten_su3_continued(inside, budget=budget)
         assert abs(got - self.NEAR_ZERO[inside]) <= target

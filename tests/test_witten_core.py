@@ -6,10 +6,9 @@ import pytest
 
 from wittenzeta.errors import DomainError
 from wittenzeta.witten_core import (BUILTIN_TABLES, Q8, S3, GaussianRational,
-                                    TableFormatError, _BuiltinTables,
-                                    finite_witten_L, finite_witten_L_exact,
-                                    haar_average_finite, load_table,
-                                    parse_gaussian, parse_table)
+                                    TableFormatError, finite_witten_L,
+                                    finite_witten_L_exact, haar_average_finite,
+                                    load_table, parse_gaussian, parse_table)
 
 F = Fraction
 
@@ -148,12 +147,11 @@ class TestAnchors:
             finite_witten_L_exact(S3, past, 0)
 
     def test_builtins_registered(self):
-        assert set(BUILTIN_TABLES) == {"S3", "Q8"}
+        assert BUILTIN_TABLES == {"S3": S3, "Q8": Q8}
 
     def test_builtin_checked_on_first_lookup(self):
-        # row orthogonality fails between the two linear characters
+        # the builtin tables go through parse_table at import, which checks
+        # row orthogonality: here it fails between the two linear characters
         bad = _S3_TEXT.replace("irrep 1 1 -1 1", "irrep 1 1 1 -1")
-        tables = _BuiltinTables({"S3": bad})
-        assert "S3" in tables and list(tables) == ["S3"]
         with pytest.raises(TableFormatError, match="orthogonality"):
-            tables["S3"]
+            parse_table(bad)
