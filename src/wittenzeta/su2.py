@@ -59,8 +59,14 @@ def witten_L_su2(s: complex, g,
             return math.log(2.0) + (s - 1.0) * 0.15986890374243097
         zeta = riemann_zeta(s, budget)  # 0 at s = -2k: 2^{1-s} may overflow
         return -_expm1((1.0 - s) * math.log(2.0)) * zeta if zeta else zeta
-    odd = _part(s + 1.0, 1, budget, (theta,))(theta)
-    return complex(odd / math.sin(min(theta, math.pi - theta)))
+    sine = math.sin(min(theta, math.pi - theta))
+    try:
+        odd = _part(s + 1.0, 1, budget, (theta,))(theta)
+    except ConvergenceError as exc:  # achieved: the L-value, not P_1
+        if exc.achieved is not None:
+            exc.achieved = complex(exc.achieved / sine)
+        raise
+    return complex(odd / sine)
 
 
 def special_value_neg_even(m: int, g) -> Fraction:
@@ -133,13 +139,21 @@ def multi_L(s: complex, gs,
             t = 0.0  # e.g. pi/2 - pi/3 - pi/6, which rounds to 1e-16
         pairs.append((math.prod(eps), t))
     part = _part(s + r_eff, r_eff % 2, budget, [abs(t) for _, t in pairs])
-    acc = 0.0 + 0.0j
+    acc, raised = 0.0 + 0.0j, None
     for sgn, t in pairs:
-        pair = 2.0 * part(abs(t))
+        try:
+            pair = 2.0 * part(abs(t))
+        except ConvergenceError as err:  # sum its achieved with the rest
+            if err.achieved is None:
+                raise
+            raised, pair = err, 2.0 * err.achieved
         if r_eff % 2:
             pair *= 1j if t > 0.0 else -1j
         acc += sgn * pair
     denom = math.prod(2j * math.sin(min(th, math.pi - th)) for th in regular)
+    if raised is not None:  # achieved: the L-value, not one pair's part
+        raised.achieved = sign * acc / denom
+        raise raised
     return sign * acc / denom
 
 

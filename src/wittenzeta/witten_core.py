@@ -6,7 +6,8 @@ evaluates sum over irreps of chi(g)/deg * deg^{-s}, which at s = -2 counts
 |G| on the identity class and vanishes elsewhere. Tables load from a
 line-oriented text format. Two built-in tables, ``S3`` and ``Q8`` (also
 ``BUILTIN_TABLES[name]``), anchor the test suite; they are kept in that
-format and parsed and checked, row orthogonality included, at import.
+format and parsed and checked, row orthogonality included, when this
+module runs: on its first use (see the package docstring).
 """
 
 from __future__ import annotations

@@ -450,6 +450,27 @@ class TestPadicCli:
         assert code == 0 and json.loads(out)["value"]["var"] == "p"
 
 
+# the library modules `import wittenzeta` registers, and one command of each
+# with the modules it runs besides those of `import wittenzeta.cli`
+_LIBRARY_MODULES = ["errors", "exact", "numerics", "padic", "polylog", "su2",
+                    "su3", "witten_core"]
+_RUNS = [
+    ("padic eval --family sl2zp --s 3", {"padic"}),
+    ("su3 special --n 20", {"su3"}),
+    ("polylog closed --m 5", {"polylog"}),
+    ("finite eval --family s3 --s 2", {"witten_core"}),
+    ("su2 eval --s -1 --theta 1", {"polylog", "su2"}),
+]
+# ran() prints (the library modules that ran, those in sys.modules); a
+# lazy one is of a subclass of ModuleType until it runs
+_RAN = ("import sys, types\n"
+        "def ran():\n"
+        "    mods = {n.split('.')[1]: type(m) is types.ModuleType\n"
+        "            for n, m in sys.modules.items()\n"
+        "            if n.startswith('wittenzeta.') and n != 'wittenzeta.cli'}\n"
+        "    print((sorted(n for n, r in mods.items() if r), sorted(mods)))\n")
+
+
 class TestImport:
     def test_numpy_not_loaded(self):
         # numpy is only for the SU(3) double series
@@ -489,6 +510,51 @@ class TestImport:
             " 'wittenzeta.verify')\n"
             "print([m for m in lazy if m in sys.modules and m not in before])\n")
         assert out.stdout.splitlines()[-1] == "[]"
+
+    def test_cli_import_runs_three_modules(self):
+        out = run_python(_RAN + "import wittenzeta.cli\nran()\n")
+        assert ast.literal_eval(out.stdout.splitlines()[-1]) == (
+            ["errors", "exact", "numerics"], _LIBRARY_MODULES)
+
+    @pytest.mark.parametrize("argv,runs", _RUNS,
+                             ids=[argv for argv, _ in _RUNS])
+    def test_command_runs_only_its_modules(self, argv, runs):
+        # the rest stay in sys.modules, registered and not run
+        out = run_python(_RAN + "import wittenzeta.cli as cli\n"
+                         f"assert cli.main({argv.split()!r}) == 0\nran()\n")
+        assert ast.literal_eval(out.stdout.splitlines()[-1]) == (
+            sorted({"errors", "exact", "numerics", *runs}), _LIBRARY_MODULES)
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _RUNS])
+    def test_record_timer_starts_after_the_modules_run(self, argv):
+        # the handler is what ms times: a module it runs first is not in it
+        module = argv.split()[0]
+        out = run_python(
+            _RAN + "import wittenzeta.cli as cli\n"
+            f"handler = cli._HANDLERS[{module!r}]\n"
+            "def timed(args, budget):\n"
+            "    ran()\n"
+            "    return handler(args, budget)\n"
+            f"cli._HANDLERS[{module!r}] = timed\n"
+            f"assert cli.main({argv.split()!r}) == 0\nran()\n")
+        first, last = (ast.literal_eval(line) for line in
+                       out.stdout.splitlines() if line.startswith("(["))
+        assert first == last
+
+    def test_exports_are_the_modules_objects(self):
+        for name in wittenzeta.__all__:
+            module = sys.modules[f"wittenzeta.{wittenzeta._EXPORTS[name]}"]
+            assert getattr(wittenzeta, name) is getattr(module, name), name
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from wittenzeta import *", namespace)
+        assert set(wittenzeta.__all__) <= set(namespace)
+        assert set(wittenzeta.__all__) <= set(dir(wittenzeta))
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            wittenzeta.no_such_name  # noqa: B018
 
     def test_version_matches_pyproject(self):
         text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")

@@ -502,15 +502,28 @@ class TestExpansionRoute:
             return
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
-    def test_table_raise_carries_the_odd_part(self):
+    def test_table_raise_carries_the_L_value(self):
         # at 0.5+100i and theta = 0.1 the zeta(s - k) table's rounding
-        # estimate refuses 1e-13; the error carries the odd part
-        # P_1(1.5+100i, 0.1), not the L-value (1.3e-14 off mpmath's)
+        # estimate refuses 1e-13; the error carries the L-value
+        # P_1(1.5+100i, 0.1) / sin 0.1, not the odd part (10x smaller)
         with pytest.raises(ConvergenceError, match="loses its digits") as err:
             witten_L_su2(0.5 + 100j, 0.1, PrecisionBudget(1e-13))
         with mpmath.workdps(50):
-            want = complex(mpmath.clsin(mpmath.mpc(1.5, 100), 0.1))
-        assert abs(err.value.achieved - want) <= 1e-13
+            want = complex(mpmath.clsin(mpmath.mpc(1.5, 100), 0.1)
+                           / mpmath.sin(0.1))
+        assert abs(err.value.achieved - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("s,thetas", [
+        (0.5 + 100j, [0.1]), (0.5 + 60j, [3.0]), (0.5 + 100j, [3.1]),
+        (0.5 + 100j, [0.1, 0.2]), (-0.5 + 100j, [0.1, 0.05]),
+        (0.5 + 100j, [0.1, 0.2, 0.3]), (0.5 + 100j, [0.1, PI])])
+    def test_multi_raise_carries_the_L_value(self, s, thetas):
+        # each pair's achieved enters the sum: the error carries the
+        # L-value, not one pair's part value (up to 24x off)
+        with pytest.raises(ConvergenceError) as err:
+            multi_L(s, thetas, PrecisionBudget(1e-13))
+        want = _mp_multi(s, thetas)
+        assert abs(err.value.achieved - want) <= 1e-12 * abs(want)
 
     def test_no_series_calls(self, monkeypatch):
         calls = {"polylog_series": 0}
