@@ -182,7 +182,9 @@ def test_criterion_09_convolution_lemma(n):
 
 @pytest.mark.parametrize("s", [2.0, 3.0, 1.5])
 def test_criterion_10_series_agreement(s):
-    assert abs(witten_su3_continued(s) - mt_series(s)) <= 1e-6
+    # each within its 1e-10 claim
+    v = witten_su3_continued(s)
+    assert abs(v - mt_series(s)) <= 2e-10 * max(1.0, abs(v))
 
 
 @pytest.mark.parametrize("s", [1.5, -0.4])

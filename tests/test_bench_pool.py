@@ -122,9 +122,6 @@ def _su3_rows():
 
 
 SU3 = _su3_rows()
-# Skipped: mt_series checks its extrapolation only to max(target, 1e-9), and
-# this row returns 1.7e-13 off at a 1e-13 claim (its own estimate 2.7e-13).
-_MT_FLOOR_MISS = (1.811151968375316, 1e-13)
 
 
 def _su3_value(s, kind, budget):
@@ -139,9 +136,9 @@ def test_su3_pool_sizes():
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_su3_rows(target):
-    rows = [(s, kind, ref) for s, kind, ref in SU3
-            if (s.real, target) != _MT_FLOOR_MISS]
-    assert _misses(_su3_value, rows, target) == []
+    # s = 1.811 (an mt row) missed its 1e-13 claim by 1.7x while mt_series
+    # stopped on max(target, 1e-9)
+    assert _misses(_su3_value, SU3, target) == []
 
 
 # the real rows left of 5/6, on the residue line of strip n = 1

@@ -3,6 +3,7 @@ and exact special values at negative integers."""
 
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -160,10 +161,78 @@ MERGING_PAIRS = [
 ]
 
 
+def _series_or_raise(s, target):
+    """mt_series at the target, or None where it raises ConvergenceError."""
+    try:
+        return mt_series(s, PrecisionBudget(target))
+    except ConvergenceError:
+        return None
+
+
 class TestSeries:
     def test_pinned_values(self):
-        assert abs(mt_series(2.0) - MT2) <= 1e-8
-        assert abs(mt_series(3.0) - MT3) <= 1e-9
+        # at the default target, 1e-10
+        assert abs(mt_series(2.0) - MT2) <= 1e-10 * MT2
+        assert abs(mt_series(3.0) - MT3) <= 1e-10 * MT3
+
+    def test_closed_forms_at_1e13(self):
+        # zeta^W(2) = 4 pi^6/2835 and zeta^W(3) = 160 zeta(9) - 96 zeta(2)
+        # zeta(7), where an axis and a bulk tail order coincide
+        budget = PrecisionBudget(1e-13)
+        with mpmath.workdps(30):
+            want2 = float(4 * mpmath.pi ** 6 / 2835)
+            want3 = float(160 * mpmath.zeta(9)
+                          - 96 * mpmath.zeta(2) * mpmath.zeta(7))
+        assert abs(mt_series(2.0, budget) - want2) <= 1e-13 * want2
+        assert abs(mt_series(3.0, budget) - want3) <= 1e-13 * want3
+
+    @pytest.mark.parametrize("s,want", [p for p in NEAR_INTEGERS
+                                        if p[0].real > 1.0])
+    def test_next_to_integers_at_1e13(self, s, want):
+        # next to s = 1 the sums up to S(_MT_MAX_N) do not settle to 1e-13
+        got = _series_or_raise(s, 1e-13)
+        if got is None:
+            assert s.real < 1.5
+        else:
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("s", [1.05, 1.2, 1.5])
+    def test_next_to_the_line(self, s):
+        # the bulk order N^{2-3s} leads the tail's second order here
+        want = witten_su3_continued(s, budget=PrecisionBudget(1e-13))
+        assert abs(mt_series(s) - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("target", [1e-10, 1e-13])
+    @pytest.mark.parametrize("s,want", [(s, w) for s, _, w in MPMATH_SU3
+                                        if s.real > 1.0])
+    def test_complex_against_mpmath(self, s, want, target):
+        # at |Im s| >> N the sums are not yet asymptotic: the claim or a raise
+        got = _series_or_raise(s, target)
+        assert got is None or abs(got - want) <= target * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("s", [3.0 + 230.0j, 2.0 + 240.0j, 2.0 - 240.0j])
+    def test_large_imaginary_part(self, s):
+        # the even line, at 1e-13 within 2e-13 of the series here
+        want = witten_su3_continued(s, budget=PrecisionBudget(1e-13))
+        got = _series_or_raise(s, 1e-10)
+        assert got is None or abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_raises_in_bounded_time_next_to_1(self, monkeypatch):
+        # s = 1.001 at 1e-13 runs the ladder to S(_MT_MAX_N) and raises; no
+        # table is longer than 12000 powers
+        counts, powers = [], su3._powers
+
+        def counted(s, count):
+            counts.append(count)
+            return powers(s, count)
+        monkeypatch.setattr(su3, "_powers", counted)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError) as err:
+            mt_series(1.001, PrecisionBudget(1e-13))
+        assert time.perf_counter() - start < 1.0
+        assert max(counts) == 2 * su3._MT_MAX_N <= 12000
+        want = witten_su3_continued(1.001, budget=PrecisionBudget(1e-13))
+        assert abs(err.value.achieved - want) <= 1e-10 * abs(want)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -172,16 +241,17 @@ class TestSeries:
             mt_series(0.5 + 3.0j)
 
     def test_upper_domain(self):
-        # the Richardson ratio 2^{2 Re s} overflows a float from 512 on
+        # the domain ends at Re s = 512 (su3._MT_MAX_RE)
         assert abs(mt_series(511.5) - 1.0) <= 1e-15
         for s in (512.0, 600.0, 600.0 + 3.0j):
             with pytest.raises(DomainError):
                 mt_series(s)
 
     def test_complex_argument(self):
+        # each within its 1e-10 claim
         a = mt_series(2.0 + 0.5j)
         b = witten_su3_continued(2.0 + 0.5j)
-        assert abs(a - b) <= 1e-6
+        assert abs(a - b) <= 2e-10 * max(1.0, abs(b))
 
     @pytest.mark.parametrize("s", [2.4, 2.0 + 0.5j, 3.3 + 9.0j])
     def test_square_sum_is_the_double_sum(self, s):
@@ -192,13 +262,15 @@ class TestSeries:
 
     @pytest.mark.parametrize("s", [2.43, 1.9 + 0.7j, 3.2 - 1.3j])
     def test_square_sums_share_one_table(self, s):
-        # mt_series slices one table of n^{-s}, n <= 8N, for N, 2N and 4N:
-        # each sum is bit for bit the one from a table of its own length
-        pw = su3._powers(complex(s), 8 * su3._MT_BASE)
-        for k in (1, 2, 4):
-            n = k * su3._MT_BASE
+        # mt_series slices its first sums, S(8) .. S(64), from one table of
+        # n^{-s}: a sum from a longer table is bit for bit the one from a
+        # table of its own length, at every N of the ladder
+        pw = su3._powers(complex(s), 2 * su3._MT_MAX_N)
+        n = su3._MT_FIRST_N
+        while n <= su3._MT_MAX_N:
             own = su3._square_sum(su3._powers(complex(s), 2 * n), n)
             assert su3._square_sum(pw, n) == own
+            n *= 2
 
     @pytest.mark.parametrize("s", [1.05, 2.4, 30.5, 2.0 + 9.0j])
     def test_square_sum_at_the_ends_of_sigma(self, s):
@@ -214,19 +286,20 @@ class TestSeries:
     @pytest.mark.parametrize("s", [1.8140293086310137 + 1.507516358503234j,
                                    1.8594636493678907 - 2.5765159565856663j])
     def test_complex_tail_order(self, s):
-        # the tail falls like N^{1-2s}: Richardson ratios taken from Re s
-        # alone left 6.2e-10 and 2.0e-10 here, inside the 1e-9 stop floor
+        # the tail's orders are complex: Richardson ratios taken from Re s
+        # alone left 6.2e-10 and 2.0e-10 here. Each within its 1e-13 claim
         budget = PrecisionBudget(target=1e-13)
         want = witten_su3_continued(s, budget=budget)
-        assert abs(mt_series(s, budget) - want) <= 1e-12 * abs(want)
+        assert abs(mt_series(s, budget) - want) <= 2e-13 * max(1.0, abs(want))
 
 
 class TestContinuation:
     @pytest.mark.parametrize("s", [2.0, 3.0, 1.5])
     def test_agrees_with_series(self, s):
+        # each within its 1e-10 claim
         a = witten_su3_continued(s)
         b = mt_series(s)
-        assert abs(a - b) <= 1e-6
+        assert abs(a - b) <= 2e-10 * max(1.0, abs(a))
 
     @pytest.mark.parametrize("s", [1.5, -0.4])
     def test_strip_independence(self, s):
@@ -673,7 +746,7 @@ class TestContinuation:
         # pole of zeta(s - z) at z = s - 1 as well; the even line moves none
         want = 1.0119952658929042375  # mpmath, as MPMATH_SU3
         assert abs(witten_su3_continued(4.7) - want) <= 1e-10
-        assert abs(mt_series(4.7) - want) <= 1e-9
+        assert abs(mt_series(4.7) - want) <= 1e-10 * want
 
 
 class TestSpecialValues:
