@@ -5,19 +5,19 @@ from a shared split, returned as zeta(w, 1 - t), their difference and sum.
 ``zeta_ladder`` gives zeta(rho), zeta(rho + 2), ... from one split, for the
 polylog's zeta(s - k) table.
 
-Every Euler-Maclaurin call takes one split N, with no retry: |s| + 8
-(``_first_split``; at least 16 in ``_hurwitz_em``), or max(16, ceil|rho| +
-8) in the ladder, from where the Bernoulli corrections fall from their
-first term on. ``_em_corrections`` raises ConvergenceError if one grows
-instead. Not one grew in a sweep of about 770 000 calls: the benchmark's
-oracle rows at targets 1e-6 to 1e-13 (156 000), the test suite (495 000),
-and 20 000 random (s, a, target) with Re s in [-40, 40], |Im s| <= 50 and
-targets down to 1e-17 plus 2000 ladders of 30 entries (120 000).
+Every Euler-Maclaurin sum, the polylog's pole form too, takes its split N
+from ``_first_split``, with no retry; ``_em_corrections`` raises
+ConvergenceError if a Bernoulli correction grows. None grew, none took
+more than 12 terms, in 140 000 calls: 20 000 random (s, a, target), Re s
+in [-40, 40], |Im s| <= 50, targets 1e-6 to 1e-17, through ``riemann_zeta``,
+``hurwitz_zeta`` and ``hurwitz_pair``, and 2000 ladders of 30 entries.
 
 All three are implemented from scratch (Euler-Maclaurin summation and a
 shifted Stirling series) rather than wrapping a library, so the test suite
 can check them against independent oracles. The tested domain is
-|Im s| <= 50, -40 <= Re s <= 40 for the zetas and |z| <= 100 off the
+|Im s| <= 50, -40 <= Re s <= 40 for ``riemann_zeta`` and ``hurwitz_zeta``
+(ConvergenceError where the rounding of its cancelling head passes the
+target), Re w > -0.2 for ``hurwitz_pair``, and |z| <= 100 off the
 negative-real branch cut for log-gamma.
 
 log-gamma shifts z (Re z >= 1/2) by pairs of unit steps until |w| >= 8
@@ -44,6 +44,10 @@ from .errors import ConvergenceError, DomainError, PoleError
 from .exact import bernoulli
 
 _TWO_PI = 2.0 * math.pi
+# pi and 2 pi as two doubles each: math.pi + _PI_LO is pi to about 1e-32
+_PI_LO = 1.2246467991473532e-16
+_TWO_PI_LO = 2.0 * _PI_LO
+_LOG_PI, _LOG_TWO_PI = math.log(math.pi), math.log(_TWO_PI)
 
 
 MAX_TERMS = 10_000  # cap on the terms, splits and nodes of every loop
@@ -89,7 +93,6 @@ _STIRLING_SHIFT = 8.0
 # B_{2j} / (2j (2j-1)) for j = 10 down to 1, for Horner's rule in 1/w^2
 _STIRLING_COEF = tuple(_BFLOAT[2 * j] / (2 * j * (2 * j - 1))
                        for j in range(10, 0, -1))
-_LOG_PI, _LOG_TWO_PI = math.log(math.pi), math.log(_TWO_PI)
 _HALF_LOG_TWO_PI = 0.5 * _LOG_TWO_PI
 
 
@@ -215,9 +218,9 @@ _FLAT_RE = 16.0  # from this Re s on the split need not outgrow |Re s|
 
 
 def _first_split(s: complex) -> int:
-    """The one Euler-Maclaurin split N of a zeta(s, a): |s| + 8, from where
-    the Bernoulli corrections fall from the first term on: the ratio of
-    consecutive terms, about (|s + 2j| / 2 pi N)^2, is below 1 while |s +
+    """The one Euler-Maclaurin split N of every zeta sum: ceil|s| + 8, from
+    where the Bernoulli corrections fall from the first term on: the ratio
+    of consecutive terms, about (|s + 2j| / 2 pi N)^2, is below 1 while |s +
     2j| < 2 pi N. For Re s >= 16 it is |Im s| + 8 and at least 16, where
     the first correction, |s|/12 N^{-Re s-1} <= 1e-20 of the value, already
     ends them. DomainError where N passes MAX_TERMS."""
@@ -231,32 +234,31 @@ def _first_split(s: complex) -> int:
 
 
 def _hurwitz_em(s: complex, a: float, budget: PrecisionBudget) -> complex:
-    """Euler-Maclaurin evaluation of zeta(s, a), valid for Re s >= -40:
-    N = max(16, ``_first_split``) explicit terms, the integral term, the
-    half term and the Bernoulli corrections, from that one split."""
-    n_split, minus_s = max(16, _first_split(s)), -s
+    """Euler-Maclaurin evaluation of zeta(s, a) from N = ``_first_split``:
+    head, integral term, half term and Bernoulli corrections, accurate where
+    the head and the integral term do not cancel (see ``hurwitz_zeta``)."""
+    n_split, minus_s = _first_split(s), -s
     head = 0.0 + 0.0j
+    base = n_split + a
     try:
         for n in range(n_split):
             head += (n + a) ** minus_s
-    except (OverflowError, ZeroDivisionError):  # a^{-s}, or 0^{-s}
+        tail = base ** (1.0 - s) / (s - 1.0) + 0.5 * base ** minus_s
+    except (OverflowError, ZeroDivisionError):  # a^{-s}, 0^{-s}, (N+a)^{1-s}
         raise DomainError(
             f"zeta({s}, {a}) overflows double precision") from None
-    base = n_split + a
-    tail = base ** (1.0 - s) / (s - 1.0) + 0.5 * base ** minus_s
     return head + tail + _em_corrections(s, base, abs(head + tail) + 1.0,
                                          budget)
 
 
 def zeta_ladder(rho: complex, budget: PrecisionBudget):
     """zeta(rho), zeta(rho + 2), zeta(rho + 4), ... for Re rho >= 3/2, each
-    to the target absolutely, from one Euler-Maclaurin split N = max(16,
-    ceil|rho| + 8): the powers k^{-rho}, k < N, are taken once, and each
-    later entry multiplies them by k^{-2}, then adds the integral and half
-    terms and the Bernoulli corrections at its own order. The corrections
-    fall from the first term on while |rho + 2j| < 2 pi N, far past the
-    orders a zeta(s - k) table asks for; ConvergenceError if they turn."""
-    n_split = max(16, math.ceil(abs(rho)) + 8)
+    to the target absolutely, from one split N = ``_first_split``(rho): the
+    powers k^{-rho}, k < N, are taken once, and each later entry multiplies
+    them by k^{-2}, then adds the integral and half terms and the Bernoulli
+    corrections at its own order; ConvergenceError if they turn, DomainError
+    where N passes MAX_TERMS."""
+    n_split = _first_split(rho)
     powers = [k ** -rho for k in range(1, n_split)]
     inv_squares = [1.0 / (k * k) for k in range(1, n_split)]
     while True:
@@ -282,7 +284,7 @@ def _expm1(z):
 def hurwitz_pair(w: complex, t: float, budget: PrecisionBudget
                  ) -> tuple[complex, complex, complex]:
     """zeta(w, b), D = zeta(w, a) - zeta(w, b) and S = zeta(w, a) + zeta(w,
-    b), a = t, b = 1 - t, Re w >= -40, from one Euler-Maclaurin pass at
+    b), a = t, b = 1 - t, Re w > -0.2 as its callers pass, from one pass at
     the shared split N = ``_first_split``. D stays accurate through the
     pole at w = 1: its integral term ((N+a)^{1-w} - (N+b)^{1-w})/(w-1) is
     -(N+b)^{1-w} L e^{u/2} sinh(u/2)/(u/2), L = log((N+a)/(N+b)), u =
@@ -341,13 +343,26 @@ def hurwitz_pair(w: complex, t: float, budget: PrecisionBudget
 
 def hurwitz_zeta(s: complex, a: float,
                  budget: PrecisionBudget = DEFAULT_BUDGET) -> complex:
-    """Hurwitz zeta(s, a) for 0 < a <= 1, Re s >= -40, s != 1."""
+    """Hurwitz zeta(s, a) for 0 < a <= 1, s != 1. Left of Re s = 0 the
+    head and the integral term cancel: their rounding, (1 + |s|) ulps (|s|
+    from each node n + a) of N times the last head term plus the integral
+    term, raises ConvergenceError, the value as achieved, where it passes
+    the target relative to max(1, |value|)."""
     s = read_s(s)
     if not 0.0 < a <= 1.0:
         raise DomainError("hurwitz_zeta requires 0 < a <= 1")
     if abs(s - 1.0) < 1e-13:
         raise PoleError("hurwitz zeta pole at s = 1", location=1.0)
-    return _hurwitz_em(s, a, budget)
+    value = _hurwitz_em(s, a, budget)
+    n_split = _first_split(s)
+    rounding = 2.0 ** -53 * (1.0 + abs(s)) * (
+        n_split * (n_split - 1 + a) ** -s.real
+        + (n_split + a) ** (1.0 - s.real) / abs(s - 1.0))
+    if rounding > budget.target * max(1.0, abs(value)):
+        raise ConvergenceError(
+            f"zeta({s}, {a}) rounds by up to {rounding:.1e}: the head and "
+            f"the integral term cancel", achieved=value)
+    return value
 
 
 _RZ_CROSSOVER = 0.5  # switch to the functional equation left of this line

@@ -39,15 +39,11 @@ import operator
 
 from .errors import ConvergenceError, DomainError
 from .exact import Polynomial, RationalFunction
-from .numerics import (DEFAULT_BUDGET, MAX_TERMS, NEAR_ZERO, PrecisionBudget,
-                       _em_corrections, _expm1, _hurwitz_em, gamma_two_pi,
+from .numerics import (_LOG_TWO_PI, _TWO_PI, _TWO_PI_LO, DEFAULT_BUDGET,
+                       MAX_TERMS, NEAR_ZERO, PrecisionBudget, _em_corrections,
+                       _expm1, _first_split, _hurwitz_em, gamma_two_pi,
                        half_pi_trig, hurwitz_pair, log_gamma, read_s,
                        riemann_zeta, sin_half_pi, zeta_ladder)
-
-_TWO_PI = 2.0 * math.pi
-# pi and 2 pi as two doubles each: math.pi + _PI_LO is pi to about 1e-32
-_PI_LO = 1.2246467991473532e-16
-_TWO_PI_LO = 2.0 * _PI_LO
 
 
 def _angle(theta) -> float:
@@ -162,7 +158,6 @@ _BOOLE_EDGE = 0.5  # angles all from here on take the Euler-Boole sum
 _POLE_ZONE = 0.2  # |s - 1 - m| below which the pole pair is one form
 _DIRECT_TERMS = 32  # up to this many terms the Dirichlet series is summed
 _EULER_GAMMA = 0.5772156649015329
-_LOG_TWO_PI = math.log(_TWO_PI)
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,13 +194,13 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget,
         g = zeta(1+eps) - 1/eps,
         lam = L + (log((pi eps/2)/sin(pi eps/2)) - log(Gamma(1+s)/m!))/eps,
 
-    g by Euler-Maclaurin and lam - L by its power series in eps; at s = m
-    this is (-1)^{m//2} theta^m/m! (H_m - L). The rounding, 2^{-53} (6 + 1.5
-    t log(2 + t)), t = |Im sigma| (ulps and the kernels' phases; at 1960
-    mpmath points, t = 10..50, at least twice every error above half a
-    1e-13 claim), times the sum of the magnitudes of the terms, raises
-    ConvergenceError where it misses the target relative to max(|P|,
-    theta) for parity 1 or max(|P|, 1) for parity 0.
+    g by Euler-Maclaurin at N = ``_first_split``(1 + eps) and lam - L by its
+    power series in eps; at s = m this is (-1)^{m//2} theta^m/m! (H_m - L).
+    The rounding, 2^{-53} (6 + 1.5 t log(2 + t)), t = |Im sigma| (ulps and the
+    kernels' phases; at 1960 mpmath points, t = 10..50, at least twice every
+    error above half a 1e-13 claim), times the sum of the magnitudes of the
+    terms, raises ConvergenceError where it misses the target relative to
+    max(|P|, theta) for parity 1 or max(|P|, 1) for parity 0.
     """
     sigma = complex(sigma)
     real = sigma.imag == 0.0
@@ -254,7 +249,7 @@ def _circle_part(sigma: complex, parity: int, budget: PrecisionBudget,
         raise ConvergenceError(f"zeta(s - k) table did not end for s={sigma}")
 
     if pole:
-        n = 17  # the Euler-Maclaurin base for g
+        n = _first_split(1.0 + eps)
         g = sum(k ** (-1.0 - eps) for k in range(1, n)) \
             + (_expm1(-eps * math.log(n)) / eps if eps else -math.log(n)) \
             + 0.5 * n ** (-1.0 - eps) + _em_corrections(1.0 + eps, n, 1.0, zb)

@@ -24,11 +24,10 @@ import math
 from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
-from .numerics import (DEFAULT_BUDGET, MAX_TERMS, PrecisionBudget, _expm1,
-                       hurwitz_pair, read_s, riemann_zeta)
-from .polylog import _PI_LO, _TWO_PI_LO, _part
-
-_TWO_PI = 2.0 * math.pi
+from .numerics import (_PI_LO, _TWO_PI, _TWO_PI_LO, DEFAULT_BUDGET, MAX_TERMS,
+                       PrecisionBudget, _expm1, hurwitz_pair, read_s,
+                       riemann_zeta)
+from .polylog import _part
 
 
 def _class_angle(g) -> float:

@@ -307,6 +307,13 @@ class TestFinite:
                            "--s", "0", "--class", "0")
         assert code == 3
 
+    def test_class_size_zero_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.tbl"
+        path.write_text(S3_TEXT.replace("classes 1 3 2", "classes 1 0 2"))
+        code, _, err = run(capsys, "finite", "eval", "--table", str(path),
+                           "--s", "0", "--class", "0")
+        assert code == 3 and "line 2: class sizes must be positive" in err
+
     def test_huge_s_is_domain_error(self):
         # deg ** (-s - 1) as an exact Fraction used to run without end; a
         # hang here fails by the timeout instead of stalling the suite. Past

@@ -180,6 +180,25 @@ def test_rational_function_division_inverts(na, nb):
         assert (a / b) * b == a
 
 
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: bernoulli(-1), ValueError, "k must be non-negative"),
+    (lambda: zeta_neg_int(-1), ValueError, "k must be non-negative"),
+    (lambda: Polynomial([]).leading(), ValueError, "no leading coefficient"),
+    (lambda: Polynomial([1, 1]).divmod(Polynomial([])), ZeroDivisionError,
+     "by zero polynomial"),
+    (lambda: Polynomial([1, 1]) ** -1, ValueError, "negative power"),
+    (lambda: RationalFunction(1, 0), ZeroDivisionError, "zero denominator"),
+    (lambda: RationalFunction(1) / RationalFunction(0), ZeroDivisionError,
+     "division by zero"),
+    (lambda: RationalFunction(0) ** -1, ZeroDivisionError,
+     "negative power of zero"),
+], ids=["bernoulli", "zeta_neg_int", "leading", "divmod", "poly_pow",
+        "zero_den", "rf_div", "rf_pow"])
+def test_argument_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_fraction_str():
     assert fraction_str(F(3)) == "3"
     assert fraction_str(F(-2, 5)) == "-2/5"

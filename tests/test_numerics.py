@@ -270,11 +270,30 @@ class TestHurwitzZeta:
             hurwitz_zeta(1.0, 0.5)
 
     @pytest.mark.parametrize("s,a", [(2.0, 1e-201), (101.5, 1.6e-4),
-                                     (2.0, 5e-324)])
+                                     (2.0, 5e-324), (-141.5, 1.0)])
     def test_overflow_is_domain_error(self, s, a):
-        # a^{-s} is past a double (or 0^{-s}, where a underflows)
+        # a^{-s} is past a double (or 0^{-s}, where a underflows), or at
+        # -141.5 the integral term (N + a)^{1-s}, though the head is not
         with pytest.raises(DomainError, match="overflows"):
             hurwitz_zeta(s, a)
+
+    @pytest.mark.parametrize("target", [1e-10, 1e-13])
+    @pytest.mark.parametrize("s", [-1.5, -3.3, -5.5, -7.5 + 1j, -10.3,
+                                   -20.5, -39.9])
+    def test_left_of_zero_meets_claim_or_raises(self, s, target):
+        # the head and the integral term cancel there, so that a value
+        # past the bound on their rounding can be 6.6e46 times off its claim
+        # (-39.9); the worst value returned is 0.017 of it
+        budget = PrecisionBudget(target)
+        with mpmath.workdps(40):
+            for a in (0.1, 0.5, 1.0):
+                want = _mpc(mpmath.zeta(s, a))
+                try:
+                    got = hurwitz_zeta(s, a, budget)
+                except ConvergenceError as exc:
+                    assert exc.achieved is not None
+                    continue
+                assert abs(got - want) <= target * max(1.0, abs(want)), a
 
 
 class TestZetaLadder:
@@ -320,3 +339,24 @@ class TestOneSplit:
         monkeypatch.setattr(module, "_em_corrections", turning)
         with pytest.raises(ConvergenceError, match="N \\+ a = 0.25"):
             call(PrecisionBudget(1e-10))
+
+    @pytest.mark.parametrize("module,call,bases", [
+        (numerics, lambda b: hurwitz_zeta(2.5 + 1j, 0.3, b), [11.3]),
+        (numerics, lambda b: hurwitz_pair(0.5 + 2j, 0.3, b), [11.3, 11.7]),
+        (numerics, lambda b: next(zeta_ladder(2.3, b)), [11.0]),
+        # only the pole form's g: the table's zetas call numerics
+        (polylog, lambda b: polylog._circle_part(2.0, 1, b), [11.0]),
+    ], ids=["hurwitz_em", "hurwitz_pair", "zeta_ladder", "pole_zone_g"])
+    def test_every_sum_takes_first_split(self, monkeypatch, module, call,
+                                         bases):
+        # the corrections start at N + a, N from _first_split alone: 11 is
+        # below 16, so no sum may floor it
+        seen = []
+
+        def recording(s, base, scale, budget):
+            seen.append(base)
+            return _em_corrections(s, base, scale, budget)
+        monkeypatch.setattr(module, "_first_split", lambda s: 11)
+        monkeypatch.setattr(module, "_em_corrections", recording)
+        call(PrecisionBudget(1e-10))
+        assert seen == pytest.approx(bases)

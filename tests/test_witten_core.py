@@ -89,6 +89,11 @@ class TestParseTable:
         ("classes 1 3 2", "classes 3 1 2", "first class must be the identity"),
         ("irrep 2 2 0 -1", "irrep 2 2 0", "has 2 character values, "
                                           "expected 3"),
+        ("group S3 6", "group S3", "line 3: expected: group <name> <order>"),
+        ("classes 1 3 2", "classes 1 -3 2",
+         "line 4: class sizes must be positive"),
+        ("irrep 2 2 0 -1", "irrep 2",
+         "line 7: expected: irrep <degree> <chi ...>"),
     ])
     def test_table_checks(self, old, new, match):
         with pytest.raises(TableFormatError, match=match):
