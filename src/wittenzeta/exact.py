@@ -1,6 +1,6 @@
 """Exact arithmetic backbone: Bernoulli numbers, exact zeta values at
-non-positive integers, and small polynomial / rational-function algebra over
-arbitrary-precision rationals.
+non-positive integers, the Gamma ratio of the SU(3) limits there, and small
+polynomial / rational-function algebra over arbitrary-precision rationals.
 
 Rationals are ``fractions.Fraction`` throughout (always normalized, positive
 denominator), so the only code here is what the closed forms and the p-adic
@@ -51,6 +51,14 @@ def zeta_neg_int(k: int) -> Fraction:
     if k == 0:
         return Fraction(-1, 2)
     return -bernoulli(k + 1) / (k + 1)
+
+
+def gamma_ratio_at_neg(n: int) -> Fraction:
+    """Exact limit of Gamma(2s-1)/Gamma(s) at s = -n for n >= 0."""
+    if n < 0:
+        raise ValueError("gamma_ratio_at_neg: n must be >= 0")
+    return Fraction((-1) ** (n + 1) * math.factorial(n),
+                    2 * math.factorial(2 * n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,14 @@ in [-40, 40], |Im s| <= 50, targets 1e-6 to 1e-17, through ``riemann_zeta``,
 
 All three are implemented from scratch (Euler-Maclaurin summation and a
 shifted Stirling series) rather than wrapping a library, so the test suite
-can check them against independent oracles. The tested domain is
-|Im s| <= 50, -40 <= Re s <= 40 for ``riemann_zeta`` and ``hurwitz_zeta``
-(ConvergenceError where the rounding of its cancelling head passes the
-target), Re w > -0.2 for ``hurwitz_pair``, and |z| <= 100 off the
-negative-real branch cut for log-gamma.
+can check them against independent oracles. This module imports only
+``errors``: its Bernoulli numbers B_2 .. B_100 are float literals, which
+the tests check against ``exact.bernoulli``, so no floating call loads the
+exact layer. The tested domain is |Im s| <= 50, -40 <= Re s <= 40 for
+``riemann_zeta`` and ``hurwitz_zeta`` (ConvergenceError where the rounding
+of its cancelling head passes the target), Re w > -0.2 for
+``hurwitz_pair``, and |z| <= 100 off the negative-real branch cut for
+log-gamma.
 
 log-gamma shifts z (Re z >= 1/2) by pairs of unit steps until |w| >= 8
 and sums ten Stirling terms by Horner's rule in 1/w^2. The first term left
@@ -37,11 +40,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from math import factorial
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .exact import bernoulli
 
 _TWO_PI = 2.0 * math.pi
 # pi and 2 pi as two doubles each: math.pi + _PI_LO is pi to about 1e-32
@@ -80,8 +81,27 @@ def read_s(s) -> complex:
     return z
 
 
-# B_2 .. B_100 as floats (Stirling), and B_{2j}/(2j)! (Euler-Maclaurin)
-_BFLOAT = {k: float(bernoulli(k)) for k in range(2, 102, 2)}
+# B_2 .. B_100 as floats (Stirling), and B_{2j}/(2j)! (Euler-Maclaurin);
+# the literals are float(exact.bernoulli(k)), which the tests check
+_BFLOAT = dict(zip(range(2, 102, 2), (
+    0.16666666666666666, -0.03333333333333333, 0.023809523809523808,
+    -0.03333333333333333, 0.07575757575757576, -0.2531135531135531,
+    1.1666666666666667, -7.092156862745098, 54.971177944862156,
+    -529.1242424242424, 6192.123188405797, -86580.25311355312,
+    1425517.1666666667, -27298231.067816094, 601580873.9006424,
+    -15116315767.092157, 429614643061.1667, -13711655205088.332,
+    488332318973593.2, -1.9296579341940068e+16, 8.416930475736826e+17,
+    -4.0338071854059454e+19, 2.1150748638081993e+21, -1.2086626522296526e+23,
+    7.500866746076964e+24, -5.038778101481069e+26, 3.6528776484818122e+28,
+    -2.849876930245088e+30, 2.3865427499683627e+32, -2.1399949257225335e+34,
+    2.0500975723478097e+36, -2.093800591134638e+38, 2.2752696488463515e+40,
+    -2.6257710286239577e+42, 3.212508210271803e+44, -4.159827816679471e+46,
+    5.692069548203528e+48, -8.218362941978458e+50, 1.2502904327166994e+53,
+    -2.001558323324837e+55, 3.3674982915364376e+57, -5.947097050313545e+59,
+    1.1011910323627977e+62, -2.1355259545253502e+64, 4.3328896986641194e+66,
+    -9.188552824166933e+68, 2.0346896776329074e+71, -4.700383395803573e+73,
+    1.131804344548425e+76, -2.8382249570693707e+78,
+)))
 _EM_COEF = [_BFLOAT[2 * j] / factorial(2 * j) for j in range(1, 51)]
 
 
@@ -173,13 +193,6 @@ def half_pi_trig(w: complex) -> tuple[complex, complex, complex]:
     for _ in range(q):
         c, s, e = -s, c, 1j * e
     return c, s, e
-
-
-def gamma_ratio_at_neg(n: int) -> Fraction:
-    """Exact limit of Gamma(2s-1)/Gamma(s) at s = -n for n >= 0."""
-    if n < 0:
-        raise ValueError("gamma_ratio_at_neg: n must be >= 0")
-    return Fraction((-1) ** (n + 1) * factorial(n), 2 * factorial(2 * n + 1))
 
 
 # ---------------------------------------------------------------------------

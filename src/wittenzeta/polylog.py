@@ -37,8 +37,8 @@ import functools
 import math
 import operator
 
+from . import exact  # the package's lazy module: runs at a closed form
 from .errors import ConvergenceError, DomainError
-from .exact import Polynomial, RationalFunction
 from .numerics import (_LOG_TWO_PI, _TWO_PI, _TWO_PI_LO, DEFAULT_BUDGET,
                        MAX_TERMS, NEAR_ZERO, PrecisionBudget, _em_corrections,
                        _expm1, _first_split, _hurwitz_em, gamma_two_pi,
@@ -522,15 +522,15 @@ def _eulerian_row(m: int) -> list:
     return row
 
 
-def polylog_closed_form(m: int) -> RationalFunction:
+def polylog_closed_form(m: int) -> exact.RationalFunction:
     """Exact rational function R_m(x) = Z(-m, x) = x A_m(x) / (1 - x)^{m+1},
     the numerator from the Eulerian row, the denominator from binomials.
     The parts are coprime, as A_m(1) = m! != 0, so no gcd is taken."""
     _check_m(m, MAX_CLOSED_M)
-    num = Polynomial([0] + _eulerian_row(m), "x")
-    den = Polynomial([(-1) ** k * math.comb(m + 1, k) for k in range(m + 2)],
-                     "x")
-    return RationalFunction(num, den, coprime=True)
+    num = exact.Polynomial([0] + _eulerian_row(m), "x")
+    den = exact.Polynomial(
+        [(-1) ** k * math.comb(m + 1, k) for k in range(m + 2)], "x")
+    return exact.RationalFunction(num, den, coprime=True)
 
 
 @functools.lru_cache(maxsize=None)

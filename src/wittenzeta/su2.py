@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
+from . import exact  # the package's lazy module, for the annotation only
 from .errors import ConvergenceError, DomainError
 from .numerics import (_PI_LO, _TWO_PI, _TWO_PI_LO, DEFAULT_BUDGET, MAX_TERMS,
                        PrecisionBudget, _expm1, hurwitz_pair, read_s,
@@ -68,13 +68,14 @@ def witten_L_su2(s: complex, g,
     return complex(odd / sine)
 
 
-def special_value_neg_even(m: int, g) -> Fraction:
+def special_value_neg_even(m: int, g) -> exact.Fraction:
     """Exact zero zeta^W(-m, g) = 0 for even m >= 2 and every g."""
     if m < 2 or m % 2:
         raise DomainError("special_value_neg_even requires even m >= 2")
     _class_angle(g)  # validate; the value is 0 on every branch:
     # theta in {0, pi}: zeta(-m) = 0; regular: Z(-m+1, x) is odd under
     # x -> 1/x for even m, so the polylog difference cancels.
+    from fractions import Fraction
     return Fraction(0)
 
 

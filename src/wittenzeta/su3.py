@@ -76,13 +76,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from fractions import Fraction
 from math import factorial
 
+from . import exact  # the package's lazy module: runs at an exact value
 from .errors import ConvergenceError, DomainError, PoleError
-from .exact import zeta_neg_int
-from .numerics import (DEFAULT_BUDGET, PrecisionBudget, gamma_ratio_at_neg,
-                       log_gamma, read_s, riemann_zeta)
+from .numerics import (DEFAULT_BUDGET, PrecisionBudget, log_gamma, read_s,
+                       riemann_zeta)
 
 _POLE_TOL = 1e-6  # the genuine poles s = 2/3 and s = 1/2 - j
 _EVEN_LINE = 5.0 / 6.0  # the even line's strip is >= 1/4 wide from here on
@@ -379,8 +378,13 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
     raised where a rounding bound exceeds the target: next to s = 0 (within
     5.1e-14 of it, with the exact limit 1/3 as ``achieved``) and right of
     Re s of about 42 at 1e-13, 252 at 1e-12 (see the module docstring); and
-    where the rule does not settle.
+    where the rule does not settle. A params that is not an MBParams
+    raises TypeError: the budget is the third argument, or budget=.
     """
+    if not isinstance(params, MBParams):
+        raise TypeError("params must be MBParams, got "
+                        f"{type(params).__name__}; pass the precision "
+                        "budget as budget=")
     s, lo = read_s(s), -params.n - 0.25
     if not (lo < s.real <= _MAX_RE_S and abs(s.imag) <= _MAX_IM_S):
         raise DomainError(f"s={s} outside {lo} < Re s <= {_MAX_RE_S:g}, "
@@ -417,10 +421,12 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
 MAX_SPECIAL_N = 200
 """Largest n that ``special_value_su3`` and ``bernoulli_convolution_check``
 accept; larger n raise DomainError. Each is a sum of n + 1 products of exact
-zeta(-k). At n = 200 ``special_value_su3`` takes 24 ms in a fresh process,
-21 ms of it the table of Bernoulli numbers up to B_{3n+2}, and 3 ms once
-that is built; ``bernoulli_convolution_check(200)`` takes 7 ms (one Xeon
-core, Python 3.11)."""
+zeta(-k). At n = 200 ``special_value_su3`` takes 26 ms in a fresh process
+that has run su3: 18 ms of it the table of Bernoulli numbers up to
+B_{3n+2}, 6 ms the first run of ``exact``, which no floating route runs,
+and 3 ms once both are done; ``bernoulli_convolution_check(200)`` takes
+6 ms once the table is built (medians of 15 processes on one core of a
+shared Xeon, Python 3.11, no cached bytecode)."""
 
 
 def _check_special_n(n: int) -> None:
@@ -429,7 +435,8 @@ def _check_special_n(n: int) -> None:
             f"the exact SU(3) path supports n <= {MAX_SPECIAL_N}, got n = {n}")
 
 
-def special_value_terms(n: int) -> tuple[Fraction, Fraction, Fraction]:
+def special_value_terms(n: int) -> tuple[exact.Fraction, exact.Fraction,
+                                         exact.Fraction]:
     """The three exact pieces of the continuation's limit at s = -n, n >= 0:
     the gamma-ratio term, the finite zeta-product sum (the Pochhammer
     (-n)_k kills k > n), and the k = 2n+1 term where the vanishing
@@ -438,8 +445,10 @@ def special_value_terms(n: int) -> tuple[Fraction, Fraction, Fraction]:
     if n < 0:
         raise DomainError("special_value_terms requires n >= 0")
     _check_special_n(n)
+    from fractions import Fraction
+    zeta_neg_int = exact.zeta_neg_int
     half_pow = Fraction(1, 2 ** n)
-    t1 = half_pow * gamma_ratio_at_neg(n) * factorial(n) \
+    t1 = half_pow * exact.gamma_ratio_at_neg(n) * factorial(n) \
         * zeta_neg_int(3 * n + 1)
     t2, binom = Fraction(0), 1  # (-1)^k (-n)_k / k! = C(n, k), 0 past n
     for k in range(n + 1):
@@ -453,19 +462,22 @@ def special_value_terms(n: int) -> tuple[Fraction, Fraction, Fraction]:
     return t1, t2, t3
 
 
-def special_value_su3(n: int) -> Fraction:
+def special_value_su3(n: int) -> exact.Fraction:
     """Exact value of zeta^W_{SU(3)}(-n) for n >= 0: 1/3 at n = 0, and
     expected 0 for n >= 1."""
-    return sum(special_value_terms(n), Fraction(0))
+    return sum(special_value_terms(n))
 
 
-def bernoulli_convolution_check(n: int) -> tuple[Fraction, Fraction]:
+def bernoulli_convolution_check(n: int) -> tuple[exact.Fraction,
+                                                 exact.Fraction]:
     """For even n: sum_{k+l=n} zeta(-n-k) zeta(-n-l)/(k! l!) versus
     n!/(2n+1)! * zeta(-3n-1); returns (lhs, rhs), equal when the identity
     holds."""
     if n < 2 or n % 2:
         raise DomainError("bernoulli_convolution_check requires even n >= 2")
     _check_special_n(n)
+    from fractions import Fraction
+    zeta_neg_int = exact.zeta_neg_int
     lhs = Fraction(0)
     for k in range(0, n + 1):
         l = n - k

@@ -84,6 +84,10 @@ class TestFormats:
         assert rec["value"]["re"] == pytest.approx(0.5, abs=1e-9)
         assert rec["error"] == 1e-10
 
+    def test_unknown_value_type_is_type_error(self):
+        with pytest.raises(TypeError, match="cannot encode object"):
+            cli._encode_value(object())
+
     def test_json_exact_value(self, capsys):
         code, out, _ = run(capsys, "su3", "special", "--n", "2",
                            "--format", "json")
@@ -386,6 +390,10 @@ class TestVerifyCommand:
                           "core": [], "all": pole}
         assert len(results) == 47  # of "all", the last suite run
 
+    def test_unknown_suite_names_the_suites(self):
+        with pytest.raises(ValueError, match="'nope'.*'all', 'polylog'"):
+            verify.run("nope")
+
     def test_precision_is_usage_error(self):
         # verify runs fixed checks; a --precision there would be ignored
         with pytest.raises(SystemExit) as exc:
@@ -492,6 +500,34 @@ class TestImport:
                          "wz.witten_su3_continued(1.5)\n"
                          "print('numpy' in sys.modules)\n")
         assert out.stdout.splitlines()[-1] == "False"
+
+    def test_floating_calls_load_no_exact_arithmetic(self):
+        # numerics' Bernoulli floats are literals, and polylog, su2 and su3
+        # run the exact layer only for their exact values
+        out = run_python(
+            _RAN + "import wittenzeta as wz\n"
+            "wz.witten_su3_continued(1.5)\n"
+            "wz.witten_L_su2(-0.5, 1.0)\n"
+            "wz.multi_L(2, [0.3, 2.9])\n"
+            "wz.haar_average_su2(2.5)\n"
+            "wz.polylog_continued(1.5, 1.0)\n"
+            "print([m for m in ('fractions', 'decimal')"
+            " if m in sys.modules])\n"
+            "ran()\n")
+        loaded, ran = out.stdout.splitlines()[-2:]
+        assert loaded == "[]"
+        assert ast.literal_eval(ran)[0] == [
+            "errors", "numerics", "polylog", "su2", "su3"]
+
+    def test_exact_values_load_the_exact_layer(self):
+        out = run_python(
+            "import wittenzeta as wz\n"
+            "print(repr(wz.special_value_su3(4)),"
+            " repr(wz.special_value_neg_even(2, 1.0)),"
+            " wz.polylog_closed_form(3))\n")
+        assert out.stdout.splitlines()[-1] == (
+            "Fraction(0, 1) Fraction(0, 1) "
+            "(x + 4*x^2 + x^3) / (1 - 4*x + 6*x^2 - 4*x^3 + x^4)")
 
     def test_package_loads_every_traced_module(self):
         # the benchmark's tracer reads sys.modules["wittenzeta.<module>"]

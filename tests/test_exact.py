@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittenzeta.exact import (Polynomial, RationalFunction, bernoulli,
-                              fraction_str, zeta_neg_int)
+                              fraction_str, gamma_ratio_at_neg, zeta_neg_int)
 
 F = Fraction
 
@@ -183,6 +183,7 @@ def test_rational_function_division_inverts(na, nb):
 @pytest.mark.parametrize("call,error,match", [
     (lambda: bernoulli(-1), ValueError, "k must be non-negative"),
     (lambda: zeta_neg_int(-1), ValueError, "k must be non-negative"),
+    (lambda: gamma_ratio_at_neg(-1), ValueError, "n must be >= 0"),
     (lambda: Polynomial([]).leading(), ValueError, "no leading coefficient"),
     (lambda: Polynomial([1, 1]).divmod(Polynomial([])), ZeroDivisionError,
      "by zero polynomial"),
@@ -192,8 +193,8 @@ def test_rational_function_division_inverts(na, nb):
      "division by zero"),
     (lambda: RationalFunction(0) ** -1, ZeroDivisionError,
      "negative power of zero"),
-], ids=["bernoulli", "zeta_neg_int", "leading", "divmod", "poly_pow",
-        "zero_den", "rf_div", "rf_pow"])
+], ids=["bernoulli", "zeta_neg_int", "gamma_ratio_at_neg", "leading",
+        "divmod", "poly_pow", "zero_den", "rf_div", "rf_pow"])
 def test_argument_checks(call, error, match):
     with pytest.raises(error, match=match):
         call()

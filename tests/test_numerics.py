@@ -9,12 +9,12 @@ import mpmath
 import pytest
 
 import wittenzeta
-from wittenzeta import numerics, polylog
+from wittenzeta import exact, numerics, polylog
 from wittenzeta.errors import ConvergenceError, DomainError, PoleError
+from wittenzeta.exact import gamma_ratio_at_neg
 from wittenzeta.numerics import (DEFAULT_BUDGET, PrecisionBudget,
-                                 _em_corrections, gamma_ratio_at_neg,
-                                 hurwitz_pair, hurwitz_zeta, log_gamma,
-                                 riemann_zeta, zeta_ladder)
+                                 _em_corrections, hurwitz_pair, hurwitz_zeta,
+                                 log_gamma, riemann_zeta, zeta_ladder)
 
 mpmath.mp.dps = 30
 
@@ -143,6 +143,13 @@ class TestLogGamma:
                 want = _mpc(mpmath.gamma(z))
                 got = cmath.exp(log_gamma(z))
                 assert abs(got - want) <= 1e-13 * abs(want), z
+
+
+def test_bernoulli_literals_are_the_exact_numbers():
+    # numerics does not import the exact layer; it stays the table's oracle
+    assert sorted(numerics._BFLOAT) == list(range(2, 102, 2))
+    for k, value in numerics._BFLOAT.items():
+        assert value == float(exact.bernoulli(k)), k
 
 
 class TestGammaRatioAtNeg:

@@ -445,6 +445,14 @@ class TestContinuation:
         with pytest.raises(DomainError):
             MBParams(n=0)
 
+    def test_budget_in_place_of_params_is_type_error(self):
+        budget = PrecisionBudget(1e-13)
+        with pytest.raises(TypeError, match="MBParams.*budget="):
+            witten_su3_continued(1.5, budget)
+        # the positional (s, params, budget) and budget= both take it
+        want = witten_su3_continued(1.5, MBParams(), budget)
+        assert witten_su3_continued(1.5, budget=budget) == want
+
     @pytest.mark.parametrize("s,n,want", MPMATH_SU3)
     def test_against_mpmath(self, s, n, want):
         got = witten_su3_continued(s, MBParams(n=n))
