@@ -6,9 +6,9 @@ CSV; exact values carry the error estimate "exact", floating values the
 precision target. Exit codes: 0 success, 2 usage error, 3 domain/pole
 error, 4 convergence failure. The parser, the missing-flag check, the
 dispatch and each module's --help come from one table, ``_COMMANDS``.
-The library modules are read at dispatch, never at import: ``import
-wittenzeta.cli`` runs errors, exact and numerics, and a command runs only
-the lazy modules it calls, before its timer starts.
+The library modules are the package's lazy modules, read at dispatch:
+``import wittenzeta.cli`` runs only errors and loads no fractions, and a
+command runs only the modules its row names, before its timer starts.
 """
 
 from __future__ import annotations
@@ -18,12 +18,9 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
-from . import padic, polylog, su2, su3, witten_core
+from . import exact, numerics, padic, polylog, su2, su3, witten_core
 from .errors import ConvergenceError, DomainError
-from .exact import Polynomial, RationalFunction, fraction_str
-from .numerics import PrecisionBudget
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,6 +51,7 @@ def _parse_radians(text: str) -> list:
 
 def _parse_pi_multiples(text: str) -> list:
     # argparse does not catch ZeroDivisionError ('1/0') or OverflowError
+    from fractions import Fraction
     try:
         return [float(Fraction(tok)) * math.pi for tok in text.split(",")]
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -85,11 +83,11 @@ def _parse_p(text: str):
 # Result records and output formats
 # ---------------------------------------------------------------------------
 
-def _poly_coeffs(poly: Polynomial) -> list:
-    return [fraction_str(c) for c in poly.coeffs]
+def _poly_coeffs(poly: exact.Polynomial) -> list:
+    return [str(c) for c in poly.coeffs]
 
 
-def _double(q: Fraction) -> float:
+def _double(q) -> float:
     """q rounded to a double, +-inf past the largest one."""
     try:
         return float(q)
@@ -100,22 +98,28 @@ def _double(q: Fraction) -> float:
 def _encode_value(value):
     """(json-encodable value, is_exact, the value as a complex): one type
     switch for every format; CSV writes the complex, NaN for a value that
-    is no number (a string, a rational function)."""
+    is no number (a string, a rational function). It runs no module that
+    the value's own route did not run."""
     nan = complex(math.nan, math.nan)
     if isinstance(value, bool):
         return value, True, complex(value)
     if isinstance(value, str):
         return value, True, nan
-    if isinstance(value, Fraction):
-        return fraction_str(value), True, complex(_double(value))
-    if isinstance(value, RationalFunction):
-        return {"num": _poly_coeffs(value.num), "den": _poly_coeffs(value.den),
-                "var": value.var}, True, nan
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}, False, value
     if isinstance(value, (int, float)):
         return float(value), False, complex(value)
-    if isinstance(value, witten_core.GaussianRational):
+    from fractions import Fraction  # loaded by each route of an exact value
+    if isinstance(value, Fraction):
+        return str(value), True, complex(_double(value))
+    # the package's types are read from the module that made the value: it
+    # has run, and `is` reads no attribute, so no other module runs
+    home = sys.modules.get(type(value).__module__)
+    if home is exact and isinstance(value, exact.RationalFunction):
+        return {"num": _poly_coeffs(value.num), "den": _poly_coeffs(value.den),
+                "var": value.var}, True, nan
+    if home is witten_core and isinstance(value,
+                                          witten_core.GaussianRational):
         return str(value), True, complex(_double(value.re),
                                          _double(value.im))
     raise TypeError(f"cannot encode {type(value).__name__}")
@@ -161,12 +165,23 @@ def _print_records(records, raw_values, fmt: str, precision: int):
 # The command table
 # ---------------------------------------------------------------------------
 
-def _finite_eval(args, budget):
+def _finite_is_exact(args) -> bool:
+    """finite eval takes the exact route at an integer |s| <= MAX_EXACT_S."""
+    s = args.s
+    return s is not None and s.imag == 0.0 and s.real.is_integer() \
+        and abs(s.real) <= witten_core.MAX_EXACT_S
+
+
+def _finite_eval(args, target):
     s, c = args.s, args.class_index
-    if s.imag == 0.0 and s.real.is_integer() \
-            and abs(s.real) <= witten_core.MAX_EXACT_S:
+    if _finite_is_exact(args):
         return witten_core.finite_witten_L_exact(args.table, int(s.real), c)
     return witten_core.finite_witten_L(args.table, s, c)
+
+
+def _budget(target: float):
+    """A floating row's budget: its module has run numerics."""
+    return numerics.PrecisionBudget(target=target)
 
 
 def _finite_table(args):
@@ -203,65 +218,93 @@ _NEEDS = {
 _DEFAULTS = {"m": 1, "n": 1, "class_index": 0}
 
 # module -> action -> (the flags it needs, its query label, its library
-# call on (args, budget)); a tuple of labels labels a tuple of values, and
-# a callable gives that tuple at dispatch
+# call on (args, target), the lazy modules the call runs, which main runs
+# before the timer). A tuple of labels labels a tuple of values; a callable
+# gives the labels at dispatch, or the modules from args. A module also
+# runs those it imports (polylog, su2 and su3 run numerics, padic exact),
+# so a row names exact only for the exact values of polylog and su3, and
+# numerics only for the floating routes of witten_core.
 _COMMANDS = {
     "polylog": {
         "eval": (("s", "theta"), "polylog eval s={s} theta={theta}",
-                 lambda a, b: polylog.polylog_continued(a.s, a.theta[0], b)),
+                 lambda a, t: polylog.polylog_continued(a.s, a.theta[0],
+                                                        _budget(t)),
+                 (polylog,)),
         "series": (("s", "theta"), "polylog series s={s} theta={theta}",
-                   lambda a, b: polylog.polylog_series(a.s, a.theta[0], b)),
+                   lambda a, t: polylog.polylog_series(a.s, a.theta[0],
+                                                       _budget(t)),
+                   (polylog,)),
         "jonquiere": (("s", "theta"), "polylog jonquiere s={s} theta={theta}",
-                      lambda a, b: polylog.polylog_via_jonquiere(
-                          a.s, a.theta[0], b)),
+                      lambda a, t: polylog.polylog_via_jonquiere(
+                          a.s, a.theta[0], _budget(t)),
+                      (polylog,)),
         "closed": (("m",), "polylog closed m={m}",
-                   lambda a, b: polylog.polylog_closed_form(a.m)),
+                   lambda a, t: polylog.polylog_closed_form(a.m),
+                   (polylog, exact)),
         "neg": (("m", "theta"), "polylog neg m={m} theta={theta}",
-                lambda a, b: polylog.polylog_eval_neg(a.m, a.theta[0])),
+                lambda a, t: polylog.polylog_eval_neg(a.m, a.theta[0]),
+                (polylog,)),
     },
     "su2": {
         "eval": (("s", "theta"), "su2 eval s={s} theta={theta}",
-                 lambda a, b: su2.witten_L_su2(a.s, a.theta[0], b)),
+                 lambda a, t: su2.witten_L_su2(a.s, a.theta[0], _budget(t)),
+                 (su2,)),
         "special": (("m", "theta"), "su2 special m={m} theta={theta}",
-                    lambda a, b: su2.special_value_neg_even(a.m, a.theta[0])),
+                    lambda a, t: su2.special_value_neg_even(a.m, a.theta[0]),
+                    (su2,)),
         "deriv2": (("theta",), "su2 deriv2 theta={theta}",
-                   lambda a, b: su2.derivative_at_minus2(a.theta[0], b)),
+                   lambda a, t: su2.derivative_at_minus2(a.theta[0],
+                                                         _budget(t)),
+                   (su2,)),
         "multi": (("s", "thetas"), "su2 multi s={s} thetas={theta}",
-                  lambda a, b: su2.multi_L(a.s, a.theta, b)),
+                  lambda a, t: su2.multi_L(a.s, a.theta, _budget(t)),
+                  (su2,)),
         "average": (("s",), "su2 average s={s}",
-                    lambda a, b: su2.haar_average_su2(a.s, b)),
+                    lambda a, t: su2.haar_average_su2(a.s, _budget(t)),
+                    (su2,)),
     },
     "su3": {
         "eval": (("s",), "su3 eval s={s}",
-                 lambda a, b: su3.witten_su3_continued(
-                     a.s, su3.MBParams(n=a.n), b)),
+                 lambda a, t: su3.witten_su3_continued(
+                     a.s, su3.MBParams(n=a.n), _budget(t)),
+                 (su3,)),
         "special": (("n",), "su3 special n={n}",
-                    lambda a, b: su3.special_value_su3(a.n)),
+                    lambda a, t: su3.special_value_su3(a.n),
+                    (su3, exact)),
         "lemma": (("n",), ("su3 lemma n={n} lhs", "su3 lemma n={n} rhs"),
-                  lambda a, b: su3.bernoulli_convolution_check(a.n)),
+                  lambda a, t: su3.bernoulli_convolution_check(a.n),
+                  (su3, exact)),
     },
     "padic": {
         "list": ((), lambda: tuple(f"padic family {key}"
                                    for key in padic.FAMILIES),
-                 lambda a, b: tuple(f.identifier
-                                    for f in padic.FAMILIES.values())),
+                 lambda a, t: tuple(f.identifier
+                                    for f in padic.FAMILIES.values()),
+                 (padic,)),
         "eval": (("family", "s"), "padic eval {family} m={m} s={s} p={p}",
-                 lambda a, b: padic.eval_at_int_s(a.family, a.m, a.s, a.p)),
+                 lambda a, t: padic.eval_at_int_s(a.family, a.m, a.s, a.p),
+                 (padic,)),
         "zero": (("family", "s"), ("padic zero {family} m={m} s={s}",
                                    "padic zero {family} m={m} s={s} witness"),
-                 lambda a, b: padic.verify_zero(a.family, a.m, a.s)),
+                 lambda a, t: padic.verify_zero(a.family, a.m, a.s),
+                 (padic,)),
         "limit": (("family",), "padic limit {family} m={m}",
-                  lambda a, b: padic.absolute_limit(a.family, a.m)),
+                  lambda a, t: padic.absolute_limit(a.family, a.m),
+                  (padic,)),
         "factor-check": (("family",), "padic factor-check {family}",
-                         lambda a, b: padic.factorization_check(a.family)[0]),
+                         lambda a, t: padic.factorization_check(a.family)[0],
+                         (padic,)),
     },
     "finite": {
         "eval": (("table", "s"),
                  "finite eval {table.name} s={s} class={class_index}",
-                 _finite_eval),
+                 _finite_eval,
+                 lambda a: (witten_core,) if _finite_is_exact(a)
+                 else (witten_core, numerics)),
         "average": (("table", "s"), "finite average {table.name} s={s}",
-                    lambda a, b: witten_core.haar_average_finite(a.table,
-                                                                 a.s)),
+                    lambda a, t: witten_core.haar_average_finite(a.table,
+                                                                 a.s),
+                    (witten_core, numerics)),
     },
 }
 
@@ -286,11 +329,11 @@ def _complete(args, needs) -> None:
         args.table = _finite_table(args)
 
 
-def _dispatch(args, budget) -> list:
+def _dispatch(args, target) -> list:
     """The (query, value) pairs of the action's row of _COMMANDS."""
-    needs, labels, call = _COMMANDS[args.module][args.action]
+    needs, labels, call, _ = _COMMANDS[args.module][args.action]
     _complete(args, needs)
-    values = call(args, budget)
+    values = call(args, target)
     if callable(labels):
         labels = labels()
     if isinstance(labels, str):
@@ -330,7 +373,7 @@ def _actions_help(actions) -> str:
     width = max(map(len, actions))
     lines = [f"  {action:<{width}}  "
              + (", ".join(_NEEDS[need][1] for need in needs) or "(none)")
-             for action, (needs, _, _) in actions.items()]
+             for action, (needs, *_) in actions.items()]
     return "actions and the flags each needs:\n" + "\n".join(lines) \
         + "\nA missing or malformed flag exits 2."
 
@@ -382,10 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {module: _dispatch for module in _COMMANDS}
 
-# the library module each command module calls
-_LIBRARY = {"polylog": polylog, "su2": su2, "su3": su3, "padic": padic,
-            "finite": witten_core}
-
 
 def _resolve_precision(args) -> int:
     digits = args.precision
@@ -408,14 +447,16 @@ def main(argv=None) -> int:
         if args.module == "verify":
             return _run_verify(args)
         digits = _resolve_precision(args)
-        budget = PrecisionBudget(target=10.0 ** (-digits))
+        target = 10.0 ** (-digits)
         # the first read of a lazy module runs it: off the clock, so that
         # ms times the library call alone
-        _LIBRARY[args.module].__name__
+        runs = _COMMANDS[args.module][args.action][3]
+        for module in runs(args) if callable(runs) else runs:
+            module.__name__  # noqa: B018
         t0 = time.perf_counter()
-        pairs = _HANDLERS[args.module](args, budget)
+        pairs = _HANDLERS[args.module](args, target)
         ms = (time.perf_counter() - t0) * 1000.0 / max(1, len(pairs))
-        records = [_record(q, v, ms, budget.target) for q, v in pairs]
+        records = [_record(q, v, ms, target) for q, v in pairs]
         _print_records(records, [v for _, v in pairs], args.format, digits)
         return EXIT_OK
     except argparse.ArgumentTypeError as exc:

@@ -248,6 +248,9 @@ class Polynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes as one (0 as 0)
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __repr__(self):
@@ -379,6 +382,9 @@ class RationalFunction:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # over the monic denominator 1 it equals its numerator
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):
@@ -386,9 +392,3 @@ class RationalFunction:
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
 
-
-def fraction_str(q: Fraction) -> str:
-    """Serialize a Fraction as "num/den" (plain integer when den == 1)."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"

@@ -421,12 +421,13 @@ def witten_su3_continued(s: complex, params: MBParams = MBParams(),
 MAX_SPECIAL_N = 200
 """Largest n that ``special_value_su3`` and ``bernoulli_convolution_check``
 accept; larger n raise DomainError. Each is a sum of n + 1 products of exact
-zeta(-k). At n = 200 ``special_value_su3`` takes 26 ms in a fresh process
-that has run su3: 18 ms of it the table of Bernoulli numbers up to
-B_{3n+2}, 6 ms the first run of ``exact``, which no floating route runs,
-and 3 ms once both are done; ``bernoulli_convolution_check(200)`` takes
-6 ms once the table is built (medians of 15 processes on one core of a
-shared Xeon, Python 3.11, no cached bytecode)."""
+zeta(-k), and each asks for B_{3n+2} first, so the table of Bernoulli
+numbers is built once. At n = 200 in a fresh process that has run su3,
+``special_value_su3`` takes 29 ms, most of it that table and the first run
+of ``exact``, which no floating route runs, and 3 ms once both are done;
+``bernoulli_convolution_check(200)`` takes 31 ms, and 6.5 ms once both are
+done (medians of 15 processes on one core of a shared Xeon, Python 3.11,
+no cached bytecode)."""
 
 
 def _check_special_n(n: int) -> None:
@@ -478,11 +479,12 @@ def bernoulli_convolution_check(n: int) -> tuple[exact.Fraction,
     _check_special_n(n)
     from fractions import Fraction
     zeta_neg_int = exact.zeta_neg_int
+    # the largest Bernoulli index, B_{3n+2}, first: one table build
+    rhs = Fraction(factorial(n), factorial(2 * n + 1)) \
+        * zeta_neg_int(3 * n + 1)
     lhs = Fraction(0)
     for k in range(0, n + 1):
         l = n - k
         lhs += zeta_neg_int(n + k) * zeta_neg_int(n + l) \
             / (factorial(k) * factorial(l))
-    rhs = Fraction(factorial(n), factorial(2 * n + 1)) \
-        * zeta_neg_int(3 * n + 1)
     return lhs, rhs

@@ -16,8 +16,8 @@ import cmath
 import math
 from fractions import Fraction
 
+from . import numerics  # the package's lazy module: runs for a float s
 from .errors import DomainError
-from .numerics import read_s
 
 MAX_EXACT_S = 1000  # deg^{|s|+1} then prints in 4300 digits for deg < 19,000
 
@@ -263,7 +263,7 @@ def finite_witten_L(table: CharacterTable, s: complex,
                     class_index: int) -> complex:
     """Sum over irreps of chi(g)/deg * deg^{-s} in floating point, integer s
     too; DomainError for a non-finite s or a deg^{-s-1} past a double."""
-    s = read_s(s)
+    s = numerics.read_s(s)
     if not 0 <= class_index < table.n_classes:
         raise DomainError(f"class index {class_index} out of range")
     acc = 0.0 + 0.0j

@@ -88,6 +88,12 @@ class TestFormats:
         with pytest.raises(TypeError, match="cannot encode object"):
             cli._encode_value(object())
 
+    def test_json_fraction_value(self):
+        # a Fraction is its str: an integer bare, else num/den
+        assert cli._record("q", Fraction(3), 0.0, 1e-10)["value"] == "3"
+        assert cli._record("q", Fraction(-2, 5), 0.0, 1e-10)["value"] \
+            == "-2/5"
+
     def test_json_exact_value(self, capsys):
         code, out, _ = run(capsys, "su3", "special", "--n", "2",
                            "--format", "json")
@@ -465,17 +471,66 @@ class TestPadicCli:
         assert code == 0 and json.loads(out)["value"]["var"] == "p"
 
 
-# the library modules `import wittenzeta` registers, and one command of each
-# with the modules it runs besides those of `import wittenzeta.cli`
+# the library modules `import wittenzeta` registers; commands with the
+# modules each runs, and whether it loads fractions
 _LIBRARY_MODULES = ["errors", "exact", "numerics", "padic", "polylog", "su2",
                     "su3", "witten_core"]
 _RUNS = [
-    ("padic eval --family sl2zp --s 3", {"padic"}),
-    ("su3 special --n 20", {"su3"}),
-    ("polylog closed --m 5", {"polylog"}),
-    ("finite eval --family s3 --s 2", {"witten_core"}),
-    ("su2 eval --s -1 --theta 1", {"polylog", "su2"}),
+    ("padic eval --family sl2zp --s 3", ["errors", "exact", "padic"], True),
+    ("su3 special --n 20", ["errors", "exact", "numerics", "su3"], True),
+    ("su3 lemma --n 4", ["errors", "exact", "numerics", "su3"], True),
+    ("polylog closed --m 5", ["errors", "exact", "numerics", "polylog"],
+     True),
+    ("su3 eval --s 1.5", ["errors", "numerics", "su3"], False),
+    ("polylog neg --m 2 --theta 1", ["errors", "numerics", "polylog"], False),
+    ("su2 eval --s -1 --theta 1", ["errors", "numerics", "polylog", "su2"],
+     False),
+    ("su2 deriv2 --theta 1", ["errors", "numerics", "polylog", "su2"], False),
+    ("su2 special --m 2 --theta 1", ["errors", "numerics", "polylog", "su2"],
+     True),
+    ("finite eval --family s3 --s 2", ["errors", "witten_core"], True),
+    ("finite eval --family s3 --s 2.5", ["errors", "numerics", "witten_core"],
+     True),
 ]
+
+# one command per action, and the query label of its first record
+_LABELS = [
+    ("polylog eval --s 2.5 --theta 1", "polylog eval s=2.5 theta=1"),
+    ("polylog series --s 1.5 --theta-pi 1/3",
+     "polylog series s=1.5 theta=1.0471975511965976"),
+    ("polylog jonquiere --s -1.5 --theta 2",
+     "polylog jonquiere s=-1.5 theta=2"),
+    ("polylog closed --m 3", "polylog closed m=3"),
+    ("polylog neg --m 2 --theta-pi 1/2",
+     "polylog neg m=2 theta=1.5707963267948966"),
+    ("su2 eval --s -1 --theta-pi 1/3",
+     "su2 eval s=-1 theta=1.0471975511965976"),
+    ("su2 special --m 2 --theta-pi 1/2",
+     "su2 special m=2 theta=1.5707963267948966"),
+    ("su2 deriv2 --theta-pi 1/2", "su2 deriv2 theta=1.5707963267948966"),
+    ("su2 multi --s=-0.5,2 --theta-pi 1/2,1/3",
+     "su2 multi s=-0.5+2i thetas=1.5707963267948966,1.0471975511965976"),
+    ("su2 average --s 2", "su2 average s=2"),
+    ("su3 eval --s 2.5", "su3 eval s=2.5"),
+    ("su3 special --n 2", "su3 special n=2"),
+    ("su3 lemma --n 2", "su3 lemma n=2 lhs"),
+    ("padic list", "padic family sl2zp"),
+    ("padic eval --family sl2cong --s -1 --p 5",
+     "padic eval sl2cong m=1 s=-1 p=5"),
+    ("padic zero --family su3cong --s -1", "padic zero su3cong m=1 s=-1"),
+    ("padic limit --family sl2cong --m 2", "padic limit sl2cong m=2"),
+    ("padic factor-check --family sl3cong",
+     "padic factor-check sl3cong"),
+    ("finite eval --family q8 --s -2 --class 1",
+     "finite eval Q8 s=-2 class=1"),
+    ("finite average --family s3 --s 1.7", "finite average S3 s=1.7"),
+]
+
+# a command of every row of the command table: those of _RUNS first
+_TIMED = [argv for argv, _, _ in _RUNS] + [
+    argv for argv, _ in _LABELS
+    if argv.split()[:2] not in [a.split()[:2] for a, _, _ in _RUNS]]
+
 # ran() prints (the library modules that ran, those in sys.modules); a
 # lazy one is of a subclass of ModuleType until it runs
 _RAN = ("import sys, types\n"
@@ -554,30 +609,42 @@ class TestImport:
             "print([m for m in lazy if m in sys.modules and m not in before])\n")
         assert out.stdout.splitlines()[-1] == "[]"
 
-    def test_cli_import_runs_three_modules(self):
-        out = run_python(_RAN + "import wittenzeta.cli\nran()\n")
-        assert ast.literal_eval(out.stdout.splitlines()[-1]) == (
-            ["errors", "exact", "numerics"], _LIBRARY_MODULES)
+    def test_cli_import_runs_only_errors(self):
+        out = run_python(_RAN + "import wittenzeta.cli\nran()\n"
+                         "print([m for m in ('fractions', 'decimal')"
+                         " if m in sys.modules])\n")
+        ran, loaded = out.stdout.splitlines()[-2:]
+        assert ast.literal_eval(ran) == (["errors"], _LIBRARY_MODULES)
+        assert loaded == "[]"
 
-    @pytest.mark.parametrize("argv,runs", _RUNS,
-                             ids=[argv for argv, _ in _RUNS])
-    def test_command_runs_only_its_modules(self, argv, runs):
-        # the rest stay in sys.modules, registered and not run
+    @pytest.mark.parametrize("argv,runs,fractions", _RUNS,
+                             ids=[argv for argv, _, _ in _RUNS])
+    def test_command_runs_only_its_modules(self, argv, runs, fractions):
+        # the rest stay in sys.modules, registered and not run; fractions
+        # loads with decimal, for an exact value or a finite table only
         out = run_python(_RAN + "import wittenzeta.cli as cli\n"
-                         f"assert cli.main({argv.split()!r}) == 0\nran()\n")
-        assert ast.literal_eval(out.stdout.splitlines()[-1]) == (
-            sorted({"errors", "exact", "numerics", *runs}), _LIBRARY_MODULES)
+                         f"assert cli.main({argv.split()!r}) == 0\nran()\n"
+                         "print([m for m in ('fractions', 'decimal')"
+                         " if m in sys.modules])\n")
+        ran, loaded = out.stdout.splitlines()[-2:]
+        assert ast.literal_eval(ran) == (runs, _LIBRARY_MODULES)
+        assert loaded == ("['fractions', 'decimal']" if fractions else "[]")
 
-    @pytest.mark.parametrize("argv", [argv for argv, _ in _RUNS])
+    def test_timed_commands_cover_every_row(self):
+        rows = {(module, action) for module, actions in cli._COMMANDS.items()
+                for action in actions}
+        assert {tuple(argv.split()[:2]) for argv in _TIMED} == rows
+
+    @pytest.mark.parametrize("argv", _TIMED)
     def test_record_timer_starts_after_the_modules_run(self, argv):
         # the handler is what ms times: a module it runs first is not in it
         module = argv.split()[0]
         out = run_python(
             _RAN + "import wittenzeta.cli as cli\n"
             f"handler = cli._HANDLERS[{module!r}]\n"
-            "def timed(args, budget):\n"
+            "def timed(args, target):\n"
             "    ran()\n"
-            "    return handler(args, budget)\n"
+            "    return handler(args, target)\n"
             f"cli._HANDLERS[{module!r}] = timed\n"
             f"assert cli.main({argv.split()!r}) == 0\nran()\n")
         first, last = (ast.literal_eval(line) for line in
@@ -626,41 +693,7 @@ _NAMED = {"s": "--s", "theta": "--theta", "thetas": "--theta", "m": "--m",
           "n": "--n", "family": "--family", "table": "--table"}
 _ROWS = [(module, action, needs)
          for module, actions in cli._COMMANDS.items()
-         for action, (needs, _, _) in actions.items()]
-
-# one command per action, and the query label of its first record
-_LABELS = [
-    ("polylog eval --s 2.5 --theta 1", "polylog eval s=2.5 theta=1"),
-    ("polylog series --s 1.5 --theta-pi 1/3",
-     "polylog series s=1.5 theta=1.0471975511965976"),
-    ("polylog jonquiere --s -1.5 --theta 2",
-     "polylog jonquiere s=-1.5 theta=2"),
-    ("polylog closed --m 3", "polylog closed m=3"),
-    ("polylog neg --m 2 --theta-pi 1/2",
-     "polylog neg m=2 theta=1.5707963267948966"),
-    ("su2 eval --s -1 --theta-pi 1/3",
-     "su2 eval s=-1 theta=1.0471975511965976"),
-    ("su2 special --m 2 --theta-pi 1/2",
-     "su2 special m=2 theta=1.5707963267948966"),
-    ("su2 deriv2 --theta-pi 1/2", "su2 deriv2 theta=1.5707963267948966"),
-    ("su2 multi --s=-0.5,2 --theta-pi 1/2,1/3",
-     "su2 multi s=-0.5+2i thetas=1.5707963267948966,1.0471975511965976"),
-    ("su2 average --s 2", "su2 average s=2"),
-    ("su3 eval --s 2.5", "su3 eval s=2.5"),
-    ("su3 special --n 2", "su3 special n=2"),
-    ("su3 lemma --n 2", "su3 lemma n=2 lhs"),
-    ("padic list", "padic family sl2zp"),
-    ("padic eval --family sl2cong --s -1 --p 5",
-     "padic eval sl2cong m=1 s=-1 p=5"),
-    ("padic zero --family su3cong --s -1", "padic zero su3cong m=1 s=-1"),
-    ("padic limit --family sl2cong --m 2", "padic limit sl2cong m=2"),
-    ("padic factor-check --family sl3cong",
-     "padic factor-check sl3cong"),
-    ("finite eval --family q8 --s -2 --class 1",
-     "finite eval Q8 s=-2 class=1"),
-    ("finite average --family s3 --s 1.7", "finite average S3 s=1.7"),
-]
-
+         for action, (needs, *_) in actions.items()]
 
 class TestCommandTable:
     @pytest.mark.parametrize("module,action,needs", _ROWS,

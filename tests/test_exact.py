@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittenzeta.exact import (Polynomial, RationalFunction, bernoulli,
-                              fraction_str, gamma_ratio_at_neg, zeta_neg_int)
+                              gamma_ratio_at_neg, zeta_neg_int)
 
 F = Fraction
 
@@ -120,6 +120,57 @@ class TestRationalFunction:
             (1 / (r - 1))(F(1))
 
 
+class TestValueSemantics:
+    """Hashes agree with ==, the types are immutable, and an unsupported
+    operand raises TypeError through the NotImplemented returns."""
+
+    def test_constant_polynomial_hashes_as_its_coefficient(self):
+        for value in (3, F(-1, 2), 0):
+            poly = Polynomial.constant(value)
+            assert poly == value and hash(poly) == hash(value)
+            assert value in {poly} and {poly: "v"}[value] == "v"
+        assert Polynomial([]) == 0 and hash(Polynomial([])) == 0
+
+    def test_rational_function_over_one_hashes_as_its_numerator(self):
+        x = Polynomial.variable()
+        for num in (x, x * x - 3, Polynomial.constant(3), Polynomial([])):
+            rf = RationalFunction(num, 1)
+            assert rf == num and hash(rf) == hash(num)
+            assert num in {rf} and {rf: "v"}[num] == "v"
+        assert 3 in {RationalFunction(3)} and 0 in {RationalFunction(0)}
+        assert RationalFunction(x, 2 * x + 2) in {RationalFunction(
+            x * x - x, 2 * x * x - 2)}
+
+    @pytest.mark.parametrize("value,attr", [
+        (Polynomial([1, 2]), "coeffs"), (RationalFunction(1, 2), "num")],
+        ids=["Polynomial", "RationalFunction"])
+    def test_immutable(self, value, attr):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, attr, None)
+
+    @pytest.mark.parametrize("op", [
+        lambda: Polynomial([1]) + "a",
+        lambda: Polynomial([1]) * 1.5,
+        lambda: RationalFunction(1) + "a",
+        lambda: RationalFunction(1) - "a",
+        lambda: "a" - RationalFunction(1),
+        lambda: RationalFunction(1) * 1.5,
+        lambda: RationalFunction(1) / "a",
+        lambda: "a" / RationalFunction(1),
+    ], ids=["poly+str", "poly*float", "rf+str", "rf-str", "str-rf",
+            "rf*float", "rf/str", "str/rf"])
+    def test_unsupported_operand_is_type_error(self, op):
+        with pytest.raises(TypeError):
+            op()
+
+    def test_unsupported_equality_is_false(self):
+        assert Polynomial([1]) != "a" and RationalFunction(1) != "a"
+        assert Polynomial([1]) != 1.5
+
+    def test_constant_minus_polynomial(self):
+        assert 3 - Polynomial([1, 1]) == Polynomial([2, -1])
+
+
 _coeffs = st.lists(st.integers(min_value=-5, max_value=5),
                    min_size=0, max_size=4)
 
@@ -198,8 +249,3 @@ def test_rational_function_division_inverts(na, nb):
 def test_argument_checks(call, error, match):
     with pytest.raises(error, match=match):
         call()
-
-
-def test_fraction_str():
-    assert fraction_str(F(3)) == "3"
-    assert fraction_str(F(-2, 5)) == "-2/5"

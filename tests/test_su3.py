@@ -3,8 +3,12 @@ and exact special values at negative integers."""
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -817,3 +821,17 @@ class TestBernoulliConvolution:
         assert lhs == rhs
         with pytest.raises(DomainError):
             bernoulli_convolution_check(n + 2)
+
+    def test_one_table_build(self):
+        # B_{3n+2} first: the table of B_0 ... B_602 is built once, where
+        # rising indices rebuilt it at B_202, B_408 and B_820
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from wittenzeta import exact, su3\n"
+             "su3.bernoulli_convolution_check(200)\n"
+             "print(len(exact._B_EVEN))\n"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert out.stdout.split() == ["302"]

@@ -54,6 +54,23 @@ irrep 3 3 -1 -1 0 1
 """
 
 
+class TestGaussianRational:
+    def test_hash_agrees_with_equality(self):
+        a, b = GaussianRational(F(1, 2), F(-3)), GaussianRational(F(2, 4),
+                                                                 F(-3))
+        assert a == b and hash(a) == hash(b)
+        assert b in {a} and {a: "v"}[b] == "v"
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError, match="is immutable"):
+            GaussianRational(F(1)).re = F(2)
+
+    def test_other_types_are_unequal(self):
+        # __eq__ returns NotImplemented, so == falls back to identity
+        assert GaussianRational(F(1)) != F(1)
+        assert GaussianRational(F(1)) != "1"
+
+
 class TestParseTable:
     def test_round_trip(self):
         table = parse_table(_S3_TEXT)
